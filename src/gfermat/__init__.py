@@ -26,7 +26,7 @@ from .constructions import (
     restrict_to_line,
     tangent_conic,
 )
-from .errors import BudgetExceeded, NotInGeneralPosition, TangencyError
+from .errors import BudgetExceeded, Inconclusive, NotInGeneralPosition, TangencyError
 from .exactfield import (
     CyclotomicScalar,
     ExactMatrix,

@@ -11,6 +11,13 @@ General position is the rank condition: every d+1 of the dual points are
 linearly independent, i.e. every maximal minor of the (d+1) x (n+1) dual
 matrix is nonzero.  (For s < d+1 this already forces any s of the
 hyperplanes to meet in a (d-s)-plane.)
+
+Normal forms are computed on integers.  Dual points are cleared to integer
+vectors; fraction-free Gauss-Jordan gives M = D B^{-1} (D = +-det B) for the
+frame B of the first d+1 points as columns, and T_ij = M_ij / (M a)_i for the
+(d+2)-nd point a.  Scaling a frame point, or D, scales rows of M and of M a
+alike, so only the scale of a survives in T; the table entries
+(M q)_j (M a)_d / ((M a)_j (M q)_d) are invariant under every scaling.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from fractions import Fraction
 from .errors import NotInGeneralPosition
 from .exactfield import (
     ExactMatrix,
+    clear_denominators,
+    fraction_free_inverse,
     projective_normalize,
     rational_from_string,
     rational_to_string,
@@ -191,32 +200,43 @@ def normalize(arr: Arrangement, *, check: bool = True):
     maps the j-th dual point to a multiple of e_j for j = 1, ..., d+1, the
     (d+2)-nd to exactly (1, ..., 1), and the remaining ones to multiples of
     [l_{i,1} : ... : l_{i,d} : 1].  T is unique up to a global scalar.
+
+    Computed on integers (module docstring); the anchor's common denominator
+    is multiplied back into T.  With ``check=False`` a singular frame raises
+    ValueError and a zero in M a or in a table denominator ZeroDivisionError.
     """
     d = arr.d
     duals = arr.duals
     if check and not is_general_position(duals, d):
         raise NotInGeneralPosition("arrangement is not in general position")
-    base_inv = ExactMatrix.from_columns(duals[: d + 1]).inverse()
-    anchor = base_inv.matvec(duals[d + 1])
-    transform = base_inv.scale_rows(tuple(1 / a for a in anchor))
-    rows = []
-    for q in duals[d + 2:]:
-        image = transform.matvec(q)
-        last = image[d]
-        rows.append(tuple(image[j] / last for j in range(d)))
-    return transform, StandardParameter(d, arr.n, tuple(rows))
+    points, dens = zip(*(clear_denominators(q) for q in duals))
+    m, anchor, rows = _frame_normal_form(points, d)
+    transform = ExactMatrix.from_rows(
+        [[Fraction(x * dens[d + 1], a) for x in row] for row, a in zip(m, anchor)])
+    return transform, StandardParameter(d, arr.n, rows)
+
+
+def _frame_normal_form(points, d: int):
+    """(M, M a, table rows) for integer dual points (module docstring)."""
+    m = fraction_free_inverse(list(zip(*points[: d + 1])))
+    anchor, *images = [[sum(x * y for x, y in zip(row, q)) for row in m] for q in points[d + 1:]]
+    if not all(anchor):
+        raise ZeroDivisionError("the (d+2)-nd dual point lies on a frame hyperplane")
+    rows = tuple(tuple(Fraction(b[j] * anchor[d], anchor[j] * b[d]) for j in range(d))
+                 for b in images)
+    return m, anchor, rows
+
+
+def _integer_duals(par: StandardParameter) -> list[tuple[int, ...]]:
+    """Dual points of arrangement_of(par), each cleared to integers."""
+    d = par.d
+    frame = [tuple(int(i == j) for i in range(d + 1)) for j in range(d + 1)] + [(1,) * (d + 1)]
+    return frame + [clear_denominators(row + (1,))[0] for row in par.rows]
 
 
 def arrangement_of(par: StandardParameter) -> Arrangement:
     """The canonical ordered arrangement attached to a parameter table."""
-    d = par.d
-    duals = [
-        tuple(Fraction(int(i == j)) for i in range(d + 1)) for j in range(d + 1)
-    ]
-    duals.append(tuple(Fraction(1) for _ in range(d + 1)))
-    for row in par.rows:
-        duals.append(tuple(row) + (Fraction(1),))
-    return Arrangement(d, tuple(Hyperplane(q) for q in duals))
+    return Arrangement(par.d, tuple(Hyperplane(q) for q in _integer_duals(par)))
 
 
 def is_standard_parameter(par: StandardParameter) -> bool:

@@ -10,6 +10,10 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
+class Inconclusive(RuntimeError):
+    """A sampled search ended with more than one candidate left."""
+
+
 class NotInGeneralPosition(ValueError):
     """A hyperplane collection violates the general-position requirement."""
 

@@ -13,6 +13,7 @@ cyclotomic scalars as a coefficient list tagged with their order k.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +30,8 @@ __all__ = [
     "LinearSolveResult",
     "solve_linear",
     "projective_normalize",
+    "clear_denominators",
+    "fraction_free_inverse",
     "all_maximal_minors_nonzero",
 ]
 
@@ -246,9 +249,6 @@ class CyclotomicScalar:
     def __hash__(self):
         return hash((self.order, self.coeffs))
 
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
     def promote(self, order: int) -> CyclotomicScalar:
         """Re-express the value in the cyclotomic field of a multiple order
         via zeta_m = zeta_{order}^{order/m}."""
@@ -320,9 +320,6 @@ class ExactMatrix:
     def row_list(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> ExactMatrix:
-        return ExactMatrix.from_rows(zip(*self.row_list()))
-
     def matvec(self, vec) -> tuple:
         vec = tuple(vec)
         if len(vec) != self.cols:
@@ -339,12 +336,6 @@ class ExactMatrix:
         cols = [other.column(j) for j in range(other.cols)]
         return ExactMatrix.from_rows(
             [[_dot(self.row(i), c) for c in cols] for i in range(self.rows)]
-        )
-
-    def scale_rows(self, factors) -> ExactMatrix:
-        factors = tuple(factors)
-        return ExactMatrix.from_rows(
-            [[f * e for e in self.row(i)] for i, f in enumerate(factors)]
         )
 
     def submatrix(self, row_idx, col_idx) -> ExactMatrix:
@@ -379,24 +370,6 @@ class ExactMatrix:
             prev = a[i][i]
         return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 
-    def det_cofactor(self):
-        """Determinant by cofactor expansion (test oracle for .det())."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        if self.rows == 1:
-            return self.entry(0, 0)
-        total = _zero_like(self.entries[0])
-        cols = range(1, self.cols)
-        for j in range(self.cols):
-            pivot = self.entry(0, j)
-            if pivot == 0:
-                continue
-            sub = self.submatrix(range(1, self.rows),
-                                 [c for c in range(self.cols) if c != j])
-            term = pivot * sub.det_cofactor()
-            total = total + term if j % 2 == 0 else total - term
-        return total
-
     def rank(self) -> int:
         a = self.row_list()
         rank = 0
@@ -417,25 +390,6 @@ class ExactMatrix:
                 break
         return rank
 
-    def inverse(self) -> ExactMatrix:
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        a = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)]
-             for i in range(n)]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot_row is None:
-                raise ValueError("matrix is singular")
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            pivot = a[col][col]
-            a[col] = [x / pivot for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    factor = a[r][col]
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-        return ExactMatrix.from_rows([row[n:] for row in a])
-
     def adjugate(self) -> ExactMatrix:
         """Transpose of the cofactor matrix; M @ adj(M) = det(M) I."""
         if self.rows != self.cols:
@@ -452,7 +406,7 @@ class ExactMatrix:
                 m = sub.det()
                 cof_row.append(m if (i + j) % 2 == 0 else -m)
             cof.append(cof_row)
-        return ExactMatrix.from_rows(cof).transpose()
+        return ExactMatrix.from_columns(cof)
 
     def to_json(self):
         return [[_scalar_to_json(e) for e in self.row(i)] for i in range(self.rows)]
@@ -544,6 +498,32 @@ def projective_normalize(vec) -> tuple:
         if entry != 0:
             return tuple(x / entry for x in vec)
     raise ValueError("cannot normalize the zero vector")
+
+
+def clear_denominators(vec) -> tuple[tuple[int, ...], int]:
+    """``(ints, den)`` with vec == ints / den, den the least common denominator."""
+    vec = [Fraction(x) for x in vec]
+    den = math.lcm(*(x.denominator for x in vec))
+    return tuple(x.numerator * (den // x.denominator) for x in vec), den
+
+
+def fraction_free_inverse(rows) -> list[list[int]]:
+    """D B^{-1}, D = +-det B, for a square integer matrix B by fraction-free
+    Gauss-Jordan elimination on [B | I] (Bareiss 1968): entries stay minors
+    of [B | I], so each ``//`` is exact.  Raises ValueError if B is singular."""
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        swap = next((r for r in range(k, n) if a[r][k]), None)
+        if swap is None:
+            raise ValueError("matrix is singular")
+        a[k], a[swap] = a[swap], a[k]
+        p = a[k]
+        a = [row if row is p else [(p[k] * x - row[k] * y) // prev for x, y in zip(row, p)]
+             for row in a]
+        prev = p[k]
+    return [row[n:] for row in a]
 
 
 def all_maximal_minors_nonzero(matrix: ExactMatrix, s: int) -> bool:

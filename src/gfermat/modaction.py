@@ -18,14 +18,13 @@ import random
 from dataclasses import dataclass
 
 from .arrangement import (
-    Arrangement,
     StandardParameter,
-    arrangement_of,
+    _frame_normal_form,
+    _integer_duals,
     is_standard_parameter,
-    normalize,
     random_parameter,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, Inconclusive
 
 __all__ = [
     "Permutation",
@@ -103,13 +102,14 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def sort_key(self):
-        return self.images
 
-
-def _all_permutations(m: int):
-    for images in itertools.permutations(range(m)):
-        yield Permutation(images)
+def _act_rows(par: StandardParameter, orders=None):
+    """(images, act rows) per one-line tuple (hyperplane i to slot images[i]),
+    over all of S_{n+1} in itertools order unless ``orders`` is given."""
+    points = _integer_duals(par)
+    for images in itertools.permutations(range(par.n + 1)) if orders is None else orders:
+        slots = sorted(range(len(images)), key=images.__getitem__)
+        yield images, _frame_normal_form([points[i] for i in slots], par.d)[2]
 
 
 def act(eta: Permutation, par: StandardParameter, *, validate: bool = True) -> StandardParameter:
@@ -122,11 +122,7 @@ def act(eta: Permutation, par: StandardParameter, *, validate: bool = True) -> S
         raise ValueError("permutation degree must be n+1")
     if validate and not is_standard_parameter(par):
         raise ValueError("parameter is not in X_{n,d}")
-    arr = arrangement_of(par)
-    inv = eta.inverse()
-    reordered = tuple(arr.hyperplanes[inv(j)] for j in range(par.n + 1))
-    _, out = normalize(Arrangement(par.d, reordered), check=False)
-    return out
+    return StandardParameter(par.d, par.n, next(_act_rows(par, [eta.images]))[1])
 
 
 def act_sigma1(par: StandardParameter) -> StandardParameter:
@@ -204,14 +200,13 @@ def orbit_and_stabilizer(par: StandardParameter, budget: int = DEFAULT_BUDGET) -
     size = math.factorial(par.n + 1)
     if size > budget:
         raise BudgetExceeded(size, budget)
-    seen = {}
+    seen = set()
     stabilizer = []
-    for eta in _all_permutations(par.n + 1):
-        image = act(eta, par, validate=False)
-        seen.setdefault(image.rows, image)
-        if image.rows == par.rows:
-            stabilizer.append(eta)
-    elements = tuple(sorted(seen.values(), key=lambda p: p.flatten()))
+    for images, rows in _act_rows(par):
+        seen.add(rows)
+        if rows == par.rows:
+            stabilizer.append(Permutation(images))
+    elements = tuple(StandardParameter(par.d, par.n, rows) for rows in sorted(seen))
     return OrbitReport(par, elements, tuple(stabilizer), _kernel_note(par.n, par.d))
 
 
@@ -228,8 +223,9 @@ def kernel_of_R(
     """Permutations acting trivially on every parameter.
 
     For (n, d) = (3, 1) the kernel is the Klein four-group (a proved fact,
-    returned directly); otherwise the kernel is identified probabilistically
-    as the intersection of the stabilizers of ``samples`` random parameters.
+    returned directly).  Otherwise each of up to ``samples`` random
+    parameters removes the candidates that move it, so a lone survivor (the
+    identity) is exact; if more than one survives, Inconclusive is raised.
     """
     if n < d + 2 and (n, d) != (3, 1):
         raise ValueError("kernel identification needs n >= d+2")
@@ -239,15 +235,15 @@ def kernel_of_R(
     if size * max(samples, 1) > budget:
         raise BudgetExceeded(size * max(samples, 1), budget)
     rng = rng or random.Random(0)
-    candidates = list(_all_permutations(n + 1))
+    candidates = list(itertools.permutations(range(n + 1)))
     for _ in range(samples):
         par = random_parameter(d, n, rng)
-        candidates = [
-            eta for eta in candidates if act(eta, par, validate=False) == par
-        ]
+        candidates = [images for images, rows in _act_rows(par, candidates) if rows == par.rows]
         if len(candidates) == 1:
             break
-    return tuple(sorted(candidates, key=Permutation.sort_key))
+    if len(candidates) > 1:
+        raise Inconclusive(f"{len(candidates)} permutations fix all {samples} samples")
+    return (Permutation(candidates[0]),)
 
 
 @dataclass(frozen=True)
@@ -279,9 +275,9 @@ def are_isomorphic(
     note = None
     if k is not None and (first.d, k, first.n) in EXCEPTIONAL_TYPES:
         note = "linear-category"
-    for eta in _all_permutations(first.n + 1):
-        if act(eta, first, validate=False) == second:
-            return IsomorphismResult(True, eta, note)
+    for images, rows in _act_rows(first):
+        if rows == second.rows:
+            return IsomorphismResult(True, Permutation(images), note)
     return IsomorphismResult(False, None, note)
 
 

@@ -4,8 +4,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from gfermat.exactfield import ExactMatrix
+
+BIG = 10**30
+
+
+def _nonzero_fractions(bound):
+    return st.builds(
+        lambda sign, num, den: Fraction(sign * num, den),
+        st.sampled_from((1, -1)), st.integers(1, bound), st.integers(1, bound),
+    )
+
+
+# Nonzero rationals of small and of large height; ``rationals`` adds zero,
+# drawn often enough that frames needing a pivot swap, and degenerate ones,
+# come up regularly.
+nonzero_rationals = st.one_of(_nonzero_fractions(9), _nonzero_fractions(BIG))
+rationals = st.one_of(st.just(Fraction(0)), nonzero_rationals)
 
 
 def rand_fraction(rng, bound=9, nonzero=False):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfermat.arrangement import (
     Arrangement,
@@ -18,7 +20,8 @@ from gfermat.arrangement import (
 )
 from gfermat.errors import NotInGeneralPosition
 from gfermat.exactfield import ExactMatrix, projective_normalize
-from tests.conftest import rand_fraction, rand_invertible
+from tests import oracles
+from tests.conftest import nonzero_rationals, rand_fraction, rand_invertible, rationals
 
 E1 = (1, 0, 0)
 E2 = (0, 1, 0)
@@ -175,6 +178,63 @@ class TestNormalize:
         ))
         with pytest.raises(NotInGeneralPosition):
             normalize(arr)
+
+
+def _arrangements(entries):
+    """(d, dual points) with d in 1..3 and n+1 points, n in d+1..d+7."""
+    def points(d, n):
+        point = st.tuples(*[entries] * (d + 1)).filter(any)
+        return st.tuples(st.just(d), st.lists(point, min_size=n + 1, max_size=n + 1))
+
+    return st.integers(1, 3).flatmap(
+        lambda d: st.integers(d + 1, d + 7).flatmap(lambda n: points(d, n))
+    )
+
+
+def _outcome(fn, d, points):
+    """The JSON of (T, parameter), or the exception type raised."""
+    arr = Arrangement(d, tuple(Hyperplane(q) for q in points))
+    try:
+        transform, par = fn(arr)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+    return transform.to_json(), par.to_json()
+
+
+class TestNormalizeAgainstFractionReference:
+    """The integer frame kernel against the Fraction Gauss-Jordan path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_arrangements(nonzero_rationals))
+    def test_general_position(self, case):
+        d, points = case
+        if not is_general_position(points, d):
+            return
+        assert _outcome(normalize, d, points) == _outcome(oracles.normalize, d, points)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_arrangements(rationals))
+    def test_unchecked_agrees_including_errors(self, case):
+        d, points = case
+        ours = _outcome(lambda arr: normalize(arr, check=False), d, points)
+        assert ours == _outcome(oracles.normalize, d, points)
+
+    def test_pivot_swap_frame(self):
+        points = [F(0, 1, 0), F(0, 0, 1), F(1, 0, 0), F(1, 1, 1), F(2, 3, 1)]
+        arr = Arrangement(2, tuple(Hyperplane(q) for q in points))
+        transform, par = normalize(arr)
+        assert transform.to_json() == [["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]]
+        assert par.rows == ((Fraction(3, 2), Fraction(1, 2)),)
+        assert _outcome(normalize, 2, points) == _outcome(oracles.normalize, 2, points)
+
+    def test_unchecked_error_types(self):
+        def arrangement(*points):
+            return Arrangement(1, tuple(Hyperplane(F(*q)) for q in points))
+
+        with pytest.raises(ValueError):  # singular frame
+            normalize(arrangement((1, 0), (2, 0), (1, 1), (2, 1)), check=False)
+        with pytest.raises(ZeroDivisionError):  # zero anchor coordinate
+            normalize(arrangement((1, 0), (0, 1), (1, 0), (2, 1)), check=False)
 
 
 class TestStandardParameter:

@@ -4,18 +4,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfermat.exactfield import (
     CyclotomicScalar,
     ExactMatrix,
     all_maximal_minors_nonzero,
+    clear_denominators,
     cyclotomic_polynomial,
+    fraction_free_inverse,
     projective_normalize,
     rational_from_string,
     rational_to_string,
     solve_linear,
 )
-from tests.conftest import rand_fraction, rand_invertible
+from tests import oracles
+from tests.conftest import BIG, rand_fraction, rand_invertible, rationals
 
 
 def poly_mul_int(a, b):
@@ -192,7 +197,7 @@ class TestDeterminants:
             if rng.random() < 0.3 and size > 1:
                 rows[-1] = rows[0][:]  # force singularity sometimes
             matrix = ExactMatrix.from_rows(rows)
-            assert matrix.det() == matrix.det_cofactor()
+            assert matrix.det() == oracles.det_cofactor(matrix)
 
     def test_adjugate_identity(self, rng):
         for _ in range(30):
@@ -208,8 +213,53 @@ class TestDeterminants:
         for _ in range(30):
             size = rng.randint(1, 4)
             matrix = rand_invertible(rng, size)
-            eye = matrix @ matrix.inverse()
+            eye = matrix @ oracles.inverse(matrix)
             assert eye.entries == ExactMatrix.identity(size).entries
+
+
+square_int_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-BIG, BIG)),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )
+)
+
+
+class TestIntegerKernels:
+    def test_clear_denominators_examples(self):
+        assert clear_denominators((Fraction(1, 2), Fraction(-2, 3), 4)) == ((3, -4, 24), 6)
+        assert clear_denominators((Fraction(0), Fraction(5))) == ((0, 5), 1)
+
+    @given(st.lists(rationals, min_size=1, max_size=6))
+    def test_clear_denominators_round_trip(self, vec):
+        ints, den = clear_denominators(vec)
+        assert den >= 1
+        assert all(type(x) is int for x in ints)
+        assert tuple(Fraction(x, den) for x in ints) == tuple(vec)
+
+    @settings(max_examples=200)
+    @given(square_int_matrices)
+    def test_fraction_free_inverse_is_scaled_inverse(self, rows):
+        """M B = D I with D = +-det B; singular B raises ValueError."""
+        n = len(rows)
+        det = ExactMatrix.from_rows([[Fraction(x) for x in row] for row in rows]).det()
+        if det == 0:
+            with pytest.raises(ValueError):
+                fraction_free_inverse(rows)
+            return
+        m = fraction_free_inverse(rows)
+        assert all(type(x) is int for row in m for x in row)
+        product = [[sum(m[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+                   for i in range(n)]
+        scale = product[0][0]
+        assert scale in (det, -det)
+        assert product == [[scale * (i == j) for j in range(n)] for i in range(n)]
+
+    def test_fraction_free_inverse_pivot_swap(self):
+        # det = -30; the swap of the first two rows makes D = 30
+        rows = [[0, 2, 1], [3, 0, 0], [0, 0, 5]]
+        assert fraction_free_inverse(rows) == [[0, 10, 0], [15, 0, -3], [0, 0, 6]]
 
 
 class TestMaximalMinors:

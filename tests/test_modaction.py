@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfermat.arrangement import StandardParameter, is_standard_parameter, random_parameter
-from gfermat.errors import BudgetExceeded
+from gfermat.errors import BudgetExceeded, Inconclusive
 from gfermat.modaction import (
     Permutation,
     act,
@@ -18,6 +20,8 @@ from gfermat.modaction import (
     kernel_of_R,
     orbit_and_stabilizer,
 )
+from tests import oracles
+from tests.conftest import nonzero_rationals, rationals
 
 
 def par1(*values):
@@ -108,6 +112,55 @@ class TestActionLaws:
             act(Permutation.identity(5), HARMONIC)
 
 
+def _actions(entries):
+    """(eta, parameter table) with d in 1..3 and n in d+1..d+7."""
+    def case(d, n):
+        rows = st.lists(st.tuples(*[entries] * d), min_size=n - d - 1, max_size=n - d - 1)
+        return st.tuples(
+            st.permutations(range(n + 1)).map(lambda p: Permutation(tuple(p))),
+            rows.map(lambda r: StandardParameter(d, n, tuple(r))),
+        )
+
+    return st.integers(1, 3).flatmap(
+        lambda d: st.integers(d + 1, d + 7).flatmap(lambda n: case(d, n))
+    )
+
+
+def _act_outcome(fn, eta, par):
+    try:
+        return fn(eta, par)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+class TestActAgainstFractionReference:
+    """act on integer dual points against reorder -> Fraction normalize."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_actions(nonzero_rationals))
+    def test_members(self, case):
+        eta, par = case
+        if is_standard_parameter(par):
+            assert act(eta, par) == oracles.act(eta, par)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_actions(rationals))
+    def test_unvalidated_agrees_including_errors(self, case):
+        eta, par = case
+        ours = _act_outcome(lambda e, p: act(e, p, validate=False), eta, par)
+        assert ours == _act_outcome(oracles.act, eta, par)
+
+    def test_unvalidated_anchor_on_frame_hyperplane(self):
+        """For the parameter 0 hyperplanes 2 and 4 coincide; sending them to
+        the first frame slot and the anchor slot leaves the anchor with a
+        zero last coordinate, which the Fraction path rejects too."""
+        eta = Permutation((1, 0, 3, 2))
+        with pytest.raises(ZeroDivisionError):
+            oracles.act(eta, par1(0))
+        with pytest.raises(ZeroDivisionError):
+            act(eta, par1(0), validate=False)
+
+
 class TestOrbitStabilizer:
     def test_harmonic_orbit(self):
         report = orbit_and_stabilizer(HARMONIC)
@@ -167,6 +220,11 @@ class TestKernel:
         kernel = kernel_of_R(n, d, samples=10, rng=random.Random(5))
         assert len(kernel) == 1
         assert kernel[0].is_identity()
+
+    @pytest.mark.parametrize("n,d", [(4, 1), (5, 2)])
+    def test_unsampled_kernel_is_inconclusive(self, n, d):
+        with pytest.raises(Inconclusive):
+            kernel_of_R(n, d, samples=0)
 
 
 class TestIsomorphism:
