@@ -10,7 +10,9 @@ off the standard parameter table (rows [l_{i,1} : ... : l_{i,d} : 1]).
 General position is the rank condition: every d+1 of the dual points are
 linearly independent, i.e. every maximal minor of the (d+1) x (n+1) dual
 matrix is nonzero.  (For s < d+1 this already forces any s of the
-hyperplanes to meet in a (d-s)-plane.)
+hyperplanes to meet in a (d-s)-plane.)  It is decided on integer points:
+clearing a point's denominators scales each minor through it by a nonzero
+integer, which cannot turn the minor zero or nonzero.
 
 Normal forms are computed on integers.  Dual points are cleared to integer
 vectors; fraction-free Gauss-Jordan gives M = D B^{-1} (D = +-det B) for the
@@ -30,6 +32,7 @@ from fractions import Fraction
 from .errors import NotInGeneralPosition
 from .exactfield import (
     ExactMatrix,
+    all_subsets_independent,
     clear_denominators,
     fraction_free_inverse,
     projective_normalize,
@@ -178,7 +181,7 @@ def is_general_position(points, d: int) -> bool:
     Rejects (raises) vectors of the wrong length, zero vectors, and lists
     with fewer than d+2 points.
     """
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    pts = [clear_denominators(p)[0] for p in points]
     if len(pts) < d + 2:
         raise ValueError("need at least d+2 points")
     for p in pts:
@@ -186,11 +189,7 @@ def is_general_position(points, d: int) -> bool:
             raise ValueError("points must be vectors of length d+1")
         if not any(p):
             raise ValueError("the zero vector is not a projective point")
-    matrix = ExactMatrix.from_columns(pts)
-    for col_idx in itertools.combinations(range(len(pts)), d + 1):
-        if matrix.submatrix(range(d + 1), col_idx).det() == 0:
-            return False
-    return True
+    return all_subsets_independent(pts)
 
 
 def normalize(arr: Arrangement, *, check: bool = True):
@@ -241,7 +240,7 @@ def arrangement_of(par: StandardParameter) -> Arrangement:
 
 def is_standard_parameter(par: StandardParameter) -> bool:
     """Membership test for X_{n,d} (general position of the derived duals)."""
-    return arrangement_of(par).is_general_position()
+    return all_subsets_independent(_integer_duals(par))
 
 
 def random_parameter(d: int, n: int, rng: random.Random, bound: int = 9) -> StandardParameter:

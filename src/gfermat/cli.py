@@ -162,10 +162,6 @@ def _parse_degree(value) -> int:
     return k
 
 
-def _matrix_json(matrix: ExactMatrix):
-    return matrix.to_json()
-
-
 def _permutations_json(perms):
     return [list(p.one_line()) for p in sorted(perms, key=lambda p: p.images)]
 
@@ -177,7 +173,7 @@ def _permutations_json(perms):
 def _cmd_normalize(args, budget):
     arrangement = _parse_arrangement(_load_json(args.arrangement))
     transform, par = arr_mod.normalize(arrangement)
-    return {"T": _matrix_json(transform), "parameter": par.to_json()}
+    return {"T": transform.to_json(), "parameter": par.to_json()}
 
 
 def _cmd_orbit(args, budget):
@@ -317,8 +313,8 @@ def _cmd_restrict_line(args, budget):
 def _cmd_conic(args, budget):
     conic = con_mod.tangent_conic(_parse_rational(args.a))
     report = conic.to_json()
-    report["matrix"] = _matrix_json(conic.matrix())
-    report["dual_matrix"] = _matrix_json(conic.dual_matrix())
+    report["matrix"] = conic.matrix().to_json()
+    report["dual_matrix"] = conic.dual_matrix().to_json()
     return report
 
 
@@ -360,13 +356,11 @@ def _is_prime(k: int) -> bool:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=None,
+    common.add_argument("--budget", default=None,
                         help="enumeration budget (default: env "
                              f"{DEFAULT_BUDGET_ENV} or {act_mod.DEFAULT_BUDGET})")
     common.add_argument("--pretty", action="store_true",
                         help="indent the JSON report")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampling verbs (reserved)")
 
     parser = argparse.ArgumentParser(
         prog="gfermat",
@@ -489,14 +483,23 @@ def _emit(report, pretty: bool) -> None:
     sys.stdout.write(text + "\n")
 
 
+def _parse_budget(text) -> int:
+    if text is None:
+        text = os.environ.get(DEFAULT_BUDGET_ENV, str(act_mod.DEFAULT_BUDGET))
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValidationError(f"budget must be a positive integer, got {text!r}")
+    return budget
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get(DEFAULT_BUDGET_ENV, act_mod.DEFAULT_BUDGET))
     try:
-        report = args.func(args, budget)
+        report = args.func(args, _parse_budget(args.budget))
     except ValidationError as exc:
         _emit({"error": {"kind": "validation", "message": str(exc)}}, args.pretty)
         return EXIT_VALIDATION

@@ -32,6 +32,7 @@ __all__ = [
     "projective_normalize",
     "clear_denominators",
     "fraction_free_inverse",
+    "all_subsets_independent",
     "all_maximal_minors_nonzero",
 ]
 
@@ -343,9 +344,6 @@ class ExactMatrix:
             [[self.entry(i, j) for j in col_idx] for i in row_idx]
         )
 
-    def minor(self, row_idx, col_idx):
-        return self.submatrix(row_idx, col_idx).det()
-
     def det(self):
         """Determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
@@ -526,12 +524,26 @@ def fraction_free_inverse(rows) -> list[list[int]]:
     return [row[n:] for row in a]
 
 
+def all_subsets_independent(columns) -> bool:
+    """True iff every r of the integer vectors in the list ``columns``, each
+    of length r, are independent: fraction-free Bareiss on ``int`` (entries
+    stay minors, so ``//`` is exact) per r-subset, up to the first zero minor."""
+    for subset in itertools.combinations(columns, len(columns[0])):
+        vecs, prev = list(subset), 1
+        while vecs:
+            k = next((i for i, v in enumerate(vecs) if v[0]), None)
+            if k is None:
+                return False
+            p = vecs.pop(k)
+            vecs = [[(p[0] * x - v[0] * y) // prev for x, y in zip(v[1:], p[1:])] for v in vecs]
+            prev = p[0]
+    return True
+
+
 def all_maximal_minors_nonzero(matrix: ExactMatrix, s: int) -> bool:
-    """True iff every s-by-s minor of ``matrix`` is nonzero."""
+    """True iff every s-by-s minor of the rational ``matrix`` is nonzero (rows
+    cleared to integers: that scales each minor by a nonzero factor)."""
     if s < 1 or s > min(matrix.rows, matrix.cols):
         raise ValueError("minor size out of range")
-    for row_idx in itertools.combinations(range(matrix.rows), s):
-        for col_idx in itertools.combinations(range(matrix.cols), s):
-            if matrix.minor(row_idx, col_idx) == 0:
-                return False
-    return True
+    rows = [clear_denominators(matrix.row(i))[0] for i in range(matrix.rows)]
+    return all(all_subsets_independent(list(zip(*sub))) for sub in itertools.combinations(rows, s))

@@ -23,7 +23,6 @@ from .errors import BudgetExceeded
 from .exactfield import (
     CyclotomicScalar,
     ExactMatrix,
-    all_maximal_minors_nonzero,
     rational_to_string,
     solve_linear,
 )
@@ -230,10 +229,13 @@ def equations(par: StandardParameter, k: int) -> EquationSystem:
 
 
 def smoothness_certificate(system: EquationSystem) -> bool:
-    """Exact smoothness test: every maximal minor of the coefficient matrix
-    is nonzero, equivalently the dual arrangement is in general position."""
-    size = system.coefficient_matrix.rows
-    return all_maximal_minors_nonzero(system.coefficient_matrix, size)
+    """Exact smoothness test: every maximal minor of the (n-d) x (n+1)
+    coefficient matrix C is nonzero.  C has full rank and its kernel is the
+    row space of the Gale dual G, with columns e_1, ..., e_{d+1}, -(1,...,1)
+    and -(l_i, 1); so C's minor on columns S is, up to sign and a common
+    nonzero factor, G's (d+1)-minor on the rest.  Up to column signs G holds
+    the table's dual points, so the test is their general position."""
+    return is_standard_parameter(StandardParameter(system.d, system.n, system.table))
 
 
 # ---------------------------------------------------------------------------

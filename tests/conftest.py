@@ -25,6 +25,27 @@ nonzero_rationals = st.one_of(_nonzero_fractions(9), _nonzero_fractions(BIG))
 rationals = st.one_of(st.just(Fraction(0)), nonzero_rationals)
 
 
+@st.composite
+def tables(draw, entries=rationals):
+    """(d, n, rows): a parameter table with d in 1..3, n in d+1..d+7 and
+    entries drawn from ``entries``.  Half the tables with rows are then put
+    off general position: a repeated row, an entry 0 or 1, or two equal
+    entries in one row (an entry 0 where a row or entry cannot repeat)."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, d + 7))
+    rows = [list(draw(st.tuples(*[entries] * d))) for _ in range(n - d - 1)]
+    if rows and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, d - 1))
+        kind = draw(st.sampled_from(("repeat", "zero", "one", "equal")))
+        if kind == "repeat" and len(rows) > 1:
+            rows[i] = list(rows[i - 1])
+        elif kind == "equal" and d > 1:
+            rows[i][j] = rows[i][j - 1]
+        else:
+            rows[i][j] = Fraction(kind == "one")
+    return d, n, tuple(tuple(row) for row in rows)
+
+
 def rand_fraction(rng, bound=9, nonzero=False):
     while True:
         value = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))

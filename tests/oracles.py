@@ -1,7 +1,9 @@
 """Independent reference implementations the fast library paths are
 compared against: cofactor determinants, a Fraction Gauss-Jordan inverse,
-and the Fraction normal form that the integer frame kernel replaced."""
+the Fraction normal form that the integer frame kernel replaced, and the
+Fraction minor scans that the integer minor engine replaced."""
 
+import itertools
 from fractions import Fraction
 
 from gfermat.arrangement import Arrangement, StandardParameter
@@ -75,3 +77,27 @@ def act(eta, par: StandardParameter) -> StandardParameter:
     inv = eta.inverse()
     reordered = tuple(duals[inv(j)] for j in range(par.n + 1))
     return normalize(Arrangement(d, reordered))[1]
+
+
+def all_maximal_minors_nonzero(matrix: ExactMatrix, s: int) -> bool:
+    """Every s-by-s minor nonzero: one Fraction Bareiss determinant per row
+    subset and column subset, with no clearing of denominators."""
+    return all(
+        matrix.submatrix(rows, cols).det() != 0
+        for rows in itertools.combinations(range(matrix.rows), s)
+        for cols in itertools.combinations(range(matrix.cols), s)
+    )
+
+
+def is_general_position(points, d: int) -> bool:
+    """Every d+1 of the (nonzero, length d+1) dual points independent: each
+    (d+1)-minor of the Fraction dual matrix, one determinant at a time."""
+    columns = [tuple(Fraction(c) for c in p) for p in points]
+    return all_maximal_minors_nonzero(ExactMatrix.from_columns(columns), d + 1)
+
+
+def smoothness_by_minors(system) -> bool:
+    """Every maximal (n-d)-minor of the coefficient matrix itself nonzero,
+    with no Gale duality."""
+    matrix = system.coefficient_matrix
+    return all_maximal_minors_nonzero(matrix, matrix.rows)

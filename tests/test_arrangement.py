@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfermat.arrangement import (
@@ -21,7 +21,7 @@ from gfermat.arrangement import (
 from gfermat.errors import NotInGeneralPosition
 from gfermat.exactfield import ExactMatrix, projective_normalize
 from tests import oracles
-from tests.conftest import nonzero_rationals, rand_fraction, rand_invertible, rationals
+from tests.conftest import nonzero_rationals, rand_fraction, rand_invertible, rationals, tables
 
 E1 = (1, 0, 0)
 E2 = (0, 1, 0)
@@ -199,6 +199,43 @@ def _outcome(fn, d, points):
     except (ValueError, ZeroDivisionError) as exc:
         return type(exc)
     return transform.to_json(), par.to_json()
+
+
+@st.composite
+def _dependent_arrangements(draw):
+    """An arrangement in which one point is replaced by a nonzero
+    combination of at most d others: a repeated projective point when it
+    uses one, and never in general position."""
+    d, points = draw(_arrangements(rationals))
+    sources = draw(st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=d, unique=True))
+    target = draw(st.sampled_from([i for i in range(len(points)) if i not in sources]))
+    coeffs = draw(st.lists(nonzero_rationals, min_size=len(sources), max_size=len(sources)))
+    point = tuple(sum(c * points[i][j] for c, i in zip(coeffs, sources)) for j in range(d + 1))
+    assume(any(point))
+    points[target] = point
+    return d, points
+
+
+class TestGeneralPositionAgainstFractionReference:
+    """The integer minor engine against the Fraction determinant scan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_arrangements(nonzero_rationals), _arrangements(rationals),
+                     _dependent_arrangements()))
+    def test_matches_fraction_scan(self, case):
+        d, points = case
+        assert is_general_position(points, d) == oracles.is_general_position(points, d)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_dependent_arrangements())
+    def test_forced_dependence_is_rejected(self, case):
+        assert not is_general_position(case[1], case[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(tables(nonzero_rationals), tables()))
+    def test_standard_parameter_matches_arrangement(self, table):
+        par = StandardParameter(*table)
+        assert is_standard_parameter(par) == arrangement_of(par).is_general_position()
 
 
 class TestNormalizeAgainstFractionReference:

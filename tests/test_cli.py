@@ -68,6 +68,19 @@ class TestExitCodes:
         code, _ = run_json(capsys, "orbit", PAR_13, "--budget", "100")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("value", ["abc", "", "1.5", "0", "-5"])
+    def test_bad_budget_from_environment(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GFERMAT_BUDGET", value)
+        code, report = run_json(capsys, "invariants", "2", "4", "3")
+        assert code == EXIT_VALIDATION
+        assert report["error"]["kind"] == "validation"
+
+    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
+    def test_bad_budget_option(self, capsys, value):
+        code, report = run_json(capsys, "invariants", "2", "4", "3", "--budget", value)
+        assert code == EXIT_VALIDATION
+        assert report["error"]["kind"] == "validation"
+
     def test_degenerate_conic_parameter(self, capsys):
         code, _ = run_json(capsys, "conic", "2")
         assert code == EXIT_PRECONDITION

@@ -11,6 +11,7 @@ from gfermat.exactfield import (
     CyclotomicScalar,
     ExactMatrix,
     all_maximal_minors_nonzero,
+    all_subsets_independent,
     clear_denominators,
     cyclotomic_polynomial,
     fraction_free_inverse,
@@ -20,7 +21,7 @@ from gfermat.exactfield import (
     solve_linear,
 )
 from tests import oracles
-from tests.conftest import BIG, rand_fraction, rand_invertible, rationals
+from tests.conftest import BIG, nonzero_rationals, rand_fraction, rand_invertible, rationals
 
 
 def poly_mul_int(a, b):
@@ -279,3 +280,32 @@ class TestMaximalMinors:
     def test_size_out_of_range(self):
         with pytest.raises(ValueError):
             all_maximal_minors_nonzero(ExactMatrix.identity(2), 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_size_against_fraction_scan(self, data):
+        """Any s, including s below the row count, on matrices whose rows and
+        columns may repeat."""
+        rows = data.draw(st.integers(1, 4))
+        cols = data.draw(st.integers(rows, 6))
+        entries = data.draw(st.sampled_from((rationals, nonzero_rationals)))
+        a = [list(data.draw(st.tuples(*[entries] * cols))) for _ in range(rows)]
+        if data.draw(st.booleans()):
+            i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+            a[i] = list(a[i - 1])
+            for row in a:
+                row[j] = row[j - 1]
+        matrix = ExactMatrix.from_rows(a)
+        s = data.draw(st.integers(1, rows))
+        assert all_maximal_minors_nonzero(matrix, s) == oracles.all_maximal_minors_nonzero(matrix, s)
+
+
+class TestIndependenceEngine:
+    def test_pivot_swap(self):
+        # the first vector has leading entry 0, so the pivot comes from the second
+        assert all_subsets_independent([(0, 1), (1, 0), (1, 1)])
+        assert all_subsets_independent([(0, 2, 1), (3, 0, 0), (0, 0, 5)])
+
+    def test_stops_at_first_zero_minor(self):
+        assert not all_subsets_independent([(1, 0), (0, 1), (2, 0)])
+        assert not all_subsets_independent([(0, 0, 1), (0, 1, 0), (0, 2, 1), (1, 1, 1)])

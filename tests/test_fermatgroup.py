@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfermat.arrangement import StandardParameter, random_parameter
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix
@@ -27,7 +29,8 @@ from gfermat.fermatgroup import (
     subgroup_acts_freely,
 )
 from gfermat.modaction import act, orbit_and_stabilizer
-from tests.conftest import rand_fraction
+from tests import oracles
+from tests.conftest import nonzero_rationals, rand_fraction, tables
 
 
 def par1(*values):
@@ -129,6 +132,15 @@ class TestSmoothness:
             system = EquationSystem.from_table(d, n, 2, rows)
             duals = [tuple(q) for q in arrangement_of(par).duals]
             assert smoothness_certificate(system) == is_general_position(duals, d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(tables(nonzero_rationals), tables()))
+    def test_gale_dual_matches_coefficient_minors(self, table):
+        """The Gale-dual certificate against the direct sweep of the
+        (n-d)-minors of the coefficient matrix."""
+        d, n, rows = table
+        system = EquationSystem.from_table(d, n, 2, rows)
+        assert smoothness_certificate(system) == oracles.smoothness_by_minors(system)
 
 
 class TestFixedLocus:
