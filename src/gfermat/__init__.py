@@ -72,6 +72,7 @@ from .modaction import (
     canonical_representative,
     kernel_of_R,
     orbit_and_stabilizer,
+    stabilizer,
 )
 
 __version__ = "0.1.0"

@@ -134,7 +134,7 @@ class StandardParameter:
         if self.d < 1 or self.n < self.d + 1:
             raise ValueError("need d >= 1 and n >= d+1")
         rows = tuple(
-            tuple(Fraction(x) for x in row) for row in self.rows
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in self.rows
         )
         if len(rows) != self.n - self.d - 1:
             raise ValueError("parameter table must have n-d-1 rows")

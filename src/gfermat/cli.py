@@ -2,9 +2,9 @@
 
 One verb per invocation, one self-describing JSON report on stdout.  All
 output is deterministic: keys are sorted, sets are emitted in canonical
-order, rationals are in lowest terms.  Exit codes: 0 success, 2 payload
-validation failure, 3 mathematical precondition failure, 4 enumeration
-budget exhausted.
+order, rationals are in lowest terms.  Exit codes: 0 success, 2 validation
+failure (payload or arguments), 3 mathematical precondition failure, 4
+enumeration budget exhausted.
 
 JSON payloads are passed as positional arguments; an argument of the form
 ``@path`` reads the file, and ``-`` reads stdin.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -85,7 +86,7 @@ def _parse_parameter(data) -> arr_mod.StandardParameter:
             int(data["n"]),
             tuple(tuple(_parse_rational(x) for x in row) for row in rows),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: int() of a list or null
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(str(exc)) from exc
@@ -104,7 +105,7 @@ def _parse_arrangement(data) -> arr_mod.Arrangement:
             int(data["d"]),
             tuple(arr_mod.Hyperplane(q) for q in points),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a point that is a number
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(str(exc)) from exc
@@ -119,12 +120,16 @@ def _parse_exponents(data, k: int) -> fg_mod.GroupElement:
         raise ValidationError(str(exc)) from exc
 
 
-def _parse_matrix(data, k: int) -> ExactMatrix:
+def _parse_matrix(data, k: int, size: int) -> ExactMatrix:
+    """A size x size matrix; the shape is checked before any entry's
+    cyclotomic field is built."""
     if not isinstance(data, dict) or "entries" not in data:
         raise ValidationError("matrix payload needs 'entries'")
     rows = data["entries"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValidationError("'entries' must be a list of rows")
+    if len(rows) != size or any(len(r) != size for r in rows):
+        raise ValidationError(f"matrix must be square of size n+1 = {size}")
 
     def entry(cell):
         if isinstance(cell, dict):
@@ -191,11 +196,11 @@ def _cmd_orbit(args, budget):
 
 def _cmd_stabilizer(args, budget):
     par = _parse_parameter(_load_json(args.parameter))
-    report = act_mod.orbit_and_stabilizer(par, budget=budget)
+    stabilizer = act_mod.stabilizer(par, budget=budget)
     return {
-        "stabilizer": _permutations_json(report.stabilizer),
-        "stabilizer_order": report.stabilizer_order,
-        "kernel_note": report.kernel_note,
+        "stabilizer": _permutations_json(stabilizer),
+        "stabilizer_order": len(stabilizer),
+        "kernel_note": act_mod.kernel_note(par.n, par.d),
     }
 
 
@@ -274,7 +279,7 @@ def _cmd_aut_order(args, budget):
 def _cmd_verify_matrix(args, budget):
     par = _parse_parameter(_load_json(args.parameter))
     k = _parse_degree(args.k)
-    matrix = _parse_matrix(_load_json(args.matrix), k)
+    matrix = _parse_matrix(_load_json(args.matrix), k, par.n + 1)
     return {"accepted": fg_mod.is_linear_automorphism(matrix, par, k)}
 
 
@@ -354,15 +359,29 @@ def _is_prime(k: int) -> bool:
     return True
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are validation errors, and which
+    reads a token such as ``-3/2`` or ``-.5`` as a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern admits only integers and decimals; no
+        # option here starts with a digit, so any such token is a value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--budget", default=None,
                         help="enumeration budget (default: env "
                              f"{DEFAULT_BUDGET_ENV} or {act_mod.DEFAULT_BUDGET})")
     common.add_argument("--pretty", action="store_true",
                         help="indent the JSON report")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gfermat",
         description="Exact computations with generalized Fermat manifolds",
     )
@@ -496,20 +515,22 @@ def _parse_budget(text) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    pretty = "--pretty" in argv
     try:
+        args = _build_parser().parse_args(argv)
+        pretty = args.pretty
         report = args.func(args, _parse_budget(args.budget))
     except ValidationError as exc:
-        _emit({"error": {"kind": "validation", "message": str(exc)}}, args.pretty)
+        _emit({"error": {"kind": "validation", "message": str(exc)}}, pretty)
         return EXIT_VALIDATION
     except BudgetExceeded as exc:
-        _emit({"error": {"kind": "budget", "message": str(exc)}}, args.pretty)
+        _emit({"error": {"kind": "budget", "message": str(exc)}}, pretty)
         return EXIT_BUDGET
     except (NotInGeneralPosition, TangencyError, ValueError) as exc:
-        _emit({"error": {"kind": "precondition", "message": str(exc)}}, args.pretty)
+        _emit({"error": {"kind": "precondition", "message": str(exc)}}, pretty)
         return EXIT_PRECONDITION
-    _emit(report, args.pretty)
+    _emit(report, pretty)
     return EXIT_OK
 
 

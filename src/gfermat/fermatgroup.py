@@ -30,7 +30,7 @@ from .modaction import (
     DEFAULT_BUDGET,
     EXCEPTIONAL_TYPES,
     Permutation,
-    orbit_and_stabilizer,
+    stabilizer,
 )
 
 __all__ = [
@@ -320,21 +320,24 @@ class FreeActionResult:
 
 
 def _subgroup_closure(generators, k: int, n: int, budget: int):
-    elements = {GroupElement.identity(k, n)}
-    frontier = list(elements)
-    gens = list(generators)
+    """The generated subgroup, closed over canonical exponent tuples (last
+    exponent 0, so a product is the elementwise sum mod k) and wrapped once."""
+    identity = (0,) * (n + 1)
+    elements = {identity}
+    frontier = [identity]
+    gens = [g.exponents for g in generators]
     while frontier:
         new_frontier = []
         for g in gens:
             for h in frontier:
-                prod = g * h
+                prod = tuple((a + b) % k for a, b in zip(g, h))
                 if prod not in elements:
                     elements.add(prod)
                     new_frontier.append(prod)
                     if len(elements) > budget:
                         raise BudgetExceeded(len(elements), budget)
         frontier = new_frontier
-    return elements
+    return {GroupElement(k, e) for e in elements}
 
 
 def subgroup_acts_freely(
@@ -493,8 +496,7 @@ class AutomorphismOrder:
 def automorphism_order(
     par: StandardParameter, k: int, budget: int = DEFAULT_BUDGET
 ) -> AutomorphismOrder:
-    report = orbit_and_stabilizer(par, budget=budget)
-    stab = report.stabilizer_order
+    stab = len(stabilizer(par, budget=budget))
     if par.n == par.d + 1:
         kernel = math.factorial(par.n + 1)
     elif (par.n, par.d) == (3, 1):

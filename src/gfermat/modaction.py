@@ -8,6 +8,27 @@ parameter table; both paths are implemented and cross-checked in tests.
 Composition convention: products of permutations are read left to right
 (``(a * b)(x) = b(a(x))``), under which ``act(a * b, p) ==
 act(b, act(a, p))``.
+
+Orbit, stabilizer, canonical form and isomorphism scan frames, not all of
+S_{n+1}.  act(eta, p) depends only on the frame eta sets up: the d+1
+hyperplanes it puts in the basis slots, in order, and the one it puts in
+the anchor slot.  The other n-d-1 hyperplanes only decide the order of the
+table rows.  Reordering the basis permutes the rows of M = D B^{-1}, and no
+scaling changes a table entry (``arrangement`` docstring), so one
+fraction-free inverse per unordered basis set S gives the integer
+coordinates C[b][q] = (M q)_b of every dual point q, and for every ordering
+(b_0, ..., b_d) of S and anchor a outside S the row of each other
+hyperplane q is
+
+    C[b_j][q] C[b_d][a] / (C[b_j][a] C[b_d][q]),  j < d.
+
+A permutation fixes p iff its frame's rows are p's rows in p's order.  In
+general position the rows of a table are distinct, so a frame whose row set
+equals p's sends each other hyperplane to one forced slot: each such frame
+gives exactly one stabilizer element (and, against a second table, one
+isomorphism).  The orbit is every row order of every frame's rows.  Scans
+are still charged (n+1)! against the budget, which bounds the
+(n+1)!/(n-d-1)! frames they visit.
 """
 
 from __future__ import annotations
@@ -16,6 +37,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .arrangement import (
     StandardParameter,
@@ -25,6 +47,7 @@ from .arrangement import (
     random_parameter,
 )
 from .errors import BudgetExceeded, Inconclusive
+from .exactfield import fraction_free_inverse
 
 __all__ = [
     "Permutation",
@@ -34,6 +57,8 @@ __all__ = [
     "act_sigma1",
     "act_sigma2",
     "orbit_and_stabilizer",
+    "stabilizer",
+    "kernel_note",
     "kernel_of_R",
     "are_isomorphic",
     "canonical_representative",
@@ -103,15 +128,6 @@ class Permutation:
         return all(i == j for i, j in enumerate(self.images))
 
 
-def _act_rows(par: StandardParameter, orders=None):
-    """(images, act rows) per one-line tuple (hyperplane i to slot images[i]),
-    over all of S_{n+1} in itertools order unless ``orders`` is given."""
-    points = _integer_duals(par)
-    for images in itertools.permutations(range(par.n + 1)) if orders is None else orders:
-        slots = sorted(range(len(images)), key=images.__getitem__)
-        yield images, _frame_normal_form([points[i] for i in slots], par.d)[2]
-
-
 def act(eta: Permutation, par: StandardParameter, *, validate: bool = True) -> StandardParameter:
     """Reorder the canonical arrangement by eta and renormalize.
 
@@ -122,7 +138,9 @@ def act(eta: Permutation, par: StandardParameter, *, validate: bool = True) -> S
         raise ValueError("permutation degree must be n+1")
     if validate and not is_standard_parameter(par):
         raise ValueError("parameter is not in X_{n,d}")
-    return StandardParameter(par.d, par.n, next(_act_rows(par, [eta.images]))[1])
+    points = _integer_duals(par)
+    slots = eta.inverse().images
+    return StandardParameter(par.d, par.n, _frame_normal_form([points[i] for i in slots], par.d)[2])
 
 
 def act_sigma1(par: StandardParameter) -> StandardParameter:
@@ -186,28 +204,90 @@ class OrbitReport:
         return len(self.stabilizer)
 
 
-def _kernel_note(n: int, d: int) -> str | None:
+def kernel_note(n: int, d: int) -> str | None:
+    """The note flagging the (n, d) = (3, 1) kernel, else None."""
     if (n, d) == (3, 1):
         return ("the action kernel is the Klein four-group "
                 "{e, (12)(34), (13)(24), (14)(23)}")
     return None
 
 
-def orbit_and_stabilizer(par: StandardParameter, budget: int = DEFAULT_BUDGET) -> OrbitReport:
-    """Enumerate the full symmetric group; exact but budgeted at (n+1)!."""
+def _frame_tables(par: StandardParameter):
+    """(frame, {hyperplane: row}) for every ordered frame (b_0, ..., b_d, a)
+    of par's canonical arrangement, with the table row of every hyperplane
+    outside it (module docstring).  An entry depends on the ordering only
+    through b_d, so it is built once per basis set, anchor and b_d."""
+    d, points = par.d, _integer_duals(par)
+    for basis in itertools.combinations(range(par.n + 1), d + 1):
+        m = fraction_free_inverse(list(zip(*(points[i] for i in basis))))
+        coords = {q: dict(zip(basis, [sum(x * y for x, y in zip(row, p)) for row in m]))
+                  for q, p in enumerate(points) if q not in basis}
+        for a, ca in coords.items():
+            for last in basis:
+                head = [b for b in basis if b != last]
+                entries = {q: {b: Fraction(c[b] * ca[last], ca[b] * c[last]) for b in head}
+                           for q, c in coords.items() if q != a}
+                for order in itertools.permutations(head):
+                    yield order + (last, a), {q: tuple(e[b] for b in order)
+                                              for q, e in entries.items()}
+
+
+def _carrying(par: StandardParameter, target: StandardParameter):
+    """(rows, images) per frame of par: its {hyperplane: row} map, and the
+    one-line images of the permutation with that frame carrying par to
+    target, or None if the frame's rows are not target's.  Rows are
+    distinct, so matching every row fixes the slot of every hyperplane."""
+    slots = {row: j for j, row in enumerate(target.rows, start=par.d + 2)}
+    for frame, rows in _frame_tables(par):
+        images = None
+        if all(row in slots for row in rows.values()):
+            images = [0] * (par.n + 1)
+            for j, h in enumerate(frame):
+                images[h] = j
+            for h, row in rows.items():
+                images[h] = slots[row]
+            images = tuple(images)
+        yield rows, images
+
+
+def _check_scan(par: StandardParameter, budget: int) -> None:
+    """Refuse a parameter off X_{n,d}, then charge (n+1)! to the budget."""
     if not is_standard_parameter(par):
         raise ValueError("parameter is not in X_{n,d}")
     size = math.factorial(par.n + 1)
     if size > budget:
         raise BudgetExceeded(size, budget)
-    seen = set()
-    stabilizer = []
-    for images, rows in _act_rows(par):
-        seen.add(rows)
-        if rows == par.rows:
-            stabilizer.append(Permutation(images))
-    elements = tuple(StandardParameter(par.d, par.n, rows) for rows in sorted(seen))
-    return OrbitReport(par, elements, tuple(stabilizer), _kernel_note(par.n, par.d))
+
+
+def _stabilizer_images(par: StandardParameter) -> list[tuple[int, ...]]:
+    return sorted(images for _, images in _carrying(par, par) if images)
+
+
+def orbit_and_stabilizer(par: StandardParameter, budget: int = DEFAULT_BUDGET) -> OrbitReport:
+    """Orbit and stabilizer by the frame scan; exact, budgeted at (n+1)!."""
+    _check_scan(par, budget)
+    row_sets, stabilizer = set(), []
+    for rows, images in _carrying(par, par):
+        row_sets.add(frozenset(rows.values()))
+        if images:
+            stabilizer.append(images)
+    # sort tables as tuples of row ranks: rows are compared in one sort only
+    distinct = sorted(set().union(*row_sets))
+    rank = {row: i for i, row in enumerate(distinct)}
+    tables = sorted(t for row_set in row_sets
+                    for t in itertools.permutations([rank[row] for row in row_set]))
+    return OrbitReport(
+        par,
+        tuple(StandardParameter(par.d, par.n, tuple(distinct[i] for i in t)) for t in tables),
+        tuple(Permutation(images) for images in sorted(stabilizer)),
+        kernel_note(par.n, par.d),
+    )
+
+
+def stabilizer(par: StandardParameter, budget: int = DEFAULT_BUDGET) -> tuple[Permutation, ...]:
+    """The stabilizer of ``orbit_and_stabilizer`` without the orbit."""
+    _check_scan(par, budget)
+    return tuple(Permutation(images) for images in _stabilizer_images(par))
 
 
 KLEIN_ONE_LINE = ((1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1))
@@ -235,15 +315,16 @@ def kernel_of_R(
     if size * max(samples, 1) > budget:
         raise BudgetExceeded(size * max(samples, 1), budget)
     rng = rng or random.Random(0)
-    candidates = list(itertools.permutations(range(n + 1)))
+    candidates = None  # all of S_{n+1}
     for _ in range(samples):
-        par = random_parameter(d, n, rng)
-        candidates = [images for images, rows in _act_rows(par, candidates) if rows == par.rows]
+        fixing = set(_stabilizer_images(random_parameter(d, n, rng)))
+        candidates = fixing if candidates is None else candidates & fixing
         if len(candidates) == 1:
             break
-    if len(candidates) > 1:
-        raise Inconclusive(f"{len(candidates)} permutations fix all {samples} samples")
-    return (Permutation(candidates[0]),)
+    count = size if candidates is None else len(candidates)
+    if count > 1:
+        raise Inconclusive(f"{count} permutations fix all {samples} samples")
+    return (Permutation(candidates.pop()),)
 
 
 @dataclass(frozen=True)
@@ -259,7 +340,8 @@ def are_isomorphic(
     k: int | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> IsomorphismResult:
-    """Orbit-equality test, with a witnessing permutation when true.
+    """Orbit-equality test, with the lexicographically least witnessing
+    permutation (one-line order) when true.
 
     When a degree ``k`` is supplied and (d; k, n) is one of the exceptional
     triples, the verdict is tagged as a statement about the linear category
@@ -267,22 +349,22 @@ def are_isomorphic(
     """
     if (first.d, first.n) != (second.d, second.n):
         raise ValueError("parameters must share the same (n, d)")
-    if not is_standard_parameter(first) or not is_standard_parameter(second):
+    if not is_standard_parameter(second):
         raise ValueError("parameter is not in X_{n,d}")
-    size = math.factorial(first.n + 1)
-    if size > budget:
-        raise BudgetExceeded(size, budget)
+    _check_scan(first, budget)
     note = None
     if k is not None and (first.d, k, first.n) in EXCEPTIONAL_TYPES:
         note = "linear-category"
-    for images, rows in _act_rows(first):
-        if rows == second.rows:
-            return IsomorphismResult(True, Permutation(images), note)
-    return IsomorphismResult(False, None, note)
+    witness = min((images for _, images in _carrying(first, second) if images), default=None)
+    if witness is None:
+        return IsomorphismResult(False, None, note)
+    return IsomorphismResult(True, Permutation(witness), note)
 
 
 def canonical_representative(par: StandardParameter, budget: int = DEFAULT_BUDGET) -> StandardParameter:
     """Lexicographically least orbit element (exact rational order on the
-    flattened table); equal for two parameters iff they are orbit-equivalent."""
-    report = orbit_and_stabilizer(par, budget=budget)
-    return min(report.elements, key=lambda p: p.flatten())
+    flattened table); equal for two parameters iff they are orbit-equivalent.
+    It is the least over frames of the frame's rows in sorted order."""
+    _check_scan(par, budget)
+    return StandardParameter(par.d, par.n, min(
+        tuple(sorted(rows.values())) for _, rows in _frame_tables(par)))

@@ -26,13 +26,13 @@ rationals = st.one_of(st.just(Fraction(0)), nonzero_rationals)
 
 
 @st.composite
-def tables(draw, entries=rationals):
-    """(d, n, rows): a parameter table with d in 1..3, n in d+1..d+7 and
+def tables(draw, entries=rationals, extra=7):
+    """(d, n, rows): a parameter table with d in 1..3, n in d+1..d+extra and
     entries drawn from ``entries``.  Half the tables with rows are then put
     off general position: a repeated row, an entry 0 or 1, or two equal
     entries in one row (an entry 0 where a row or entry cannot repeat)."""
     d = draw(st.integers(1, 3))
-    n = draw(st.integers(d + 1, d + 7))
+    n = draw(st.integers(d + 1, d + extra))
     rows = [list(draw(st.tuples(*[entries] * d))) for _ in range(n - d - 1)]
     if rows and draw(st.booleans()):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, d - 1))

@@ -1,13 +1,23 @@
 """Independent reference implementations the fast library paths are
 compared against: cofactor determinants, a Fraction Gauss-Jordan inverse,
-the Fraction normal form that the integer frame kernel replaced, and the
-Fraction minor scans that the integer minor engine replaced."""
+the Fraction normal form that the integer frame kernel replaced, the
+Fraction minor scans that the integer minor engine replaced, the full
+S_{n+1} enumeration that the frame scans replaced, and the subgroup closure
+over validated group elements."""
 
 import itertools
 from fractions import Fraction
 
-from gfermat.arrangement import Arrangement, StandardParameter
+from gfermat.arrangement import (
+    Arrangement,
+    StandardParameter,
+    _frame_normal_form,
+    _integer_duals,
+    random_parameter,
+)
+from gfermat.errors import BudgetExceeded, Inconclusive
 from gfermat.exactfield import ExactMatrix
+from gfermat.fermatgroup import GroupElement
 
 
 def det_cofactor(matrix: ExactMatrix):
@@ -101,3 +111,59 @@ def smoothness_by_minors(system) -> bool:
     with no Gale duality."""
     matrix = system.coefficient_matrix
     return all_maximal_minors_nonzero(matrix, matrix.rows)
+
+
+def act_rows(par: StandardParameter, orders=None):
+    """(images, act rows) per one-line tuple (hyperplane i to slot images[i]),
+    over all of S_{n+1} in itertools order unless ``orders`` is given: one
+    integer normal form per permutation."""
+    points = _integer_duals(par)
+    for images in itertools.permutations(range(par.n + 1)) if orders is None else orders:
+        slots = sorted(range(len(images)), key=images.__getitem__)
+        yield images, _frame_normal_form([points[i] for i in slots], par.d)[2]
+
+
+def scans(par: StandardParameter, targets=()):
+    """(sorted distinct tables, stabilizer images, {target table: images of
+    the first permutation carrying par to it, or None}) from one pass over
+    S_{n+1} in itertools (lexicographic) order."""
+    seen, stabilizer, witnesses = set(), [], dict.fromkeys(targets)
+    for images, rows in act_rows(par):
+        seen.add(rows)
+        if rows == par.rows:
+            stabilizer.append(images)
+        if rows in witnesses and witnesses[rows] is None:
+            witnesses[rows] = images
+    return sorted(seen), tuple(stabilizer), witnesses
+
+
+def kernel_of_R(n: int, d: int, samples: int, rng):
+    """The surviving candidates' images after filtering all of S_{n+1} by up to
+    ``samples`` random parameters (Inconclusive if more than one survives)."""
+    candidates = list(itertools.permutations(range(n + 1)))
+    for _ in range(samples):
+        par = random_parameter(d, n, rng)
+        candidates = [images for images, rows in act_rows(par, candidates) if rows == par.rows]
+        if len(candidates) == 1:
+            break
+    if len(candidates) > 1:
+        raise Inconclusive(f"{len(candidates)} permutations fix all {samples} samples")
+    return candidates
+
+
+def subgroup_closure(generators, k: int, n: int, budget: int):
+    """Breadth-first closure over validated group elements."""
+    elements = {GroupElement.identity(k, n)}
+    frontier = list(elements)
+    while frontier:
+        new_frontier = []
+        for g in generators:
+            for h in frontier:
+                prod = g * h
+                if prod not in elements:
+                    elements.add(prod)
+                    new_frontier.append(prod)
+                    if len(elements) > budget:
+                        raise BudgetExceeded(len(elements), budget)
+        frontier = new_frontier
+    return elements

@@ -1,8 +1,13 @@
 """Tests for the command-line front end: determinism, exit codes, schemas."""
 
+import contextlib
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfermat.cli import (
     EXIT_BUDGET,
@@ -11,6 +16,8 @@ from gfermat.cli import (
     EXIT_VALIDATION,
     main,
 )
+from gfermat.constructions import kummer_parameters, tangent_conic
+from gfermat.exactfield import CyclotomicScalar
 
 PAR_13 = '{"d":1,"n":3,"lambda":[["2"]]}'
 PAR_24 = '{"d":2,"n":4,"lambda":[["2","3"]]}'
@@ -78,6 +85,40 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", ["0", "-5", "abc"])
     def test_bad_budget_option(self, capsys, value):
         code, report = run_json(capsys, "invariants", "2", "4", "3", "--budget", value)
+        assert code == EXIT_VALIDATION
+        assert report["error"]["kind"] == "validation"
+
+    @pytest.mark.parametrize("argv", [
+        ["fixed-locus", "x", "3", "3", "[1,1,2,0]"],
+        ["fixed-locus", "2", "3", "3"],
+        ["orbit"],
+        [],
+        ["no-such-verb"],
+        ["orbit", PAR_13, "--no-such-flag"],
+    ])
+    def test_usage_errors_are_validation_errors(self, capsys, argv):
+        code, report = run_json(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert report["error"]["kind"] == "validation"
+
+    @pytest.mark.parametrize("verb,payload", [
+        ("orbit", '{"d":[],"n":3,"lambda":[]}'),
+        ("normalize", '{"d":1,"points":[1,2,3]}'),
+    ])
+    def test_mistyped_payload_fields_are_validation_errors(self, capsys, verb, payload):
+        code, report = run_json(capsys, verb, payload)
+        assert code == EXIT_VALIDATION
+        assert report["error"]["kind"] == "validation"
+
+    def test_verify_matrix_shape_checked_before_fields(self, capsys, monkeypatch):
+        """A 1x1 matrix tagged with order 100000 is refused for its shape
+        before any cyclotomic scalar (and so Phi_100000) is built."""
+        def refuse(cls, *args):
+            raise AssertionError("built a cyclotomic scalar")
+
+        monkeypatch.setattr(CyclotomicScalar, "from_poly", classmethod(refuse))
+        matrix = json.dumps({"entries": [[{"k": 100000, "coeffs": ["1"]}]]})
+        code, report = run_json(capsys, "verify-matrix", FERMAT_23, "2", matrix)
         assert code == EXIT_VALIDATION
         assert report["error"]["kind"] == "validation"
 
@@ -202,6 +243,17 @@ class TestVerbs:
         assert code == EXIT_OK
         assert report["columns"] == [["3/2", "9/5"], ["4/3", "3/2"]]
 
+    def test_negative_rational_arguments_are_values(self, capsys):
+        code, report = run_json(capsys, "conic", "-3/2")
+        assert code == EXIT_OK
+        assert report["coefficients"] == tangent_conic(Fraction(-3, 2)).to_json()["coefficients"]
+        code, report = run_json(capsys, "conic", "-.5", "--pretty")
+        assert code == EXIT_OK
+        alphas = ["-7/2", "-1", "0", "1/3", "2", "5"]
+        code, report = run_json(capsys, "kummer", *alphas)
+        assert code == EXIT_OK
+        assert report["parameter"] == kummer_parameters([Fraction(a) for a in alphas]).to_json()
+
     def test_restrict_line(self, capsys):
         par = json.dumps(json.loads(run_cli(
             capsys, "kummer", "0", "1", "2", "3", "4", "5")[1])["parameter"])
@@ -239,3 +291,36 @@ class TestVerbs:
         code, report = run_json(capsys, "canon", PAR_24)
         assert code == EXIT_OK
         assert StandardParameter.from_json(report["parameter"]).to_json() == report["parameter"]
+
+
+VERBS = ["normalize", "orbit", "stabilizer", "iso", "canon", "equations", "fixed-locus",
+         "free", "aut-order", "verify-matrix", "invariants", "kummer", "restrict-line",
+         "conic", "conic-eta", "classify-low-n"]
+PAYLOADS = [PAR_13, PAR_24, FERMAT_23, '{"d":2,"n":5,"lambda":[["2","3"],["5","7"]]}',
+            "[1,1,2,0]", "[0,1,2,0,1]", "[[1,1,0,0,0,0],[0,1,1,0,0,0]]", '["1","2","7"]',
+            '{"entries":[["1","0"],["0","1"]]}', '{"d":1,"points":[["1","0"],["0","1"],["1","1"]]}',
+            "{not json", "[1,", '{"d":1}', '{"d":1,"n":3,"lambda":[["1/0"]]}', "null", "[]", "{}",
+            '{"d":[],"n":3,"lambda":[]}', '{"d":1,"points":[1,2,3]}']
+ARGUMENTS = st.one_of(
+    st.integers(-3, 8).map(str),
+    st.fractions(-3, 8, max_denominator=4).map(str),
+    st.text(alphabet="ax/.{}[]\":,0123456789 ", max_size=6),
+    st.sampled_from(PAYLOADS),
+)
+OPTIONS = st.sampled_from([[], ["--pretty"], ["--budget", "5"], ["--budget", "1000"],
+                           ["--budget", "abc"], ["--degree", "3"], ["--pluri", "1,x"]])
+
+
+class TestContractProperty:
+    """Every argv gives exactly one JSON object on stdout and a documented
+    exit code, and never raises.  Numeric arguments stay in -3..8, so the
+    ``invariants`` verb (whose work grows with k, n) stays small."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(VERBS), st.lists(ARGUMENTS, max_size=6), OPTIONS)
+    def test_one_json_object_and_documented_exit(self, verb, arguments, options):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([verb, *arguments, *options])
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_PRECONDITION, EXIT_BUDGET)
+        assert isinstance(json.loads(out.getvalue()), dict)

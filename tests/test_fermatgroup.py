@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfermat.arrangement import StandardParameter, random_parameter
+from gfermat.errors import BudgetExceeded
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix
 from gfermat.fermatgroup import (
     EquationSystem,
@@ -26,6 +27,7 @@ from gfermat.fermatgroup import (
     induced_hyperplane_permutation,
     is_linear_automorphism,
     smoothness_certificate,
+    _subgroup_closure,
     subgroup_acts_freely,
 )
 from gfermat.modaction import act, orbit_and_stabilizer
@@ -318,6 +320,25 @@ class TestFreeActions:
         result = subgroup_acts_freely(gens, t)
         assert not result.free
         assert result.offending == gens[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda k: st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st.just(k), st.just(n), st.lists(
+            st.lists(st.integers(-k, 2 * k), min_size=n + 1, max_size=n + 1), max_size=3)))),
+           st.integers(1, 300))
+    def test_closure_matches_element_closure(self, case, budget):
+        """Closing over exponent tuples gives the subgroup (or the budget
+        refusal) that closing over validated group elements gives."""
+        k, n, gens = case
+        gens = [GroupElement(k, tuple(g)) for g in gens]
+
+        def outcome(closure):
+            try:
+                return closure(gens, k, n, budget)
+            except BudgetExceeded as exc:
+                return str(exc)
+
+        assert outcome(_subgroup_closure) == outcome(oracles.subgroup_closure)
 
     def test_bound_feasible(self):
         assert not bound_feasible(3, 1, 4)      # r = 1 never feasible

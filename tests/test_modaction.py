@@ -1,16 +1,19 @@
 """Tests for the symmetric-group action, orbits, stabilizers and the kernel."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gfermat.arrangement import StandardParameter, is_standard_parameter, random_parameter
 from gfermat.errors import BudgetExceeded, Inconclusive
+from gfermat.fermatgroup import automorphism_order
 from gfermat.modaction import (
+    KLEIN_ONE_LINE,
     Permutation,
     act,
     act_sigma1,
@@ -19,9 +22,10 @@ from gfermat.modaction import (
     canonical_representative,
     kernel_of_R,
     orbit_and_stabilizer,
+    stabilizer,
 )
 from tests import oracles
-from tests.conftest import nonzero_rationals, rationals
+from tests.conftest import nonzero_rationals, rationals, tables
 
 
 def par1(*values):
@@ -272,3 +276,106 @@ class TestCanonicalRepresentative:
             b = random_parameter(1, 4, rng)
             same = canonical_representative(a) == canonical_representative(b)
             assert same == are_isomorphic(a, b).equivalent
+
+
+def _images(perms):
+    return tuple(p.images for p in perms)
+
+
+# The enumeration renormalizes once per permutation: property tests keep it
+# to (n+1)! <= 7!, and one fixed case covers d = 3, n = 7 (8! permutations).
+ENUMERABLE = math.factorial(7)
+
+
+def _assert_scans_match(par, eta, other, k):
+    """Orbit, stabilizer, canon, aut-order and iso (against act(eta, par) and
+    against ``other`` when it is a member) as the enumeration gives them."""
+    d, n = par.d, par.n
+    targets = [act(eta, par).rows]
+    if is_standard_parameter(other):
+        targets.append(other.rows)
+    tables, stab, witnesses = oracles.scans(par, targets)
+    report = orbit_and_stabilizer(par)
+    assert [e.rows for e in report.elements] == tables
+    assert _images(report.stabilizer) == stab
+    assert _images(stabilizer(par)) == stab
+    assert canonical_representative(par).rows == tables[0]
+    assert automorphism_order(par, k).stabilizer_order == len(stab)
+    for target in targets:
+        result = are_isomorphic(par, StandardParameter(d, n, target))
+        assert result.equivalent == (witnesses[target] is not None)
+        assert (result.witness and result.witness.images) == witnesses[target]
+
+
+class TestFrameScansAgainstEnumeration:
+    """The frame scans against one renormalization per permutation of
+    S_{n+1} (the enumeration they replaced), for d 1..3 and n up to d+4."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(tables(extra=4).filter(lambda t: math.factorial(t[1] + 1) <= ENUMERABLE), st.data())
+    def test_scans_match_enumeration(self, table, data):
+        """A table off X_{n,d} is refused, then replaced by a random member."""
+        d, n, rows = table
+        par = StandardParameter(d, n, rows)
+        if not is_standard_parameter(par):
+            for scan in (orbit_and_stabilizer, stabilizer, canonical_representative):
+                with pytest.raises(ValueError, match="not in X"):
+                    scan(par)
+            par = random_parameter(d, n, data.draw(st.randoms(use_true_random=False)))
+        eta = Permutation(tuple(data.draw(st.permutations(range(n + 1)))))
+        other = StandardParameter(d, n, data.draw(
+            st.tuples(*[st.tuples(*[nonzero_rationals] * d)] * (n - d - 1))))
+        _assert_scans_match(par, eta, other, data.draw(st.integers(2, 6)))
+
+    def test_largest_class_matches_enumeration(self):
+        rng = random.Random(47)
+        par = random_parameter(3, 7, rng)
+        eta = Permutation(tuple(rng.sample(range(8), 8)))
+        _assert_scans_match(par, eta, random_parameter(3, 7, rng), 3)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), st.integers(d + 2, d + 4)))
+           .filter(lambda dn: math.factorial(dn[1] + 1) <= ENUMERABLE),
+           st.integers(0, 3), st.integers(0, 2**16))
+    @example((1, 4), 0, 0)
+    @example((2, 5), 12, 7)
+    def test_kernel_matches_filtering(self, dn, samples, seed):
+        d, n = dn
+        assume((n, d) != (3, 1))
+
+        def outcome(kernel):
+            try:
+                return [getattr(p, "images", p) for p in kernel(random.Random(seed))]
+            except Inconclusive as exc:
+                return str(exc)
+
+        assert outcome(lambda rng: kernel_of_R(n, d, samples=samples, rng=rng)) == \
+            outcome(lambda rng: oracles.kernel_of_R(n, d, samples, rng))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty_table_is_fixed_by_everything(self, d):
+        par = StandardParameter(d, d + 1, ())
+        everything = tuple(itertools.permutations(range(d + 2)))
+        report = orbit_and_stabilizer(par)
+        assert report.elements == (par,)
+        assert _images(report.stabilizer) == everything
+        assert _images(stabilizer(par)) == everything
+        assert canonical_representative(par) == par
+        assert are_isomorphic(par, par).witness.is_identity()
+
+    def test_harmonic_point_against_enumeration(self):
+        tables, stab, witnesses = oracles.scans(HARMONIC, [par1(Fraction(1, 2)).rows])
+        report = orbit_and_stabilizer(HARMONIC)
+        assert [e.rows for e in report.elements] == tables
+        assert _images(report.stabilizer) == stab
+        assert are_isomorphic(HARMONIC, par1(Fraction(1, 2))).witness.images == \
+            witnesses[par1(Fraction(1, 2)).rows]
+
+    def test_klein_group_fixes_every_d1_n3_parameter(self):
+        rng = random.Random(43)
+        klein = {Permutation.from_one_line(p).images for p in KLEIN_ONE_LINE}
+        for _ in range(5):
+            par = random_parameter(1, 3, rng)
+            stab = _images(stabilizer(par))
+            assert klein <= set(stab)
+            assert stab == oracles.scans(par)[1]
