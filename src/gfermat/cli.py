@@ -19,13 +19,13 @@ import re
 import sys
 from fractions import Fraction
 
-from . import arrangement as arr_mod
-from . import constructions as con_mod
-from . import fermatgroup as fg_mod
-from . import invariants as inv_mod
-from . import modaction as act_mod
-from .errors import BudgetExceeded, NotInGeneralPosition, TangencyError
-from .exactfield import CyclotomicScalar, ExactMatrix, rational_to_string
+from .errors import DEFAULT_BUDGET, BudgetExceeded, NotInGeneralPosition, TangencyError
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .arrangement import Arrangement, StandardParameter
+    from .exactfield import ExactMatrix
+    from .fermatgroup import GfmType, GroupElement
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -71,7 +71,17 @@ def _parse_rational(value) -> Fraction:
     raise ValidationError(f"expected a rational string, got {value!r}")
 
 
-def _parse_parameter(data) -> arr_mod.StandardParameter:
+def _parse_dimension(data, key: str) -> int:
+    """A JSON integer; a float or bool is refused rather than truncated."""
+    value = data[key]
+    if type(value) is not int:
+        raise ValidationError(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _parse_parameter(data) -> StandardParameter:
+    from .arrangement import StandardParameter
+
     if not isinstance(data, dict):
         raise ValidationError("parameter payload must be an object")
     for key in ("d", "n", "lambda"):
@@ -80,42 +90,43 @@ def _parse_parameter(data) -> arr_mod.StandardParameter:
     rows = data["lambda"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValidationError("'lambda' must be a list of rows")
+    d, n = _parse_dimension(data, "d"), _parse_dimension(data, "n")
     try:
-        return arr_mod.StandardParameter(
-            int(data["d"]),
-            int(data["n"]),
-            tuple(tuple(_parse_rational(x) for x in row) for row in rows),
+        return StandardParameter(
+            d, n, tuple(tuple(_parse_rational(x) for x in row) for row in rows)
         )
-    except (TypeError, ValueError) as exc:  # TypeError: int() of a list or null
+    except ValueError as exc:
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(str(exc)) from exc
 
 
-def _parse_arrangement(data) -> arr_mod.Arrangement:
+def _parse_arrangement(data) -> Arrangement:
+    from .arrangement import Arrangement, Hyperplane
+
     if not isinstance(data, dict) or "d" not in data or "points" not in data:
         raise ValidationError("arrangement payload needs 'd' and 'points'")
     if not isinstance(data["points"], list):
         raise ValidationError("'points' must be a list of dual points")
+    d = _parse_dimension(data, "d")
     try:
         points = [
             tuple(_parse_rational(c) for c in q) for q in data["points"]
         ]
-        return arr_mod.Arrangement(
-            int(data["d"]),
-            tuple(arr_mod.Hyperplane(q) for q in points),
-        )
+        return Arrangement(d, tuple(Hyperplane(q) for q in points))
     except (TypeError, ValueError) as exc:  # TypeError: a point that is a number
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(str(exc)) from exc
 
 
-def _parse_exponents(data, k: int) -> fg_mod.GroupElement:
+def _parse_exponents(data, k: int) -> GroupElement:
+    from .fermatgroup import GroupElement
+
     if not isinstance(data, list) or not all(isinstance(m, int) for m in data):
         raise ValidationError("exponents must be a list of integers")
     try:
-        return fg_mod.GroupElement(k, tuple(data))
+        return GroupElement(k, tuple(data))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -123,6 +134,8 @@ def _parse_exponents(data, k: int) -> fg_mod.GroupElement:
 def _parse_matrix(data, k: int, size: int) -> ExactMatrix:
     """A size x size matrix; the shape is checked before any entry's
     cyclotomic field is built."""
+    from .exactfield import CyclotomicScalar, ExactMatrix
+
     if not isinstance(data, dict) or "entries" not in data:
         raise ValidationError("matrix payload needs 'entries'")
     rows = data["entries"]
@@ -176,14 +189,18 @@ def _permutations_json(perms):
 # ---------------------------------------------------------------------------
 
 def _cmd_normalize(args, budget):
+    from .arrangement import normalize
+
     arrangement = _parse_arrangement(_load_json(args.arrangement))
-    transform, par = arr_mod.normalize(arrangement)
+    transform, par = normalize(arrangement)
     return {"T": transform.to_json(), "parameter": par.to_json()}
 
 
 def _cmd_orbit(args, budget):
+    from .modaction import orbit_and_stabilizer
+
     par = _parse_parameter(_load_json(args.parameter))
-    report = act_mod.orbit_and_stabilizer(par, budget=budget)
+    report = orbit_and_stabilizer(par, budget=budget)
     return {
         "base": par.to_json(),
         "elements": [p.to_json() for p in report.elements],
@@ -195,20 +212,24 @@ def _cmd_orbit(args, budget):
 
 
 def _cmd_stabilizer(args, budget):
+    from .modaction import kernel_note, stabilizer
+
     par = _parse_parameter(_load_json(args.parameter))
-    stabilizer = act_mod.stabilizer(par, budget=budget)
+    elements = stabilizer(par, budget=budget)
     return {
-        "stabilizer": _permutations_json(stabilizer),
-        "stabilizer_order": len(stabilizer),
-        "kernel_note": act_mod.kernel_note(par.n, par.d),
+        "stabilizer": _permutations_json(elements),
+        "stabilizer_order": len(elements),
+        "kernel_note": kernel_note(par.n, par.d),
     }
 
 
 def _cmd_iso(args, budget):
+    from .modaction import are_isomorphic
+
     first = _parse_parameter(_load_json(args.first))
     second = _parse_parameter(_load_json(args.second))
     k = _parse_degree(args.degree) if args.degree is not None else None
-    result = act_mod.are_isomorphic(first, second, k=k, budget=budget)
+    result = are_isomorphic(first, second, k=k, budget=budget)
     return {
         "isomorphic": result.equivalent,
         "witness": list(result.witness.one_line()) if result.witness else None,
@@ -217,28 +238,36 @@ def _cmd_iso(args, budget):
 
 
 def _cmd_canon(args, budget):
+    from .modaction import canonical_representative
+
     par = _parse_parameter(_load_json(args.parameter))
-    return {"parameter": act_mod.canonical_representative(par, budget=budget).to_json()}
+    return {"parameter": canonical_representative(par, budget=budget).to_json()}
 
 
 def _cmd_equations(args, budget):
+    from .fermatgroup import equations, smoothness_certificate
+
     par = _parse_parameter(_load_json(args.parameter))
     k = _parse_degree(args.k)
-    system = fg_mod.equations(par, k)
+    system = equations(par, k)
     report = system.to_json()
-    report["smooth"] = fg_mod.smoothness_certificate(system)
+    report["smooth"] = smoothness_certificate(system)
     return report
 
 
 def _cmd_fixed_locus(args, budget):
+    from .fermatgroup import fixed_locus
+
     gfm_type = _parse_type(args)
     element = _parse_exponents(_load_json(args.exponents), gfm_type.k)
     if element.n != gfm_type.n:
         raise ValidationError("exponent vector must have length n+1")
-    return fg_mod.fixed_locus(element, gfm_type).to_json()
+    return fixed_locus(element, gfm_type).to_json()
 
 
 def _cmd_free(args, budget):
+    from .fermatgroup import bound_feasible, subgroup_acts_freely
+
     gfm_type = _parse_type(args)
     data = _load_json(args.generators)
     if not isinstance(data, list):
@@ -247,7 +276,7 @@ def _cmd_free(args, budget):
     for g in gens:
         if g.n != gfm_type.n:
             raise ValidationError("exponent vectors must have length n+1")
-    result = fg_mod.subgroup_acts_freely(gens, gfm_type, budget=budget)
+    result = subgroup_acts_freely(gens, gfm_type, budget=budget)
     bound = None
     if _is_prime(gfm_type.k):
         power, order = 0, result.subgroup_order
@@ -260,7 +289,7 @@ def _cmd_free(args, budget):
                 bound = {
                     "p": gfm_type.k,
                     "r": r,
-                    "feasible": fg_mod.bound_feasible(gfm_type.k, r, gfm_type.n),
+                    "feasible": bound_feasible(gfm_type.k, r, gfm_type.n),
                 }
     return {
         "free": result.free,
@@ -271,20 +300,26 @@ def _cmd_free(args, budget):
 
 
 def _cmd_aut_order(args, budget):
+    from .fermatgroup import automorphism_order
+
     par = _parse_parameter(_load_json(args.parameter))
     k = _parse_degree(args.k)
-    return fg_mod.automorphism_order(par, k, budget=budget).to_json()
+    return automorphism_order(par, k, budget=budget).to_json()
 
 
 def _cmd_verify_matrix(args, budget):
+    from .fermatgroup import is_linear_automorphism
+
     par = _parse_parameter(_load_json(args.parameter))
     k = _parse_degree(args.k)
     matrix = _parse_matrix(_load_json(args.matrix), k, par.n + 1)
-    return {"accepted": fg_mod.is_linear_automorphism(matrix, par, k)}
+    return {"accepted": is_linear_automorphism(matrix, par, k)}
 
 
 def _cmd_invariants(args, budget):
-    gfm_type = fg_mod.GfmType(int(args.d), int(args.k), int(args.n))
+    from .invariants import invariant_report
+
+    gfm_type = _parse_type(args)
     indices = (1, 2, 3)
     if args.pluri:
         try:
@@ -293,12 +328,15 @@ def _cmd_invariants(args, budget):
             raise ValidationError("--pluri expects comma-separated integers") from exc
         if any(m < 1 for m in indices):
             raise ValidationError("plurigenus indices must be positive")
-    return inv_mod.invariant_report(gfm_type, indices).to_json()
+    return invariant_report(gfm_type, indices).to_json()
 
 
 def _cmd_kummer(args, budget):
+    from .constructions import kummer_parameters
+    from .exactfield import rational_to_string
+
     values = [_parse_rational(v) for v in args.alpha]
-    par = con_mod.kummer_parameters(values)
+    par = kummer_parameters(values)
     return {
         "parameter": par.to_json(),
         "columns": [[rational_to_string(x) for x in col] for col in par.columns],
@@ -306,17 +344,21 @@ def _cmd_kummer(args, budget):
 
 
 def _cmd_restrict_line(args, budget):
+    from .constructions import restrict_to_line
+
     par = _parse_parameter(_load_json(args.parameter))
     rho_data = _load_json(args.rho)
     if not isinstance(rho_data, list) or len(rho_data) != 3:
         raise ValidationError("rho must be a list of three rationals")
     rho = tuple(_parse_rational(c) for c in rho_data)
-    result = con_mod.restrict_to_line(par, rho, allow_singular=args.allow_singular)
+    result = restrict_to_line(par, rho, allow_singular=args.allow_singular)
     return result.to_json()
 
 
 def _cmd_conic(args, budget):
-    conic = con_mod.tangent_conic(_parse_rational(args.a))
+    from .constructions import tangent_conic
+
+    conic = tangent_conic(_parse_rational(args.a))
     report = conic.to_json()
     report["matrix"] = conic.matrix().to_json()
     report["dual_matrix"] = conic.dual_matrix().to_json()
@@ -324,6 +366,8 @@ def _cmd_conic(args, budget):
 
 
 def _cmd_conic_eta(args, budget):
+    from .constructions import conic_curve_parameters
+
     par = _parse_parameter(_load_json(args.parameter))
     anchors = (1, 2, 3)
     if args.anchors:
@@ -331,21 +375,25 @@ def _cmd_conic_eta(args, budget):
             anchors = tuple(int(i) for i in args.anchors.split(","))
         except ValueError as exc:
             raise ValidationError("--anchors expects comma-separated indices") from exc
-    result = con_mod.conic_curve_parameters(_parse_rational(args.a), par, anchors)
+    result = conic_curve_parameters(_parse_rational(args.a), par, anchors)
     return result.to_json()
 
 
 def _cmd_classify_low_n(args, budget):
+    from .fermatgroup import classify_low_n
+
     try:
         d, n = int(args.d), int(args.n)
     except ValueError as exc:
         raise ValidationError("d and n must be integers") from exc
-    return fg_mod.classify_low_n(d, n).to_json()
+    return classify_low_n(d, n).to_json()
 
 
-def _parse_type(args) -> fg_mod.GfmType:
+def _parse_type(args) -> GfmType:
+    from .fermatgroup import GfmType
+
     # domain violations (n <= d, k < 2) are mathematical preconditions
-    return fg_mod.GfmType(int(args.d), int(args.k), int(args.n))
+    return GfmType(args.d, args.k, args.n)
 
 
 def _is_prime(k: int) -> bool:
@@ -360,11 +408,12 @@ def _is_prime(k: int) -> bool:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are validation errors, and which
-    reads a token such as ``-3/2`` or ``-.5`` as a value, not an option."""
+    """An argument parser whose usage errors are validation errors, which
+    reads a token such as ``-3/2`` or ``-.5`` as a value, not an option, and
+    which has no ``-h``/``--help`` (a usage dump is not a JSON report)."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, **{**kwargs, "add_help": False})
         # argparse's own pattern admits only integers and decimals; no
         # option here starts with a digit, so any such token is a value
         self._negative_number_matcher = re.compile(r"^-\.?\d")
@@ -374,10 +423,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
+    common = _Parser()
     common.add_argument("--budget", default=None,
                         help="enumeration budget (default: env "
-                             f"{DEFAULT_BUDGET_ENV} or {act_mod.DEFAULT_BUDGET})")
+                             f"{DEFAULT_BUDGET_ENV} or {DEFAULT_BUDGET})")
     common.add_argument("--pretty", action="store_true",
                         help="indent the JSON report")
 
@@ -504,7 +553,7 @@ def _emit(report, pretty: bool) -> None:
 
 def _parse_budget(text) -> int:
     if text is None:
-        text = os.environ.get(DEFAULT_BUDGET_ENV, str(act_mod.DEFAULT_BUDGET))
+        text = os.environ.get(DEFAULT_BUDGET_ENV, str(DEFAULT_BUDGET))
     try:
         budget = int(text)
     except ValueError:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the enumeration budget shared across the package."""
+
+DEFAULT_BUDGET = 10**6
 
 
 class BudgetExceeded(RuntimeError):

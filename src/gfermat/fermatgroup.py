@@ -19,19 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import StandardParameter, is_standard_parameter
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .exactfield import (
     CyclotomicScalar,
     ExactMatrix,
     rational_to_string,
     solve_linear,
 )
-from .modaction import (
-    DEFAULT_BUDGET,
-    EXCEPTIONAL_TYPES,
-    Permutation,
-    stabilizer,
-)
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .modaction import Permutation
 
 __all__ = [
     "GfmType",
@@ -396,6 +394,18 @@ def _common_cyclotomic_order(matrix: ExactMatrix, k: int) -> int:
     return order
 
 
+def _power(x, e: int):
+    """x^e for e >= 1 by repeated squaring."""
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else result * x
+        e >>= 1
+        if e:
+            x = x * x
+    return result
+
+
 def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) -> bool:
     """Verify a candidate linear automorphism of the variety.
 
@@ -431,15 +441,11 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
             for j in range(coeff.cols)
         ]
     )
+    powers = [_power(lifted.entry(r, c), k) for r, c in enumerate(support)]
     for i in range(coeff.rows):
         transformed = [zero] * coeff.cols
-        for r in range(lifted.rows):
-            c = support[r]
-            scale = lifted.entry(r, c)
-            factor = scale
-            for _ in range(k - 1):
-                factor = factor * scale
-            transformed[c] = transformed[c] + factor * coeff.entry(i, r)
+        for r, c in enumerate(support):
+            transformed[c] = transformed[c] + powers[r] * coeff.entry(i, r)
         if solve_linear(basis_t, transformed).status == "inconsistent":
             return False
     return True
@@ -452,6 +458,8 @@ def induced_hyperplane_permutation(matrix: ExactMatrix) -> Permutation:
     one carrying index r, where c(r) is the column of the nonzero entry in
     row r.
     """
+    from .modaction import Permutation
+
     support = _monomial_support(matrix)
     if support is None:
         raise ValueError("matrix is not monomial")
@@ -496,6 +504,8 @@ class AutomorphismOrder:
 def automorphism_order(
     par: StandardParameter, k: int, budget: int = DEFAULT_BUDGET
 ) -> AutomorphismOrder:
+    from .modaction import EXCEPTIONAL_TYPES, stabilizer
+
     stab = len(stabilizer(par, budget=budget))
     if par.n == par.d + 1:
         kernel = math.factorial(par.n + 1)

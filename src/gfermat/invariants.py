@@ -1,16 +1,15 @@
 """Cohomological invariants of the branched-cover varieties.
 
 Everything reduces to the dimension of the space of global sections of the
-r-th twist on a smooth complete intersection of n-d degree-k forms in P^n:
+r-th twist on a smooth complete intersection of n-d degree-k forms in P^n.
+Its Hilbert series is (1 - t^k)^{n-d} (1 - t)^{-(n+1)}, so
 
-    h0(r) = 0                          for r < 0,
-    h0(r) = C(r+n, n)                  for 0 <= r < k,
-    h0(r) = sum over the box {0..k-1}^{n-d}, truncated to coordinate sum
-            jbar <= r, of C(r - jbar + d, d)   for r >= k.
+    h0(r) = 0                                               for r < 0,
+    h0(r) = sum_{s=0}^{min(n-d, r//k)} (-1)^s C(n-d, s) C(r - s k + n, n)
+                                                            for r >= 0,
 
-The canonical twist is r1 = (n-d)k - n - 1; its sign determines the Kodaira
-dimension, and plurigenera are P_m = h0(m r1).  An independent oracle is
-the coefficient of t^r in (1 - t^k)^{n-d} (1 - t)^{-(n+1)}.
+which takes O(n-d) binomials.  The canonical twist is r1 = (n-d)k - n - 1;
+its sign determines the Kodaira dimension, and plurigenera are P_m = h0(m r1).
 """
 
 from __future__ import annotations
@@ -18,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .fermatgroup import GfmType
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .fermatgroup import GfmType
 
 __all__ = [
     "h0_twist",
@@ -42,43 +42,9 @@ K3_TUPLES = frozenset({(4, 3), (2, 5)})
 RATIONAL_TUPLES = frozenset({(2, 3), (3, 3), (2, 4)})
 
 
-def _binom(a: int, b: int) -> int:
-    """C(a, b), zero outside the lattice (a < b or negative entries)."""
-    if b < 0 or a < b:
-        return 0
-    return math.comb(a, b)
-
-
-@lru_cache(maxsize=None)
-def _box_sum_counts(k: int, boxes: int) -> tuple[int, ...]:
-    """Number of tuples in {0..k-1}^boxes with each coordinate sum.
-
-    Index s of the result counts tuples with sum s; this is the coefficient
-    list of (1 + t + ... + t^{k-1})^boxes.
-    """
-    counts = [1]
-    for _ in range(boxes):
-        new = [0] * (len(counts) + k - 1)
-        for s, c in enumerate(counts):
-            for j in range(k):
-                new[s + j] += c
-        counts = new
-    return tuple(counts)
-
-
 def h0_twist(gfm_type: GfmType, r: int) -> int:
     """Dimension of the space of degree-r twisted global sections."""
-    d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
-    if r < 0:
-        return 0
-    if r < k:
-        return _binom(r + n, n)
-    total = 0
-    for s, count in enumerate(_box_sum_counts(k, n - d)):
-        if s > r:
-            break
-        total += count * _binom(r - s + d, d)
-    return total
+    return 0 if r < 0 else hilbert_series_coefficient(gfm_type, r)
 
 
 def hd_twist(gfm_type: GfmType, r: int) -> int:
@@ -87,17 +53,15 @@ def hd_twist(gfm_type: GfmType, r: int) -> int:
 
 
 def hilbert_series_coefficient(gfm_type: GfmType, r: int) -> int:
-    """Coefficient of t^r in (1 - t^k)^{n-d} (1 - t)^{-(n+1)}.
-
-    Independent oracle for h0_twist, evaluated by the alternating binomial
-    convolution sum_s (-1)^s C(n-d, s) C(r - s k + n, n).
+    """Coefficient of t^r in (1 - t^k)^{n-d} (1 - t)^{-(n+1)}, by the
+    alternating binomial convolution sum_s (-1)^s C(n-d, s) C(r - s k + n, n).
     """
     if r < 0:
         raise ValueError("the Hilbert series has no negative coefficients")
     d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
     total = 0
     for s in range(min(n - d, r // k) + 1):
-        term = math.comb(n - d, s) * _binom(r - s * k + n, n)
+        term = math.comb(n - d, s) * math.comb(r - s * k + n, n)
         total += -term if s % 2 else term
     return total
 

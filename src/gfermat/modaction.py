@@ -46,7 +46,7 @@ from .arrangement import (
     is_standard_parameter,
     random_parameter,
 )
-from .errors import BudgetExceeded, Inconclusive
+from .errors import DEFAULT_BUDGET, BudgetExceeded, Inconclusive
 from .exactfield import fraction_free_inverse
 
 __all__ = [
@@ -65,8 +65,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "EXCEPTIONAL_TYPES",
 ]
-
-DEFAULT_BUDGET = 10**6
 
 # (d, k, n) triples whose full automorphism group is infinite; orbit
 # equivalence then classifies only the linear category.

@@ -2,11 +2,15 @@
 compared against: cofactor determinants, a Fraction Gauss-Jordan inverse,
 the Fraction normal form that the integer frame kernel replaced, the
 Fraction minor scans that the integer minor engine replaced, the full
-S_{n+1} enumeration that the frame scans replaced, and the subgroup closure
-over validated group elements."""
+S_{n+1} enumeration that the frame scans replaced, the subgroup closure
+over validated group elements, the lattice-box convolution that the
+closed-form section count replaced, and the verifier loop that raised each
+monomial entry to the k-th power once per defining form."""
 
 import itertools
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 from gfermat.arrangement import (
     Arrangement,
@@ -16,8 +20,13 @@ from gfermat.arrangement import (
     random_parameter,
 )
 from gfermat.errors import BudgetExceeded, Inconclusive
-from gfermat.exactfield import ExactMatrix
-from gfermat.fermatgroup import GroupElement
+from gfermat.exactfield import CyclotomicScalar, ExactMatrix, solve_linear
+from gfermat.fermatgroup import (
+    GroupElement,
+    _common_cyclotomic_order,
+    _monomial_support,
+    equations,
+)
 
 
 def det_cofactor(matrix: ExactMatrix):
@@ -167,3 +176,68 @@ def subgroup_closure(generators, k: int, n: int, budget: int):
                         raise BudgetExceeded(len(elements), budget)
         frontier = new_frontier
     return elements
+
+
+@lru_cache(maxsize=None)
+def _box_sum_counts(k: int, boxes: int) -> tuple[int, ...]:
+    """Number of tuples in {0..k-1}^boxes with each coordinate sum: the
+    coefficient list of (1 + t + ... + t^{k-1})^boxes."""
+    counts = [1]
+    for _ in range(boxes):
+        new = [0] * (len(counts) + k - 1)
+        for s, c in enumerate(counts):
+            for j in range(k):
+                new[s + j] += c
+        counts = new
+    return tuple(counts)
+
+
+def h0_box_sum(gfm_type, r: int) -> int:
+    """h0(r) = C(r+n, n) for 0 <= r < k, and for r >= k the sum over the box
+    {0..k-1}^{n-d}, grouped by coordinate sum s <= r, of C(r - s + d, d)."""
+    d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
+    if r < 0:
+        return 0
+    if r < k:
+        return math.comb(r + n, n)
+    return sum(
+        count * math.comb(r - s + d, d)
+        for s, count in enumerate(_box_sum_counts(k, n - d)) if s <= r
+    )
+
+
+def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) -> bool:
+    """The verifier with each monomial entry raised to the k-th power by
+    k-1 multiplications, again for every one of the n-d defining forms."""
+    if matrix.rows != matrix.cols or matrix.rows != par.n + 1:
+        raise ValueError("matrix must be square of size n+1")
+    field = _common_cyclotomic_order(matrix, k)
+    entries = tuple(
+        e.promote(field) if isinstance(e, CyclotomicScalar)
+        else CyclotomicScalar.from_rational(field, e)
+        for e in matrix.entries
+    )
+    lifted = ExactMatrix(matrix.rows, matrix.cols, entries)
+    if lifted.rank() != lifted.rows:
+        raise ValueError("matrix is singular")
+    support = _monomial_support(lifted)
+    if support is None:
+        return False
+    coeff = equations(par, k).coefficient_matrix
+    zero = CyclotomicScalar.zero(field)
+    basis_t = ExactMatrix.from_rows(
+        [[CyclotomicScalar.from_rational(field, coeff.entry(i, j)) for i in range(coeff.rows)]
+         for j in range(coeff.cols)]
+    )
+    for i in range(coeff.rows):
+        transformed = [zero] * coeff.cols
+        for r in range(lifted.rows):
+            c = support[r]
+            scale = lifted.entry(r, c)
+            factor = scale
+            for _ in range(k - 1):
+                factor = factor * scale
+            transformed[c] = transformed[c] + factor * coeff.entry(i, r)
+        if solve_linear(basis_t, transformed).status == "inconsistent":
+            return False
+    return True

@@ -46,6 +46,7 @@ from gfermat.modaction import (
     kernel_of_R,
     orbit_and_stabilizer,
 )
+from tests import oracles
 from tests.conftest import rand_fraction
 
 
@@ -59,7 +60,8 @@ def report(number, name, detail=""):
 
 
 def test_criterion_01_cohomology_oracle_equivalence():
-    """h0 equals the Hilbert-series coefficient on the full sweep grid."""
+    """h0 equals the lattice-box oracle and the Hilbert-series coefficient
+    on the full sweep grid."""
     start = time.time()
     checks = 0
     for d in (1, 2, 3):
@@ -67,7 +69,9 @@ def test_criterion_01_cohomology_oracle_equivalence():
             for n in range(d + 1, 9):
                 t = GfmType(d, k, n)
                 for r in range(0, 3 * k + 1):
-                    assert h0_twist(t, r) == hilbert_series_coefficient(t, r), (d, k, n, r)
+                    h0 = h0_twist(t, r)
+                    assert h0 == oracles.h0_box_sum(t, r), (d, k, n, r)
+                    assert h0 == hilbert_series_coefficient(t, r), (d, k, n, r)
                     checks += 1
     elapsed = time.time() - start
     assert elapsed < 10

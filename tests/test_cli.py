@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,11 @@ class TestExitCodes:
         [],
         ["no-such-verb"],
         ["orbit", PAR_13, "--no-such-flag"],
+        ["orbit", "--help"],
+        ["orbit", PAR_13, "-h"],
+        ["invariants", "2", "4", "3", "--help"],
+        ["--help"],
+        ["-h"],
     ])
     def test_usage_errors_are_validation_errors(self, capsys, argv):
         code, report = run_json(capsys, *argv)
@@ -104,6 +110,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("verb,payload", [
         ("orbit", '{"d":[],"n":3,"lambda":[]}'),
         ("normalize", '{"d":1,"points":[1,2,3]}'),
+        ("canon", '{"d":1.5,"n":3,"lambda":[["2"]]}'),
+        ("canon", '{"d":1,"n":3.9,"lambda":[["2"]]}'),
+        ("canon", '{"d":1.5,"n":3.9,"lambda":[["2"]]}'),
+        ("canon", '{"d":1.0,"n":3,"lambda":[["2"]]}'),
+        ("orbit", '{"d":true,"n":3,"lambda":[["2"]]}'),
+        ("orbit", '{"d":1,"n":false,"lambda":[["2"]]}'),
+        ("normalize", '{"d":2.5,"points":[["1","0","0"],["0","1","0"],["0","0","1"],'
+                      '["1","1","1"]]}'),
     ])
     def test_mistyped_payload_fields_are_validation_errors(self, capsys, verb, payload):
         code, report = run_json(capsys, verb, payload)
@@ -121,6 +135,13 @@ class TestExitCodes:
         code, report = run_json(capsys, "verify-matrix", FERMAT_23, "2", matrix)
         assert code == EXIT_VALIDATION
         assert report["error"]["kind"] == "validation"
+
+    def test_large_invariants_finish(self, capsys):
+        """A large degree answers at once: each section count is O(n-d) binomials."""
+        code, out = run_cli(capsys, "invariants", "2", "2000", "40")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["r1"] == 75959 and out.count("\n") == 1
 
     def test_degenerate_conic_parameter(self, capsys):
         code, _ = run_json(capsys, "conic", "2")
@@ -304,23 +325,31 @@ PAYLOADS = [PAR_13, PAR_24, FERMAT_23, '{"d":2,"n":5,"lambda":[["2","3"],["5","7
 ARGUMENTS = st.one_of(
     st.integers(-3, 8).map(str),
     st.fractions(-3, 8, max_denominator=4).map(str),
-    st.text(alphabet="ax/.{}[]\":,0123456789 ", max_size=6),
+    st.text(alphabet="ax/.{}[]\":,-0123456789 ", max_size=6),
     st.sampled_from(PAYLOADS),
 )
+ARGVS = st.one_of(
+    st.tuples(st.sampled_from(VERBS), st.lists(ARGUMENTS, max_size=6))
+    .map(lambda t: [t[0], *t[1]]),
+    st.tuples(st.integers(-3, 8), st.integers(-3, 10**4), st.integers(-3, 60))
+    .map(lambda t: ["invariants", *map(str, t)]),
+)
 OPTIONS = st.sampled_from([[], ["--pretty"], ["--budget", "5"], ["--budget", "1000"],
-                           ["--budget", "abc"], ["--degree", "3"], ["--pluri", "1,x"]])
+                           ["--budget", "abc"], ["--degree", "3"], ["--pluri", "1,x"],
+                           ["-h"], ["--help"]])
 
 
 class TestContractProperty:
     """Every argv gives exactly one JSON object on stdout and a documented
-    exit code, and never raises.  Numeric arguments stay in -3..8, so the
-    ``invariants`` verb (whose work grows with k, n) stays small."""
+    exit code, and never raises.  Most numeric arguments stay in -3..8; the
+    ``invariants`` verb, whose work is O(n-d) binomials, also draws k up to
+    10^4 and n up to 60.  A ``-`` payload reads an empty stdin."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(VERBS), st.lists(ARGUMENTS, max_size=6), OPTIONS)
-    def test_one_json_object_and_documented_exit(self, verb, arguments, options):
+    @given(ARGVS, OPTIONS)
+    def test_one_json_object_and_documented_exit(self, argv, options):
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main([verb, *arguments, *options])
+        with contextlib.redirect_stdout(out), mock.patch("sys.stdin", io.StringIO()):
+            code = main([*argv, *options])
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_PRECONDITION, EXIT_BUDGET)
         assert isinstance(json.loads(out.getvalue()), dict)

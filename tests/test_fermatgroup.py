@@ -460,6 +460,29 @@ class TestLinearAutomorphismVerifier:
         plain = permutation_matrix([1, 0, 2, 3])
         assert not is_linear_automorphism(plain, par, 2)
 
+    def test_matches_per_form_power_oracle(self, rng):
+        """Raising each row's entry to the k-th power once gives the same
+        verdicts as raising it again for every form: deck diagonals,
+        twisted permutation lifts and non-monomial matrices."""
+        cases = []
+        par25 = StandardParameter(2, 5, ((Fraction(2), Fraction(3)), (Fraction(5), Fraction(7))))
+        for k in (2, 5, 10):
+            for j in (1, 4, 6):
+                cases.append((diagonal_matrix(k, 5, j, k - 1), par25, k))
+        harmonic = par1(-1)
+        for images in itertools.permutations(range(4)):
+            for power in range(4):
+                rows = [list(permutation_matrix(images).row(r)) for r in range(4)]
+                rows[3][images[3]] = CyclotomicScalar.zeta(4, power)
+                cases.append((ExactMatrix.from_rows(rows), harmonic, 2))
+        while len(cases) < 120:
+            rows = [[rand_fraction(rng, 3) for _ in range(5)] for _ in range(5)]
+            if ExactMatrix.from_rows(rows).det() != 0:
+                cases.append((ExactMatrix.from_rows(rows), par1(2, 3), 3))
+        verdicts = [is_linear_automorphism(*case) for case in cases]
+        assert verdicts == [oracles.is_linear_automorphism(*case) for case in cases]
+        assert True in verdicts and False in verdicts
+
 
 class TestAutomorphismOrder:
     @pytest.mark.parametrize("d,k", [(1, 2), (1, 3), (2, 2), (2, 4), (3, 2)])

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfermat.fermatgroup import GfmType
 from gfermat.invariants import (
@@ -19,6 +21,7 @@ from gfermat.invariants import (
     leading_coefficient,
     plurigenus,
 )
+from tests import oracles
 
 
 def h0_literal(t, r):
@@ -55,7 +58,15 @@ class TestH0Twist:
                 for n in range(d + 1, 8):
                     t = GfmType(d, k, n)
                     for r in range(0, 3 * k + 1):
+                        assert h0_twist(t, r) == oracles.h0_box_sum(t, r)
                         assert h0_twist(t, r) == hilbert_series_coefficient(t, r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 12), st.integers(1, 6), st.data())
+    def test_closed_form_matches_box_sum(self, d, k, extra, data):
+        t = GfmType(d, k, d + extra)
+        r = data.draw(st.integers(-3, 4 * k))
+        assert h0_twist(t, r) == oracles.h0_box_sum(t, r)
 
     def test_eventual_polynomiality(self):
         """Differences of order d+1 vanish once r clears (n-d)(k-1)."""

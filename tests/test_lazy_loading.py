@@ -1,0 +1,76 @@
+"""The package resolves its public names on first access, and a CLI verb
+loads only the submodules it uses."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import gfermat
+
+EXPORTS = [
+    "Arrangement", "BudgetExceeded", "Conic", "CyclotomicScalar", "EquationSystem",
+    "ExactMatrix", "GfmType", "GroupElement", "Hyperplane", "Inconclusive",
+    "NotInGeneralPosition", "Permutation", "Rational", "StandardParameter", "TangencyError",
+    "act", "act_sigma1", "act_sigma2", "acts_freely", "all_maximal_minors_nonzero",
+    "are_isomorphic", "arrangement_of", "automorphism_order", "bound_feasible",
+    "canonical_degree", "canonical_generators", "canonical_representative", "classify",
+    "classify_low_n", "conic_curve_parameters", "cyclotomic_polynomial", "equations",
+    "fiber_product_components", "fixed_locus", "h0_twist", "hd_twist",
+    "hilbert_series_coefficient", "invariant_report", "is_general_position",
+    "is_linear_automorphism", "is_standard_parameter", "is_tangent", "kernel_of_R",
+    "kodaira_dimension", "kummer_parameters", "leading_coefficient", "normalize",
+    "orbit_and_stabilizer", "plurigenus", "projective_normalize", "random_parameter",
+    "restrict_to_line", "smoothness_certificate", "solve_linear", "stabilizer",
+    "subgroup_acts_freely", "tangent_conic",
+]
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(gfermat.__file__)))
+
+
+def test_every_export_resolves_and_is_listed():
+    listed = dir(gfermat)
+    for name in EXPORTS:
+        value = getattr(gfermat, name)
+        assert name in listed and name in gfermat.__all__
+        module = sys.modules[f"gfermat.{gfermat._SUBMODULE[name]}"]
+        assert value is getattr(module, name)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError):
+        gfermat.no_such_name
+
+
+def loaded_after(*argv):
+    """gfermat submodules in sys.modules after ``import gfermat.cli`` and,
+    given an argv, one ``main`` call, in a fresh interpreter."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from gfermat.cli import main\n"
+        f"argv = {list(argv)!r}\n"
+        "if argv:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('gfermat.'))))\n"
+    )
+    path = os.pathsep.join([SRC, *filter(None, [os.environ.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60, check=True)
+    return set(json.loads(done.stdout))
+
+
+@pytest.mark.parametrize("argv,unused", [
+    ((), {"arrangement", "constructions", "exactfield", "fermatgroup", "invariants",
+          "modaction"}),
+    (("kummer", "0", "1", "2", "3", "4", "5"), {"fermatgroup", "invariants", "modaction"}),
+    (("invariants", "2", "4", "3"), {"constructions", "modaction"}),
+    (("equations", '{"d":2,"n":4,"lambda":[["2","3"]]}', "4"),
+     {"constructions", "invariants", "modaction"}),
+])
+def test_verbs_load_only_what_they_use(argv, unused):
+    loaded = loaded_after(*argv)
+    assert "gfermat.cli" in loaded
+    assert loaded.isdisjoint(f"gfermat.{name}" for name in unused), loaded
