@@ -20,7 +20,7 @@ _EXPORTS = {
                      "restrict_to_line tangent_conic",
     "errors": "BudgetExceeded Inconclusive NotInGeneralPosition TangencyError",
     "exactfield": "CyclotomicScalar ExactMatrix Rational all_maximal_minors_nonzero "
-                  "cyclotomic_polynomial projective_normalize solve_linear",
+                  "cyclotomic_polynomial projective_normalize",
     "fermatgroup": "EquationSystem GfmType GroupElement acts_freely automorphism_order "
                    "bound_feasible canonical_generators classify_low_n equations "
                    "fiber_product_components fixed_locus is_linear_automorphism "

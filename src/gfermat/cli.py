@@ -40,13 +40,20 @@ class ValidationError(ValueError):
 
 
 def _read_payload_text(arg: str) -> str:
+    """The payload text of ``arg``; an unreadable or undecodable stdin or
+    file is a validation error (``ValueError``: a closed stream, bad UTF-8)."""
     if arg == "-":
-        return sys.stdin.read()
+        if sys.stdin is None:  # the process was started with stdin closed
+            raise ValidationError("cannot read payload from stdin: stdin is closed")
+        try:
+            return sys.stdin.read()
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read payload from stdin: {exc}") from exc
     if arg.startswith("@"):
         try:
             with open(arg[1:], "r", encoding="utf-8") as handle:
                 return handle.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read payload file: {exc}") from exc
     return arg
 
@@ -123,7 +130,7 @@ def _parse_arrangement(data) -> Arrangement:
 def _parse_exponents(data, k: int) -> GroupElement:
     from .fermatgroup import GroupElement
 
-    if not isinstance(data, list) or not all(isinstance(m, int) for m in data):
+    if not isinstance(data, list) or not all(type(m) is int for m in data):
         raise ValidationError("exponents must be a list of integers")
     try:
         return GroupElement(k, tuple(data))
@@ -133,7 +140,7 @@ def _parse_exponents(data, k: int) -> GroupElement:
 
 def _parse_matrix(data, k: int, size: int) -> ExactMatrix:
     """A size x size matrix; the shape is checked before any entry's
-    cyclotomic field is built."""
+    cyclotomic field is built, and a rational cell stays a ``Fraction``."""
     from .exactfield import CyclotomicScalar, ExactMatrix
 
     if not isinstance(data, dict) or "entries" not in data:
@@ -149,16 +156,16 @@ def _parse_matrix(data, k: int, size: int) -> ExactMatrix:
             coeffs = cell.get("coeffs")
             if not isinstance(coeffs, list):
                 raise ValidationError("cyclotomic entry needs a 'coeffs' list")
-            try:
-                order = int(cell.get("k", k))
-            except (TypeError, ValueError) as exc:
-                raise ValidationError("cyclotomic entry order must be an integer") from exc
+            order = cell.get("k", k)
+            if type(order) is not int:
+                raise ValidationError(
+                    f"cyclotomic entry order must be a JSON integer, got {order!r}")
             if order < 1:
                 raise ValidationError("cyclotomic entry order must be positive")
             return CyclotomicScalar.from_poly(
                 order, [_parse_rational(c) for c in coeffs]
             )
-        return CyclotomicScalar.from_rational(k, _parse_rational(cell))
+        return _parse_rational(cell)
 
     try:
         return ExactMatrix.from_rows(

@@ -27,8 +27,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "CyclotomicScalar",
     "ExactMatrix",
-    "LinearSolveResult",
-    "solve_linear",
     "projective_normalize",
     "clear_denominators",
     "fraction_free_inverse",
@@ -368,26 +366,6 @@ class ExactMatrix:
             prev = a[i][i]
         return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 
-    def rank(self) -> int:
-        a = self.row_list()
-        rank = 0
-        for col in range(self.cols):
-            pivot_row = next(
-                (r for r in range(rank, self.rows) if a[r][col] != 0), None
-            )
-            if pivot_row is None:
-                continue
-            a[rank], a[pivot_row] = a[pivot_row], a[rank]
-            pivot = a[rank][col]
-            for r in range(self.rows):
-                if r != rank and a[r][col] != 0:
-                    factor = a[r][col] / pivot
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank
-
     def adjugate(self) -> ExactMatrix:
         """Transpose of the cofactor matrix; M @ adj(M) = det(M) I."""
         if self.rows != self.cols:
@@ -437,57 +415,8 @@ def _scalar_to_json(value):
 
 
 # ---------------------------------------------------------------------------
-# Solving and projective helpers
+# Projective helpers and the integer minor engine
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearSolveResult:
-    """Outcome of an exact linear solve.
-
-    ``status`` is one of ``"unique"``, ``"underdetermined"`` or
-    ``"inconsistent"``.  For underdetermined systems the reported solution
-    sets every free variable to zero.
-    """
-
-    status: str
-    solution: tuple | None
-    rank: int
-
-
-def solve_linear(matrix: ExactMatrix, rhs) -> LinearSolveResult:
-    """Solve ``matrix @ x = rhs`` by exact Gaussian elimination."""
-    rhs = tuple(rhs)
-    if matrix.rows != len(rhs):
-        raise ValueError("right-hand side length does not match row count")
-    m, n = matrix.rows, matrix.cols
-    a = [list(matrix.row(i)) + [rhs[i]] for i in range(m)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot_row = next((r for r in range(rank, m) if a[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        pivot = a[rank][col]
-        a[rank] = [x / pivot for x in a[rank]]
-        for r in range(m):
-            if r != rank and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == m:
-            break
-    for r in range(rank, m):
-        if a[r][n] != 0:
-            return LinearSolveResult("inconsistent", None, rank)
-    zero = _zero_like(matrix.entries[0])
-    solution = [zero] * n
-    for r, col in enumerate(pivots):
-        solution[col] = a[r][n]
-    status = "unique" if rank == n else "underdetermined"
-    return LinearSolveResult(status, tuple(solution), rank)
-
 
 def projective_normalize(vec) -> tuple:
     """Scale a nonzero vector so its first nonzero entry is 1 (idempotent)."""

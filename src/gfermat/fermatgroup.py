@@ -20,12 +20,7 @@ from fractions import Fraction
 
 from .arrangement import StandardParameter, is_standard_parameter
 from .errors import DEFAULT_BUDGET, BudgetExceeded
-from .exactfield import (
-    CyclotomicScalar,
-    ExactMatrix,
-    rational_to_string,
-    solve_linear,
-)
+from .exactfield import CyclotomicScalar, ExactMatrix, rational_to_string
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -386,12 +381,14 @@ def _monomial_support(matrix: ExactMatrix):
     return support
 
 
-def _common_cyclotomic_order(matrix: ExactMatrix, k: int) -> int:
-    order = k
-    for e in matrix.entries:
-        if isinstance(e, CyclotomicScalar):
-            order = order * e.order // math.gcd(order, e.order)
-    return order
+def _common_field(values) -> list:
+    """The values with every ``CyclotomicScalar`` promoted to the lcm of
+    their orders, when the orders differ; other values become ``Fraction``s
+    and a single order is kept as it is."""
+    orders = {v.order for v in values if isinstance(v, CyclotomicScalar)}
+    order = math.lcm(*orders)
+    return [v.promote(order) if isinstance(v, CyclotomicScalar) else Fraction(v)
+            for v in values]
 
 
 def _power(x, e: int):
@@ -409,45 +406,38 @@ def _power(x, e: int):
 def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) -> bool:
     """Verify a candidate linear automorphism of the variety.
 
-    Accepts exactly the invertible monomial matrices (one nonzero entry per
-    row and column) whose substitution maps every defining form into the
-    span of the defining forms; the span test is an exact linear solve on
-    the coefficients of x_j^k over a cyclotomic field.  Rational entries
-    live in the order-k field (covering the deck group itself); entries of
-    higher cyclotomic order are handled by lifting everything to the common
-    order, so twisted permutation lifts are verifiable too.
+    Accepts exactly the monomial matrices (one nonzero entry per row and
+    column) whose substitution maps every defining form into the span of the
+    defining forms; a non-monomial matrix is rejected, or refused with
+    ``ValueError`` when it is singular (its determinant is taken in the
+    least cyclotomic field holding its entries).
+
+    A monomial matrix sending x_r to a_r x_c(r) sends the form sum_r
+    C[i][r] x_r^k to the vector v with v[c(r)] = a_r^k C[i][r].  Columns
+    d+1..n of the coefficient matrix C are an identity block (form j owns
+    column d+1+j), so v lies in the row space of C iff v[c] equals
+    sum_j v[d+1+j] C[j][c] for every c <= d.  Each a_r^k is taken once in
+    the entry's own field (a rational stays rational); the powers are lifted
+    to a common cyclotomic field only when their orders differ.
     """
     if matrix.rows != matrix.cols or matrix.rows != par.n + 1:
         raise ValueError("matrix must be square of size n+1")
-    field = _common_cyclotomic_order(matrix, k)
-    entries = tuple(
-        e.promote(field) if isinstance(e, CyclotomicScalar)
-        else CyclotomicScalar.from_rational(field, e)
-        for e in matrix.entries
-    )
-    lifted = ExactMatrix(matrix.rows, matrix.cols, entries)
-    if lifted.rank() != lifted.rows:
-        raise ValueError("matrix is singular")
-    support = _monomial_support(lifted)
+    support = _monomial_support(matrix)
     if support is None:
+        lifted = ExactMatrix(matrix.rows, matrix.cols, tuple(_common_field(matrix.entries)))
+        if not lifted.det():
+            raise ValueError("matrix is singular")
         return False
-    system = equations(par, k)
-    coeff = system.coefficient_matrix
-    zero = CyclotomicScalar.zero(field)
-    basis_t = ExactMatrix.from_rows(
-        [
-            [CyclotomicScalar.from_rational(field, coeff.entry(i, j))
-             for i in range(coeff.rows)]
-            for j in range(coeff.cols)
-        ]
-    )
-    powers = [_power(lifted.entry(r, c), k) for r, c in enumerate(support)]
-    for i in range(coeff.rows):
-        transformed = [zero] * coeff.cols
+    coeff = equations(par, k).coefficient_matrix
+    powers = _common_field([_power(matrix.entry(r, c), k) for r, c in enumerate(support)])
+    d, forms = par.d, coeff.rows
+    for i in range(forms):
+        image = [None] * coeff.cols
         for r, c in enumerate(support):
-            transformed[c] = transformed[c] + powers[r] * coeff.entry(i, r)
-        if solve_linear(basis_t, transformed).status == "inconsistent":
-            return False
+            image[c] = powers[r] * coeff.entry(i, r)
+        for c in range(d + 1):
+            if image[c] != sum(image[d + 1 + j] * coeff.entry(j, c) for j in range(forms)):
+                return False
     return True
 
 

@@ -4,11 +4,16 @@ the Fraction normal form that the integer frame kernel replaced, the
 Fraction minor scans that the integer minor engine replaced, the full
 S_{n+1} enumeration that the frame scans replaced, the subgroup closure
 over validated group elements, the lattice-box convolution that the
-closed-form section count replaced, and the verifier loop that raised each
-monomial entry to the k-th power once per defining form."""
+closed-form section count replaced, and the automorphism verifier as it
+was before the coefficient-matrix read-off replaced it: every entry lifted
+to one cyclotomic field, a rank check, each monomial entry raised to the
+k-th power by k-1 multiplications once per defining form, and a span test
+by Gaussian elimination (``rank``, ``solve_linear`` and
+``LinearSolveResult``, moved here from the library)."""
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,13 +25,8 @@ from gfermat.arrangement import (
     random_parameter,
 )
 from gfermat.errors import BudgetExceeded, Inconclusive
-from gfermat.exactfield import CyclotomicScalar, ExactMatrix, solve_linear
-from gfermat.fermatgroup import (
-    GroupElement,
-    _common_cyclotomic_order,
-    _monomial_support,
-    equations,
-)
+from gfermat.exactfield import CyclotomicScalar, ExactMatrix, _zero_like
+from gfermat.fermatgroup import GroupElement, _monomial_support, equations
 
 
 def det_cofactor(matrix: ExactMatrix):
@@ -206,9 +206,89 @@ def h0_box_sum(gfm_type, r: int) -> int:
     )
 
 
+def rank(matrix: ExactMatrix) -> int:
+    """Rank by Gauss-Jordan elimination over the entries' field."""
+    a = matrix.row_list()
+    rank = 0
+    for col in range(matrix.cols):
+        pivot_row = next((r for r in range(rank, matrix.rows) if a[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        a[rank], a[pivot_row] = a[pivot_row], a[rank]
+        pivot = a[rank][col]
+        for r in range(matrix.rows):
+            if r != rank and a[r][col] != 0:
+                factor = a[r][col] / pivot
+                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+        if rank == matrix.rows:
+            break
+    return rank
+
+
+@dataclass(frozen=True)
+class LinearSolveResult:
+    """Outcome of an exact linear solve.
+
+    ``status`` is one of ``"unique"``, ``"underdetermined"`` or
+    ``"inconsistent"``.  For underdetermined systems the reported solution
+    sets every free variable to zero.
+    """
+
+    status: str
+    solution: tuple | None
+    rank: int
+
+
+def solve_linear(matrix: ExactMatrix, rhs) -> LinearSolveResult:
+    """Solve ``matrix @ x = rhs`` by exact Gaussian elimination."""
+    rhs = tuple(rhs)
+    if matrix.rows != len(rhs):
+        raise ValueError("right-hand side length does not match row count")
+    m, n = matrix.rows, matrix.cols
+    a = [list(matrix.row(i)) + [rhs[i]] for i in range(m)]
+    pivots = []
+    rank = 0
+    for col in range(n):
+        pivot_row = next((r for r in range(rank, m) if a[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        a[rank], a[pivot_row] = a[pivot_row], a[rank]
+        pivot = a[rank][col]
+        a[rank] = [x / pivot for x in a[rank]]
+        for r in range(m):
+            if r != rank and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == m:
+            break
+    for r in range(rank, m):
+        if a[r][n] != 0:
+            return LinearSolveResult("inconsistent", None, rank)
+    zero = _zero_like(matrix.entries[0])
+    solution = [zero] * n
+    for r, col in enumerate(pivots):
+        solution[col] = a[r][n]
+    status = "unique" if rank == n else "underdetermined"
+    return LinearSolveResult(status, tuple(solution), rank)
+
+
+def _common_cyclotomic_order(matrix: ExactMatrix, k: int) -> int:
+    order = k
+    for e in matrix.entries:
+        if isinstance(e, CyclotomicScalar):
+            order = order * e.order // math.gcd(order, e.order)
+    return order
+
+
 def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) -> bool:
-    """The verifier with each monomial entry raised to the k-th power by
-    k-1 multiplications, again for every one of the n-d defining forms."""
+    """The verifier over the common cyclotomic field of k and every entry:
+    a rank check, then each monomial entry raised to the k-th power by k-1
+    multiplications, again for every one of the n-d defining forms, and a
+    Gaussian solve per substituted form against the transposed coefficient
+    matrix."""
     if matrix.rows != matrix.cols or matrix.rows != par.n + 1:
         raise ValueError("matrix must be square of size n+1")
     field = _common_cyclotomic_order(matrix, k)
@@ -218,7 +298,7 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
         for e in matrix.entries
     )
     lifted = ExactMatrix(matrix.rows, matrix.cols, entries)
-    if lifted.rank() != lifted.rows:
+    if rank(lifted) != lifted.rows:
         raise ValueError("matrix is singular")
     support = _monomial_support(lifted)
     if support is None:

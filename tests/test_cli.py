@@ -3,13 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gfermat import cli
 from gfermat.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -25,6 +29,17 @@ PAR_24 = '{"d":2,"n":4,"lambda":[["2","3"]]}'
 FERMAT_23 = '{"d":2,"n":3,"lambda":[]}'
 
 
+# the arguments before the payload, for verbs whose payload is not the first
+LEADING_ARGUMENTS = {"verify-matrix": [FERMAT_23, "2"], "fixed-locus": ["2", "3", "4"],
+                     "free": ["2", "3", "4"]}
+
+
+def matrix_json(first_row):
+    """A 4x4 matrix payload: ``first_row`` over the last three identity rows."""
+    rows = [first_row] + [["1" if c == r else "0" for c in range(4)] for r in range(1, 4)]
+    return json.dumps({"entries": rows})
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -34,6 +49,13 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+class UnreadableStdin:
+    """A stdin whose read fails, as on a broken descriptor."""
+
+    def read(self):
+        raise OSError("stdin is unreadable")
 
 
 class TestDeterminism:
@@ -118,9 +140,14 @@ class TestExitCodes:
         ("orbit", '{"d":1,"n":false,"lambda":[["2"]]}'),
         ("normalize", '{"d":2.5,"points":[["1","0","0"],["0","1","0"],["0","0","1"],'
                       '["1","1","1"]]}'),
+        ("verify-matrix", matrix_json([{"k": 2.9, "coeffs": ["1"]}, "0", "0", "0"])),
+        ("verify-matrix", matrix_json([{"k": True, "coeffs": ["1"]}, "0", "0", "0"])),
+        ("verify-matrix", matrix_json([{"k": "4", "coeffs": ["1"]}, "0", "0", "0"])),
+        ("fixed-locus", "[true,false,1,2,0]"),
+        ("free", "[[1,1,0,0,0],[0,true,1,0,0]]"),
     ])
     def test_mistyped_payload_fields_are_validation_errors(self, capsys, verb, payload):
-        code, report = run_json(capsys, verb, payload)
+        code, report = run_json(capsys, verb, *LEADING_ARGUMENTS.get(verb, ()), payload)
         assert code == EXIT_VALIDATION
         assert report["error"]["kind"] == "validation"
 
@@ -133,6 +160,42 @@ class TestExitCodes:
         monkeypatch.setattr(CyclotomicScalar, "from_poly", classmethod(refuse))
         matrix = json.dumps({"entries": [[{"k": 100000, "coeffs": ["1"]}]]})
         code, report = run_json(capsys, "verify-matrix", FERMAT_23, "2", matrix)
+        assert code == EXIT_VALIDATION
+        assert report["error"]["kind"] == "validation"
+
+    def test_rational_matrix_builds_no_cyclotomic_field(self, capsys, monkeypatch):
+        """Rational cells stay rational: the identity is verified at k=20000
+        without building Phi_20000 (or any cyclotomic polynomial)."""
+        def refuse(k):
+            raise AssertionError(f"built Phi_{k}")
+
+        monkeypatch.setattr("gfermat.exactfield.cyclotomic_polynomial", refuse)
+        identity = matrix_json(["1", "0", "0", "0"])
+        code, out = run_cli(capsys, "verify-matrix", FERMAT_23, "20000", identity)
+        assert (code, out) == (EXIT_OK, '{"accepted":true}\n')
+
+    @pytest.mark.parametrize("stdin", [None, UnreadableStdin()])
+    def test_unreadable_stdin_is_validation_error(self, capsys, monkeypatch, stdin):
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, report = run_json(capsys, "canon", "-")
+        assert code == EXIT_VALIDATION
+        assert report["error"]["kind"] == "validation"
+
+    def test_closed_stdin_is_validation_error(self):
+        """``canon - <&-``: the child starts with no stdin at all."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        command = f'"{sys.executable}" -m gfermat.cli canon - <&-'
+        done = subprocess.run(["sh", "-c", command], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_VALIDATION, done.stderr
+        assert json.loads(done.stdout)["error"]["kind"] == "validation"
+        assert done.stdout.count("\n") == 1 and not done.stderr
+
+    def test_undecodable_payload_file_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "par.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, report = run_json(capsys, "canon", f"@{path}")
         assert code == EXIT_VALIDATION
         assert report["error"]["kind"] == "validation"
 
@@ -321,7 +384,7 @@ PAYLOADS = [PAR_13, PAR_24, FERMAT_23, '{"d":2,"n":5,"lambda":[["2","3"],["5","7
             "[1,1,2,0]", "[0,1,2,0,1]", "[[1,1,0,0,0,0],[0,1,1,0,0,0]]", '["1","2","7"]',
             '{"entries":[["1","0"],["0","1"]]}', '{"d":1,"points":[["1","0"],["0","1"],["1","1"]]}',
             "{not json", "[1,", '{"d":1}', '{"d":1,"n":3,"lambda":[["1/0"]]}', "null", "[]", "{}",
-            '{"d":[],"n":3,"lambda":[]}', '{"d":1,"points":[1,2,3]}']
+            '{"d":[],"n":3,"lambda":[]}', '{"d":1,"points":[1,2,3]}', "-"]
 ARGUMENTS = st.one_of(
     st.integers(-3, 8).map(str),
     st.fractions(-3, 8, max_denominator=4).map(str),
@@ -334,6 +397,14 @@ ARGVS = st.one_of(
     st.tuples(st.integers(-3, 8), st.integers(-3, 10**4), st.integers(-3, 60))
     .map(lambda t: ["invariants", *map(str, t)]),
 )
+
+
+def closed_stdin():
+    """``sys.stdin`` of a process started with its stdin closed."""
+    return None
+
+
+STDINS = st.sampled_from((io.StringIO, closed_stdin, UnreadableStdin))
 OPTIONS = st.sampled_from([[], ["--pretty"], ["--budget", "5"], ["--budget", "1000"],
                            ["--budget", "abc"], ["--degree", "3"], ["--pluri", "1,x"],
                            ["-h"], ["--help"]])
@@ -343,13 +414,16 @@ class TestContractProperty:
     """Every argv gives exactly one JSON object on stdout and a documented
     exit code, and never raises.  Most numeric arguments stay in -3..8; the
     ``invariants`` verb, whose work is O(n-d) binomials, also draws k up to
-    10^4 and n up to 60.  A ``-`` payload reads an empty stdin."""
+    10^4 and n up to 60.  A ``-`` payload reads an empty, a closed (None)
+    or an unreadable stdin."""
 
     @settings(max_examples=300, deadline=None)
-    @given(ARGVS, OPTIONS)
-    def test_one_json_object_and_documented_exit(self, argv, options):
+    @given(ARGVS, OPTIONS, STDINS)
+    @example(["canon", "-"], [], closed_stdin)
+    @example(["orbit", "-"], ["--pretty"], UnreadableStdin)
+    def test_one_json_object_and_documented_exit(self, argv, options, stdin):
         out = io.StringIO()
-        with contextlib.redirect_stdout(out), mock.patch("sys.stdin", io.StringIO()):
+        with contextlib.redirect_stdout(out), mock.patch("sys.stdin", stdin()):
             code = main([*argv, *options])
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_PRECONDITION, EXIT_BUDGET)
         assert isinstance(json.loads(out.getvalue()), dict)

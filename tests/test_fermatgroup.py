@@ -6,10 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gfermat.arrangement import StandardParameter, random_parameter
+from gfermat.arrangement import StandardParameter, is_standard_parameter, random_parameter
 from gfermat.errors import BudgetExceeded
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix
 from gfermat.fermatgroup import (
@@ -367,6 +367,64 @@ def permutation_matrix(images):
     return ExactMatrix.from_rows(rows)
 
 
+@st.composite
+def roots_of_unity(draw, k, other, aligned):
+    """A root of unity of order k or ``other``, or a rational; when
+    ``aligned`` its k-th power is 1 (then any permutation the parameter
+    admits lifts), otherwise its exponent is free."""
+    order = draw(st.sampled_from((None, k, other)))
+    if order is None:
+        if aligned:
+            return Fraction(draw(st.sampled_from((1, -1) if k % 2 == 0 else (1,))))
+        return draw(st.sampled_from((Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3))))
+    power = draw(st.integers(0, order - 1))
+    if aligned and order != k:  # an even power of a 2k-th root, or 1 for q coprime to k
+        power = power - power % 2 if order == 2 * k else 0
+    return CyclotomicScalar.zeta(order, power)
+
+
+@st.composite
+def verifier_cases(draw):
+    """(matrix, parameter, k): d 1..3, n d+1..d+4, k 2..12, parameters mostly
+    in general position.  The matrix is a deck diagonal or a permutation lift
+    whose entries mix the orders k and 2k, or k and the least prime q not
+    dividing k (one case in two with every k-th power 1), or a non-monomial
+    matrix of rationals or of roots of unity, half of those made singular by
+    a repeated row."""
+    d, n, rows = draw(tables(entries=nonzero_rationals, extra=4))
+    par = StandardParameter(d, n, rows)
+    assume(is_standard_parameter(par) or draw(st.integers(0, 4)) == 0)
+    k = draw(st.integers(2, 12))
+    other = draw(st.sampled_from((2 * k, next(q for q in (2, 3, 5, 7) if k % q))))
+    size = n + 1
+    kind = draw(st.sampled_from(("deck", "lift", "rational", "cyclotomic")))
+    if kind in ("deck", "lift"):
+        images = list(range(size)) if kind == "deck" else draw(st.permutations(range(size)))
+        aligned = draw(st.booleans())
+        matrix = [[Fraction(0)] * size for _ in range(size)]
+        for r, c in enumerate(images):
+            matrix[r][c] = draw(roots_of_unity(k, other, aligned))
+        return ExactMatrix.from_rows(matrix), par, k
+    if kind == "rational":
+        cell = st.sampled_from((Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 4)))
+    else:
+        cell = st.one_of(st.just(Fraction(0)), roots_of_unity(k, other, False))
+    matrix = [[draw(cell) for _ in range(size)] for _ in range(size)]
+    matrix[0][0], matrix[0][1] = Fraction(1), Fraction(1)  # never monomial
+    if draw(st.booleans()):
+        i = draw(st.integers(1, size - 1))
+        matrix[i] = list(matrix[i - 1])
+    return ExactMatrix.from_rows(matrix), par, k
+
+
+def verdict(verifier, case):
+    """The verifier's answer, or the message of the ValueError it raises."""
+    try:
+        return verifier(*case)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 class TestLinearAutomorphismVerifier:
     def test_deck_group_diagonals_accepted(self):
         par = StandardParameter(2, 4, ((Fraction(2), Fraction(3)),))
@@ -482,6 +540,29 @@ class TestLinearAutomorphismVerifier:
         verdicts = [is_linear_automorphism(*case) for case in cases]
         assert verdicts == [oracles.is_linear_automorphism(*case) for case in cases]
         assert True in verdicts and False in verdicts
+
+    def test_mixed_order_powers_share_a_field(self):
+        """k-th powers that are 1 in Q(zeta_4), Q(zeta_2) and Q(zeta_3) are
+        compared in one field: the twisted diagonal is accepted, and with one
+        power -1 it is rejected."""
+        fermat = StandardParameter(2, 3, ())
+        for first, accepted in ((CyclotomicScalar.zeta(4, 2), True),
+                                (CyclotomicScalar.zeta(4, 1), False)):
+            diagonal = [first, CyclotomicScalar.zeta(2, 1), Fraction(1),
+                        CyclotomicScalar.zeta(3, 0)]
+            rows = [[x if c == r else Fraction(0) for c in range(4)]
+                    for r, x in enumerate(diagonal)]
+            case = (ExactMatrix.from_rows(rows), fermat, 2)
+            assert is_linear_automorphism(*case) is accepted
+            assert oracles.is_linear_automorphism(*case) is accepted
+
+    @settings(max_examples=150, deadline=None)
+    @given(verifier_cases())
+    def test_matches_cyclotomic_solve_oracle(self, case):
+        """The read-off span test and the lift, rank and solve reference give
+        the same verdicts and the same ValueError messages."""
+        expected = verdict(oracles.is_linear_automorphism, case)
+        assert verdict(is_linear_automorphism, case) == expected
 
 
 class TestAutomorphismOrder:

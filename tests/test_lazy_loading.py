@@ -23,7 +23,7 @@ EXPORTS = [
     "is_linear_automorphism", "is_standard_parameter", "is_tangent", "kernel_of_R",
     "kodaira_dimension", "kummer_parameters", "leading_coefficient", "normalize",
     "orbit_and_stabilizer", "plurigenus", "projective_normalize", "random_parameter",
-    "restrict_to_line", "smoothness_certificate", "solve_linear", "stabilizer",
+    "restrict_to_line", "smoothness_certificate", "stabilizer",
     "subgroup_acts_freely", "tangent_conic",
 ]
 
