@@ -142,6 +142,14 @@ class StandardParameter:
             raise ValueError("parameter table rows must have d entries")
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _trusted(cls, d: int, n: int, rows) -> StandardParameter:
+        """A parameter built without ``__post_init__``: ``rows`` must
+        already be a tuple of n-d-1 tuples of d ``Fraction``s."""
+        par = object.__new__(cls)
+        par.__dict__.update(d=d, n=n, rows=rows)
+        return par
+
     @property
     def columns(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(zip(*self.rows)) if self.rows else tuple(() for _ in range(self.d))

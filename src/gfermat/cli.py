@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -138,9 +139,11 @@ def _parse_exponents(data, k: int) -> GroupElement:
         raise ValidationError(str(exc)) from exc
 
 
-def _parse_matrix(data, k: int, size: int) -> ExactMatrix:
-    """A size x size matrix; the shape is checked before any entry's
-    cyclotomic field is built, and a rational cell stays a ``Fraction``."""
+def _parse_matrix(data, k: int, size: int, budget: int) -> ExactMatrix:
+    """A size x size matrix; a rational cell stays a ``Fraction``.  The
+    shape and every cyclotomic cell's order are checked, and L^2 * size^2
+    is charged to the budget for the lcm L of those orders (the field the
+    verifier may lift to), before any cyclotomic field is built."""
     from .exactfield import CyclotomicScalar, ExactMatrix
 
     if not isinstance(data, dict) or "entries" not in data:
@@ -151,20 +154,25 @@ def _parse_matrix(data, k: int, size: int) -> ExactMatrix:
     if len(rows) != size or any(len(r) != size for r in rows):
         raise ValidationError(f"matrix must be square of size n+1 = {size}")
 
+    def order(cell):
+        if not isinstance(cell.get("coeffs"), list):
+            raise ValidationError("cyclotomic entry needs a 'coeffs' list")
+        m = cell.get("k", k)
+        if type(m) is not int:
+            raise ValidationError(f"cyclotomic entry order must be a JSON integer, got {m!r}")
+        if m < 1:
+            raise ValidationError("cyclotomic entry order must be positive")
+        return m
+
+    orders = [order(c) for row in rows for c in row if isinstance(c, dict)]
+    needed = math.lcm(*orders) ** 2 * size**2 if orders else 0
+    if needed > budget:
+        raise BudgetExceeded(needed, budget)
+
     def entry(cell):
         if isinstance(cell, dict):
-            coeffs = cell.get("coeffs")
-            if not isinstance(coeffs, list):
-                raise ValidationError("cyclotomic entry needs a 'coeffs' list")
-            order = cell.get("k", k)
-            if type(order) is not int:
-                raise ValidationError(
-                    f"cyclotomic entry order must be a JSON integer, got {order!r}")
-            if order < 1:
-                raise ValidationError("cyclotomic entry order must be positive")
             return CyclotomicScalar.from_poly(
-                order, [_parse_rational(c) for c in coeffs]
-            )
+                cell.get("k", k), [_parse_rational(c) for c in cell["coeffs"]])
         return _parse_rational(cell)
 
     try:
@@ -319,7 +327,7 @@ def _cmd_verify_matrix(args, budget):
 
     par = _parse_parameter(_load_json(args.parameter))
     k = _parse_degree(args.k)
-    matrix = _parse_matrix(_load_json(args.matrix), k, par.n + 1)
+    matrix = _parse_matrix(_load_json(args.matrix), k, par.n + 1, budget)
     return {"accepted": is_linear_automorphism(matrix, par, k)}
 
 

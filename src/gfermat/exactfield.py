@@ -343,7 +343,11 @@ class ExactMatrix:
         )
 
     def det(self):
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant by fraction-free (Bareiss) elimination.
+
+        Each division is exact: the quotient is a minor of the matrix.  When
+        both operands are ``int`` every entry of that minor is, so ``//``
+        keeps the result an exact ``int``."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
@@ -359,9 +363,11 @@ class ExactMatrix:
                         break
                 else:
                     return _zero_like(self.entries[0])
+            whole = type(prev) is int
             for r in range(i + 1, n):
                 for c in range(i + 1, n):
-                    a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) / prev
+                    x = a[r][c] * a[i][i] - a[r][i] * a[i][c]
+                    a[r][c] = x // prev if whole and type(x) is int else x / prev
                 a[r][i] = 0
             prev = a[i][i]
         return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]

@@ -29,6 +29,14 @@ gives exactly one stabilizer element (and, against a second table, one
 isomorphism).  The orbit is every row order of every frame's rows.  Scans
 are still charged (n+1)! against the budget, which bounds the
 (n+1)!/(n-d-1)! frames they visit.
+
+The scans carry every table entry as an integer pair (p, q) with q > 0 and
+gcd(p, q) = 1, built with one gcd.  Each rational has exactly one such
+pair, so two pairs are equal iff their rationals are: sets and dicts of
+rows hash and compare plain int tuples.  With positive denominators
+p/q < r/s iff p s < r q (multiply both sides by q s > 0), so the one sort
+of distinct rows and canon's row order compare by cross-multiplication.
+Only the distinct rows of the output become ``Fraction``s, once each.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .arrangement import (
     StandardParameter,
@@ -138,7 +147,8 @@ def act(eta: Permutation, par: StandardParameter, *, validate: bool = True) -> S
         raise ValueError("parameter is not in X_{n,d}")
     points = _integer_duals(par)
     slots = eta.inverse().images
-    return StandardParameter(par.d, par.n, _frame_normal_form([points[i] for i in slots], par.d)[2])
+    rows = _frame_normal_form([points[i] for i in slots], par.d)[2]
+    return StandardParameter._trusted(par.d, par.n, rows)
 
 
 def act_sigma1(par: StandardParameter) -> StandardParameter:
@@ -213,9 +223,10 @@ def kernel_note(n: int, d: int) -> str | None:
 def _frame_tables(par: StandardParameter):
     """(frame, {hyperplane: row}) for every ordered frame (b_0, ..., b_d, a)
     of par's canonical arrangement, with the table row of every hyperplane
-    outside it (module docstring).  An entry depends on the ordering only
-    through b_d, so it is built once per basis set, anchor and b_d."""
-    d, points = par.d, _integer_duals(par)
+    outside it (module docstring), each entry a normalized (p, q) pair.  An
+    entry depends on the ordering only through b_d, so it is built once per
+    basis set, anchor and b_d."""
+    d, points, gcd = par.d, _integer_duals(par), math.gcd
     for basis in itertools.combinations(range(par.n + 1), d + 1):
         m = fraction_free_inverse(list(zip(*(points[i] for i in basis))))
         coords = {q: dict(zip(basis, [sum(x * y for x, y in zip(row, p)) for row in m]))
@@ -223,11 +234,41 @@ def _frame_tables(par: StandardParameter):
         for a, ca in coords.items():
             for last in basis:
                 head = [b for b in basis if b != last]
-                entries = {q: {b: Fraction(c[b] * ca[last], ca[b] * c[last]) for b in head}
-                           for q, c in coords.items() if q != a}
+                entries = {}
+                for q, c in coords.items():
+                    if q != a:
+                        e = entries[q] = {}
+                        for b in head:
+                            num, den = c[b] * ca[last], ca[b] * c[last]
+                            g = gcd(num, den) if den > 0 else -gcd(num, den)
+                            e[b] = (num // g, den // g)
                 for order in itertools.permutations(head):
-                    yield order + (last, a), {q: tuple(e[b] for b in order)
+                    yield order + (last, a), {q: tuple(map(e.__getitem__, order))
                                               for q, e in entries.items()}
+
+
+def _compare_rows(r, s) -> int:
+    """Sign of r - s in the lexicographic rational order of two pair rows."""
+    for (a, b), (c, e) in zip(r, s):
+        x = a * e - c * b
+        if x:
+            return x
+    return 0
+
+
+def _compare_tables(t, u) -> int:
+    """Sign of t - u in the lexicographic order of two pair-row tables."""
+    for r, s in zip(t, u):
+        x = _compare_rows(r, s)
+        if x:
+            return x
+    return 0
+
+
+def _fraction_rows(pair_rows) -> tuple[tuple[Fraction, ...], ...]:
+    """Pair rows as Fraction rows, one Fraction per distinct pair."""
+    fractions = {pair: Fraction(*pair) for pair in set(itertools.chain.from_iterable(pair_rows))}
+    return tuple(tuple(map(fractions.__getitem__, row)) for row in pair_rows)
 
 
 def _carrying(par: StandardParameter, target: StandardParameter):
@@ -235,7 +276,8 @@ def _carrying(par: StandardParameter, target: StandardParameter):
     one-line images of the permutation with that frame carrying par to
     target, or None if the frame's rows are not target's.  Rows are
     distinct, so matching every row fixes the slot of every hyperplane."""
-    slots = {row: j for j, row in enumerate(target.rows, start=par.d + 2)}
+    slots = {tuple((x.numerator, x.denominator) for x in row): j
+             for j, row in enumerate(target.rows, start=par.d + 2)}
     for frame, rows in _frame_tables(par):
         images = None
         if all(row in slots for row in rows.values()):
@@ -270,13 +312,15 @@ def orbit_and_stabilizer(par: StandardParameter, budget: int = DEFAULT_BUDGET) -
         if images:
             stabilizer.append(images)
     # sort tables as tuples of row ranks: rows are compared in one sort only
-    distinct = sorted(set().union(*row_sets))
+    distinct = sorted(set().union(*row_sets), key=cmp_to_key(_compare_rows))
     rank = {row: i for i, row in enumerate(distinct)}
     tables = sorted(t for row_set in row_sets
                     for t in itertools.permutations([rank[row] for row in row_set]))
+    rows = _fraction_rows(distinct)
     return OrbitReport(
         par,
-        tuple(StandardParameter(par.d, par.n, tuple(distinct[i] for i in t)) for t in tables),
+        tuple(StandardParameter._trusted(par.d, par.n, tuple(rows[i] for i in t))
+              for t in tables),
         tuple(Permutation(images) for images in sorted(stabilizer)),
         kernel_note(par.n, par.d),
     )
@@ -362,7 +406,23 @@ def are_isomorphic(
 def canonical_representative(par: StandardParameter, budget: int = DEFAULT_BUDGET) -> StandardParameter:
     """Lexicographically least orbit element (exact rational order on the
     flattened table); equal for two parameters iff they are orbit-equivalent.
-    It is the least over frames of the frame's rows in sorted order."""
+    It is the least over frames of the frame's rows in sorted order: the
+    least row of a frame comes first, so only the frames whose least row
+    ties the running minimum are sorted in full."""
     _check_scan(par, budget)
-    return StandardParameter(par.d, par.n, min(
-        tuple(sorted(rows.values())) for _, rows in _frame_tables(par)))
+    if not par.rows:
+        return par
+    least, ties = None, []
+    for _, rows in _frame_tables(par):
+        rows = list(rows.values())
+        low = rows[0]
+        for row in rows[1:]:
+            if _compare_rows(row, low) < 0:
+                low = row
+        if least is None or _compare_rows(low, least) < 0:
+            least, ties = low, [rows]
+        elif low == least:
+            ties.append(rows)
+    by_row = cmp_to_key(_compare_rows)
+    least_table = min((sorted(rows, key=by_row) for rows in ties), key=cmp_to_key(_compare_tables))
+    return StandardParameter._trusted(par.d, par.n, _fraction_rows(least_table))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -173,6 +174,46 @@ class TestExitCodes:
         identity = matrix_json(["1", "0", "0", "0"])
         code, out = run_cli(capsys, "verify-matrix", FERMAT_23, "20000", identity)
         assert (code, out) == (EXIT_OK, '{"accepted":true}\n')
+
+    @pytest.mark.parametrize("degree,cell", [
+        ("2", {"k": 100000, "coeffs": ["1"]}),
+        ("100000", {"coeffs": ["1"]}),
+    ])
+    def test_huge_entry_order_is_refused_by_budget(self, degree, cell):
+        """An explicit order 100000, or an untagged cell under degree 100000,
+        is charged 100000^2 * 4^2 and refused with exit 4 in a fresh child,
+        without building Phi_100000."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        argv = ["verify-matrix", FERMAT_23, degree, matrix_json([cell, "0", "0", "0"])]
+        started = time.monotonic()
+        done = subprocess.run([sys.executable, "-m", "gfermat.cli", *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+        assert time.monotonic() - started < 5
+        assert done.returncode == EXIT_BUDGET, done.stderr
+        assert done.stdout.count("\n") == 1 and not done.stderr
+        assert json.loads(done.stdout)["error"] == {
+            "kind": "budget", "message": "enumeration needs 160000000000 steps, budget is 1000000"}
+
+    @pytest.mark.parametrize("cells,needed", [
+        ([{"coeffs": ["0", "1"]}], 3**2 * 4**2),
+        ([{"k": 4, "coeffs": ["1"]}, {"k": 6, "coeffs": ["1"]}], 12**2 * 4**2),
+    ])
+    def test_verify_matrix_charge_is_lcm_order_squared_times_size_squared(
+            self, capsys, cells, needed):
+        """The charge L^2 (n+1)^2 uses the lcm L of the cells' orders: a
+        budget of exactly the charge verifies, one less is refused."""
+        diagonal = [[cells[r] if r < len(cells) and c == r else str(int(c == r))
+                     for c in range(4)] for r in range(4)]
+        matrix = json.dumps({"entries": diagonal})
+        code, _ = run_json(capsys, "verify-matrix", FERMAT_23, "3", matrix,
+                           "--budget", str(needed))
+        assert code == EXIT_OK
+        code, report = run_json(capsys, "verify-matrix", FERMAT_23, "3", matrix,
+                                "--budget", str(needed - 1))
+        assert code == EXIT_BUDGET
+        assert report["error"]["message"] == \
+            f"enumeration needs {needed} steps, budget is {needed - 1}"
 
     @pytest.mark.parametrize("stdin", [None, UnreadableStdin()])
     def test_unreadable_stdin_is_validation_error(self, capsys, monkeypatch, stdin):

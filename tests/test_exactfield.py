@@ -199,6 +199,23 @@ class TestDeterminants:
             matrix = ExactMatrix.from_rows(rows)
             assert matrix.det() == oracles.det_cofactor(matrix)
 
+    def test_int_determinant_stays_exact(self):
+        """Bareiss on int entries divides exactly: a float quotient would
+        round this determinant to 9.999999999999999e+39."""
+        matrix = ExactMatrix.from_rows([[10**20 + 1, 3, 1], [7, 10**20, 2], [1, 1, 1]])
+        det = matrix.det()
+        assert type(det) is int
+        assert det == oracles.det_cofactor(matrix) == 9999999999999999999799999999999999999990
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-BIG, BIG), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_big_int_determinant_matches_cofactor(self, rows):
+        matrix = ExactMatrix.from_rows(rows)
+        det = matrix.det()
+        assert not isinstance(det, float)
+        assert det == oracles.det_cofactor(matrix)
+
     def test_adjugate_identity(self, rng):
         for _ in range(30):
             size = rng.randint(2, 4)

@@ -379,3 +379,54 @@ class TestFrameScansAgainstEnumeration:
             stab = _images(stabilizer(par))
             assert klein <= set(stab)
             assert stab == oracles.scans(par)[1]
+
+
+def par2(*rows):
+    return StandardParameter(2, len(rows) + 3, tuple(tuple(map(Fraction, r)) for r in rows))
+
+
+# Parameters whose frames tie on their least row: the empty tables (every
+# frame ties), the harmonic point and two d=2, n=5 tables with stabilizers of
+# order 2 and 12.
+TIED = [StandardParameter(d, d + 1, ()) for d in (1, 2, 3)] + [
+    HARMONIC, par2((2, 3), (3, 2)), par2((-1, 2), (2, -1))]
+
+
+class TestScanOutput:
+    """Canon where many frames tie, and the scan output as checked
+    parameters with ``Fraction`` entries."""
+
+    @pytest.mark.parametrize("par", TIED, ids=lambda p: f"d{p.d}n{p.n}{p.rows}")
+    def test_tied_frames_against_enumeration(self, par):
+        tables, stab, _ = oracles.scans(par)
+        assert len(stab) > 1
+        report = orbit_and_stabilizer(par)
+        assert [e.rows for e in report.elements] == tables
+        assert _images(report.stabilizer) == stab
+        assert canonical_representative(par).rows == tables[0]
+
+    def test_cross_ratio_ties_at_d1(self):
+        """At d = 1 the frames (b0, b1, a) and (b1, b0, q) give hyperplane a
+        and q the same row (cross-ratio symmetry), so even a parameter with
+        trivial stabilizer has frames tying on their least row."""
+        rng = random.Random(53)
+        for _ in range(4):
+            par = random_parameter(1, 4, rng)
+            assert canonical_representative(par).rows == oracles.scans(par)[0][0]
+
+    def test_harmonic_stabilizer_contains_klein_group(self):
+        klein = {Permutation.from_one_line(p).images for p in KLEIN_ONE_LINE}
+        assert klein < set(_images(stabilizer(HARMONIC)))
+
+    @pytest.mark.parametrize("par", TIED + [random_parameter(d, n, random.Random(53))
+                                            for d, n in ((1, 4), (2, 5), (3, 6))],
+                             ids=lambda p: f"d{p.d}n{p.n}{p.rows}")
+    def test_output_equals_and_hashes_like_checked_parameter(self, par):
+        report = orbit_and_stabilizer(par)
+        eta = Permutation(tuple(reversed(range(par.n + 1))))
+        for element in (*report.elements, canonical_representative(par), act(eta, par)):
+            checked = StandardParameter(element.d, element.n, element.rows)
+            assert element == checked and hash(element) == hash(checked)
+            assert all(type(x) is Fraction for row in element.rows for x in row)
+        assert len(set(report.elements)) == report.orbit_size
+
