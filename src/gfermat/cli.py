@@ -293,7 +293,7 @@ def _cmd_free(args, budget):
             raise ValidationError("exponent vectors must have length n+1")
     result = subgroup_acts_freely(gens, gfm_type, budget=budget)
     bound = None
-    if _is_prime(gfm_type.k):
+    if _is_prime(gfm_type.k, budget):
         power, order = 0, result.subgroup_order
         while order % gfm_type.k == 0:
             order //= gfm_type.k
@@ -411,15 +411,41 @@ def _parse_type(args) -> GfmType:
     return GfmType(args.d, args.k, args.n)
 
 
-def _is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    f = 2
-    while f * f <= k:
+def _is_prime(k: int, budget: int) -> bool:
+    """Trial division, charging one budget step per divisor tried: a prime
+    k needs isqrt(k) - 1 steps, and the budget is refused only when the next
+    division would pass it."""
+    for f in range(2, math.isqrt(k) + 1):
+        if f - 1 > budget:
+            raise BudgetExceeded(math.isqrt(k) - 1, budget)
         if k % f == 0:
             return False
-        f += 1
-    return True
+    return k >= 2
+
+
+_INT = {"type": int}
+
+# verb: (handler, {argument: add_argument keywords}); the positional
+# arguments in order, then the verb's own options
+VERBS = {
+    "normalize": (_cmd_normalize, {"arrangement": {}}),
+    "orbit": (_cmd_orbit, {"parameter": {}}),
+    "stabilizer": (_cmd_stabilizer, {"parameter": {}}),
+    "iso": (_cmd_iso, {"first": {}, "second": {}, "--degree": {}}),
+    "canon": (_cmd_canon, {"parameter": {}}),
+    "equations": (_cmd_equations, {"parameter": {}, "k": {}}),
+    "fixed-locus": (_cmd_fixed_locus, {"d": _INT, "k": _INT, "n": _INT, "exponents": {}}),
+    "free": (_cmd_free, {"d": _INT, "k": _INT, "n": _INT, "generators": {}}),
+    "aut-order": (_cmd_aut_order, {"parameter": {}, "k": {}}),
+    "verify-matrix": (_cmd_verify_matrix, {"parameter": {}, "k": {}, "matrix": {}}),
+    "invariants": (_cmd_invariants, {"d": _INT, "k": _INT, "n": _INT, "--pluri": {}}),
+    "kummer": (_cmd_kummer, {"alpha": {"nargs": 6}}),
+    "restrict-line": (_cmd_restrict_line, {"parameter": {}, "rho": {},
+                                           "--allow-singular": {"action": "store_true"}}),
+    "conic": (_cmd_conic, {"a": {}}),
+    "conic-eta": (_cmd_conic_eta, {"a": {}, "parameter": {}, "--anchors": {}}),
+    "classify-low-n": (_cmd_classify_low_n, {"d": {}, "n": {}}),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -439,122 +465,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser()
-    common.add_argument("--budget", default=None,
-                        help="enumeration budget (default: env "
-                             f"{DEFAULT_BUDGET_ENV} or {DEFAULT_BUDGET})")
-    common.add_argument("--pretty", action="store_true",
-                        help="indent the JSON report")
-
-    parser = _Parser(
-        prog="gfermat",
-        description="Exact computations with generalized Fermat manifolds",
-    )
+    common.add_argument("--budget")
+    common.add_argument("--pretty", action="store_true")
+    parser = _Parser()
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("normalize", parents=[common],
-                       help="normal form of an ordered arrangement")
-    p.add_argument("arrangement")
-    p.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("orbit", parents=[common],
-                       help="orbit and stabilizer of a parameter")
-    p.add_argument("parameter")
-    p.set_defaults(func=_cmd_orbit)
-
-    p = sub.add_parser("stabilizer", parents=[common],
-                       help="stabilizer of a parameter")
-    p.add_argument("parameter")
-    p.set_defaults(func=_cmd_stabilizer)
-
-    p = sub.add_parser("iso", parents=[common],
-                       help="orbit-equivalence test with witness")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--degree", default=None,
-                   help="branch order k (flags the exceptional K3 triples)")
-    p.set_defaults(func=_cmd_iso)
-
-    p = sub.add_parser("canon", parents=[common],
-                       help="canonical orbit representative")
-    p.add_argument("parameter")
-    p.set_defaults(func=_cmd_canon)
-
-    p = sub.add_parser("equations", parents=[common],
-                       help="defining forms of the variety")
-    p.add_argument("parameter")
-    p.add_argument("k")
-    p.set_defaults(func=_cmd_equations)
-
-    p = sub.add_parser("fixed-locus", parents=[common],
-                       help="fixed locus of a deck-group element")
-    p.add_argument("d", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("exponents")
-    p.set_defaults(func=_cmd_fixed_locus)
-
-    p = sub.add_parser("free", parents=[common],
-                       help="does the generated subgroup act freely?")
-    p.add_argument("d", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("generators")
-    p.set_defaults(func=_cmd_free)
-
-    p = sub.add_parser("aut-order", parents=[common],
-                       help="order of the automorphism group")
-    p.add_argument("parameter")
-    p.add_argument("k")
-    p.set_defaults(func=_cmd_aut_order)
-
-    p = sub.add_parser("verify-matrix", parents=[common],
-                       help="verify a candidate linear automorphism")
-    p.add_argument("parameter")
-    p.add_argument("k")
-    p.add_argument("matrix")
-    p.set_defaults(func=_cmd_verify_matrix)
-
-    p = sub.add_parser("invariants", parents=[common],
-                       help="cohomological invariant report")
-    p.add_argument("d", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--pluri", default=None,
-                   help="comma-separated plurigenus indices")
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("kummer", parents=[common],
-                       help="Kummer-surface parameter from six branch values")
-    p.add_argument("alpha", nargs=6)
-    p.set_defaults(func=_cmd_kummer)
-
-    p = sub.add_parser("restrict-line", parents=[common],
-                       help="curve parameter cut out by a line")
-    p.add_argument("parameter")
-    p.add_argument("rho")
-    p.add_argument("--allow-singular", action="store_true",
-                   help="emit the parameter even for degenerate lines")
-    p.set_defaults(func=_cmd_restrict_line)
-
-    p = sub.add_parser("conic", parents=[common],
-                       help="the conic tangent to the four canonical lines")
-    p.add_argument("a")
-    p.set_defaults(func=_cmd_conic)
-
-    p = sub.add_parser("conic-eta", parents=[common],
-                       help="curve parameter from conic tangency points")
-    p.add_argument("a")
-    p.add_argument("parameter")
-    p.add_argument("--anchors", default=None,
-                   help="three 1-based anchor indices, default 1,2,3")
-    p.set_defaults(func=_cmd_conic_eta)
-
-    p = sub.add_parser("classify-low-n", parents=[common],
-                       help="the degenerate range 2 <= n <= d")
-    p.add_argument("d")
-    p.add_argument("n")
-    p.set_defaults(func=_cmd_classify_low_n)
-
+    for verb, (_, arguments) in VERBS.items():
+        verb_parser = sub.add_parser(verb, parents=[common])
+        for name, keywords in arguments.items():
+            verb_parser.add_argument(name, **keywords)
     return parser
 
 
@@ -584,7 +502,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         pretty = args.pretty
-        report = args.func(args, _parse_budget(args.budget))
+        report = VERBS[args.verb][0](args, _parse_budget(args.budget))
     except ValidationError as exc:
         _emit({"error": {"kind": "validation", "message": str(exc)}}, pretty)
         return EXIT_VALIDATION

@@ -403,9 +403,8 @@ def _dot(u, v):
 
 
 def _zero_like(sample):
-    if isinstance(sample, CyclotomicScalar):
-        return CyclotomicScalar.zero(sample.order)
-    return Fraction(0)
+    """The zero of ``sample``'s own type: ``int``, ``Fraction`` or cyclotomic."""
+    return sample * 0
 
 
 def _one_like(sample):

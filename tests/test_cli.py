@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -50,6 +51,19 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def child_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_child(*argv):
+    """``python -m gfermat.cli *argv`` in a fresh child process."""
+    return subprocess.run([sys.executable, "-m", "gfermat.cli", *argv], capture_output=True,
+                          text=True, env=child_env(), timeout=60)
 
 
 class UnreadableStdin:
@@ -175,6 +189,31 @@ class TestExitCodes:
         code, out = run_cli(capsys, "verify-matrix", FERMAT_23, "20000", identity)
         assert (code, out) == (EXIT_OK, '{"accepted":true}\n')
 
+    def test_huge_prime_degree_is_refused_by_budget(self):
+        """k = 2^89 - 1 is prime, so the bound's primality test would try
+        isqrt(k) - 1 (about 2.5 * 10^13) divisors: a fresh child exits 4 at once."""
+        started = time.monotonic()
+        done = run_child("free", "1", str(2**89 - 1), "2", "[[0,0,0]]")
+        assert time.monotonic() - started < 5
+        assert done.returncode == EXIT_BUDGET, done.stderr
+        assert done.stdout.count("\n") == 1 and not done.stderr
+        assert json.loads(done.stdout)["error"] == {
+            "kind": "budget", "message": "enumeration needs 24879108095802 steps, budget is 1000000"}
+
+    def test_primality_charge_is_one_step_per_divisor(self, capsys):
+        """The prime 10^9 + 7 takes isqrt(k) - 1 = 31621 trial divisions: a
+        budget of exactly that answers, one less is refused; a composite k
+        stops at its least factor."""
+        argv = ["free", "1", str(10**9 + 7), "2", "[[0,0,0]]", "--budget"]
+        code, report = run_json(capsys, *argv, "31621")
+        assert code == EXIT_OK and report["bound"]["p"] == 10**9 + 7
+        code, report = run_json(capsys, *argv, "31620")
+        assert code == EXIT_BUDGET
+        assert report["error"]["message"] == "enumeration needs 31621 steps, budget is 31620"
+        code, report = run_json(capsys, "free", "1", str(10**9 + 8), "2", "[[0,0,0]]",
+                                "--budget", "1")
+        assert code == EXIT_OK and report["bound"] is None
+
     @pytest.mark.parametrize("degree,cell", [
         ("2", {"k": 100000, "coeffs": ["1"]}),
         ("100000", {"coeffs": ["1"]}),
@@ -183,12 +222,8 @@ class TestExitCodes:
         """An explicit order 100000, or an untagged cell under degree 100000,
         is charged 100000^2 * 4^2 and refused with exit 4 in a fresh child,
         without building Phi_100000."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-        argv = ["verify-matrix", FERMAT_23, degree, matrix_json([cell, "0", "0", "0"])]
         started = time.monotonic()
-        done = subprocess.run([sys.executable, "-m", "gfermat.cli", *argv], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+        done = run_child("verify-matrix", FERMAT_23, degree, matrix_json([cell, "0", "0", "0"]))
         assert time.monotonic() - started < 5
         assert done.returncode == EXIT_BUDGET, done.stderr
         assert done.stdout.count("\n") == 1 and not done.stderr
@@ -224,10 +259,8 @@ class TestExitCodes:
 
     def test_closed_stdin_is_validation_error(self):
         """``canon - <&-``: the child starts with no stdin at all."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
         command = f'"{sys.executable}" -m gfermat.cli canon - <&-'
-        done = subprocess.run(["sh", "-c", command], env=dict(os.environ, PYTHONPATH=path),
+        done = subprocess.run(["sh", "-c", command], env=child_env(),
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == EXIT_VALIDATION, done.stderr
         assert json.loads(done.stdout)["error"]["kind"] == "validation"
@@ -468,3 +501,31 @@ class TestContractProperty:
             code = main([*argv, *options])
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_PRECONDITION, EXIT_BUDGET)
         assert isinstance(json.loads(out.getvalue()), dict)
+
+
+def doc_path(*parts):
+    return os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), *parts)
+
+
+class TestDocs:
+    def test_schema_verb_table_matches_verbs(self):
+        """Each row of the ``## Verbs`` table in docs/SCHEMAS.md names one
+        key of ``cli.VERBS`` with its positional count and its own options."""
+        with open(doc_path("docs", "SCHEMAS.md"), encoding="utf-8") as handle:
+            section = handle.read().split("## Verbs\n", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for usage in re.findall(r"^\| `([^`]+)` \|", section, re.M):
+            options = re.findall(r"\[(--[\w-]+)", usage)
+            verb, *positionals = re.sub(r"\[[^\]]*\]", "", usage).split()
+            documented[verb] = (len(positionals), options)
+        assert documented == {
+            verb: (sum(kw.get("nargs", 1) for name, kw in arguments.items()
+                       if not name.startswith("-")),
+                   [name for name in arguments if name.startswith("-")])
+            for verb, (_, arguments) in cli.VERBS.items()
+        }
+
+    def test_readme_has_an_example_per_verb(self):
+        with open(doc_path("README.md"), encoding="utf-8") as handle:
+            examples = re.findall(r"^gfermat ([\w-]+)", handle.read(), re.M)
+        assert sorted(set(examples)) == sorted(cli.VERBS)
