@@ -300,9 +300,16 @@ def fixed_locus(element: GroupElement, gfm_type: GfmType) -> FixedLocusReport:
     return FixedLocusReport(element, gfm_type, tuple(components))
 
 
+def _has_fixed_point(exponents: tuple[int, ...], gfm_type: GfmType) -> bool:
+    """Some level set of the canonical exponents reaches size n+1-d."""
+    return max(map(exponents.count, set(exponents))) >= gfm_type.n + 1 - gfm_type.d
+
+
 def acts_freely(element: GroupElement, gfm_type: GfmType) -> bool:
     """True iff no level set reaches size n+1-d (no fixed points at all)."""
-    return not fixed_locus(element, gfm_type).components
+    if element.k != gfm_type.k or element.n != gfm_type.n:
+        raise ValueError("element does not match the type")
+    return not _has_fixed_point(element.exponents, gfm_type)
 
 
 @dataclass(frozen=True)
@@ -312,25 +319,24 @@ class FreeActionResult:
     subgroup_order: int
 
 
-def _subgroup_closure(generators, k: int, n: int, budget: int):
-    """The generated subgroup, closed over canonical exponent tuples (last
-    exponent 0, so a product is the elementwise sum mod k) and wrapped once."""
-    identity = (0,) * (n + 1)
-    elements = {identity}
-    frontier = [identity]
-    gens = [g.exponents for g in generators]
-    while frontier:
-        new_frontier = []
-        for g in gens:
-            for h in frontier:
-                prod = tuple((a + b) % k for a, b in zip(g, h))
-                if prod not in elements:
-                    elements.add(prod)
-                    new_frontier.append(prod)
-                    if len(elements) > budget:
-                        raise BudgetExceeded(len(elements), budget)
-        frontier = new_frontier
-    return {GroupElement(k, e) for e in elements}
+def _subgroup_closure(generators, k: int, n: int, budget: int) -> list:
+    """The generated subgroup as canonical exponent tuples (last exponent 0,
+    so a product is the elementwise sum mod k), identity first, each formed
+    once: a generator g outside the group H built so far appends the cosets
+    H+g, H+2g, ... until a multiple of g falls back into H.  A coset that
+    would take the order past the budget is refused before it is built."""
+    elements = [(0,) * (n + 1)]
+    members = set(elements)
+    for g in generators:
+        g = g.exponents
+        coset = elements[:]
+        while (first := tuple([(a + b) % k for a, b in zip(coset[0], g)])) not in members:
+            if len(elements) + len(coset) > budget:
+                raise BudgetExceeded(budget + 1, budget)
+            coset = [first] + [tuple([(a + b) % k for a, b in zip(h, g)]) for h in coset[1:]]
+            elements += coset
+            members.update(coset)
+    return elements
 
 
 def subgroup_acts_freely(
@@ -338,22 +344,20 @@ def subgroup_acts_freely(
     gfm_type: GfmType,
     budget: int = DEFAULT_BUDGET,
 ) -> FreeActionResult:
-    """Exhaustive freeness check over the generated subgroup.
+    """Exhaustive freeness check over the generated subgroup, refused with
+    ``BudgetExceeded`` when its order passes the budget.
 
-    Returns the first (in sorted exponent order) non-free nontrivial element
-    when the action is not free.
+    Returns the least (in exponent order) non-free nontrivial element when
+    the action is not free.
     """
     k, n = gfm_type.k, gfm_type.n
     for g in generators:
         if g.k != k or g.n != n:
             raise ValueError("generator does not match the type")
     elements = _subgroup_closure(generators, k, n, budget)
-    for element in sorted(elements, key=lambda g: g.exponents):
-        if element.is_identity():
-            continue
-        if not acts_freely(element, gfm_type):
-            return FreeActionResult(False, element, len(elements))
-    return FreeActionResult(True, None, len(elements))
+    offenders = [e for e in elements[1:] if _has_fixed_point(e, gfm_type)]
+    offending = GroupElement(k, min(offenders)) if offenders else None
+    return FreeActionResult(offending is None, offending, len(elements))
 
 
 def bound_feasible(p: int, r: int, n: int) -> bool:

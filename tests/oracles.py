@@ -3,13 +3,15 @@ compared against: cofactor determinants, a Fraction Gauss-Jordan inverse,
 the Fraction normal form that the integer frame kernel replaced, the
 Fraction minor scans that the integer minor engine replaced, the full
 S_{n+1} enumeration that the frame scans replaced, the subgroup closure
-over validated group elements, the lattice-box convolution that the
-closed-form section count replaced, and the automorphism verifier as it
-was before the coefficient-matrix read-off replaced it: every entry lifted
-to one cyclotomic field, a rank check, each monomial entry raised to the
-k-th power by k-1 multiplications once per defining form, and a span test
-by Gaussian elimination (``rank``, ``solve_linear`` and
-``LinearSolveResult``, moved here from the library)."""
+over validated group elements and the freeness scan over its sorted
+elements that the coset enumeration replaced, the lattice-box convolution
+that the closed-form section count replaced, and the automorphism verifier
+as it was before the coefficient-matrix read-off replaced it: every entry
+lifted to one cyclotomic field, a rank check, each monomial entry raised to
+the k-th power by k-1 multiplications once per defining form, and a span
+test by Gaussian elimination (``rank``, ``solve_linear`` and
+``LinearSolveResult``, moved here from the library).  Pivot divisions are
+exact on ``int`` entries too."""
 
 import itertools
 import math
@@ -26,7 +28,18 @@ from gfermat.arrangement import (
 )
 from gfermat.errors import BudgetExceeded, Inconclusive
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix, _zero_like
-from gfermat.fermatgroup import GroupElement, _monomial_support, equations
+from gfermat.fermatgroup import (
+    FreeActionResult,
+    GroupElement,
+    _monomial_support,
+    equations,
+    fixed_locus,
+)
+
+
+def _divide(x, y):
+    """x / y, as a Fraction when both are ``int`` (where ``/`` would round)."""
+    return Fraction(x, y) if type(x) is int and type(y) is int else x / y
 
 
 def det_cofactor(matrix: ExactMatrix):
@@ -60,7 +73,7 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
             raise ValueError("matrix is singular")
         a[col], a[pivot_row] = a[pivot_row], a[col]
         pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
+        a[col] = [_divide(x, pivot) for x in a[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:
                 factor = a[r][col]
@@ -178,6 +191,17 @@ def subgroup_closure(generators, k: int, n: int, budget: int):
     return elements
 
 
+def subgroup_acts_freely(generators, gfm_type, budget: int) -> FreeActionResult:
+    """Breadth-first closure over validated group elements, sorted by
+    exponents; the first nontrivial element with a nonempty fixed locus
+    is the offending one."""
+    elements = subgroup_closure(generators, gfm_type.k, gfm_type.n, budget)
+    for element in sorted(elements, key=lambda g: g.exponents):
+        if not element.is_identity() and fixed_locus(element, gfm_type).components:
+            return FreeActionResult(False, element, len(elements))
+    return FreeActionResult(True, None, len(elements))
+
+
 @lru_cache(maxsize=None)
 def _box_sum_counts(k: int, boxes: int) -> tuple[int, ...]:
     """Number of tuples in {0..k-1}^boxes with each coordinate sum: the
@@ -218,7 +242,7 @@ def rank(matrix: ExactMatrix) -> int:
         pivot = a[rank][col]
         for r in range(matrix.rows):
             if r != rank and a[r][col] != 0:
-                factor = a[r][col] / pivot
+                factor = _divide(a[r][col], pivot)
                 a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
         rank += 1
         if rank == matrix.rows:
@@ -255,7 +279,7 @@ def solve_linear(matrix: ExactMatrix, rhs) -> LinearSolveResult:
             continue
         a[rank], a[pivot_row] = a[pivot_row], a[rank]
         pivot = a[rank][col]
-        a[rank] = [x / pivot for x in a[rank]]
+        a[rank] = [_divide(x, pivot) for x in a[rank]]
         for r in range(m):
             if r != rank and a[r][col] != 0:
                 factor = a[r][col]

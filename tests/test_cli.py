@@ -200,6 +200,17 @@ class TestExitCodes:
         assert json.loads(done.stdout)["error"] == {
             "kind": "budget", "message": "enumeration needs 24879108095802 steps, budget is 1000000"}
 
+    def test_large_subgroup_is_refused_within_bounds(self):
+        """phi_1, ..., phi_24 generate 2^24 elements: a fresh child refuses
+        before the coset that would pass the default budget is built."""
+        gens = json.dumps([[int(i == j) for i in range(25)] for j in range(24)])
+        started = time.monotonic()
+        done = run_child("free", "1", "2", "24", gens)
+        assert time.monotonic() - started < 5
+        assert done.returncode == EXIT_BUDGET, done.stderr
+        assert done.stdout == ('{"error":{"kind":"budget","message":'
+                               '"enumeration needs 1000001 steps, budget is 1000000"}}\n')
+
     def test_primality_charge_is_one_step_per_divisor(self, capsys):
         """The prime 10^9 + 7 takes isqrt(k) - 1 = 31621 trial divisions: a
         budget of exactly that answers, one less is refused; a composite k

@@ -172,6 +172,12 @@ class TestSolveLinear:
         assert result.status == "unique"
         assert result.solution == (Fraction(3, 2),)
 
+    def test_int_matrix_solves_exactly(self):
+        matrix = ExactMatrix.from_rows([[2, 1], [1, 3]])
+        result = oracles.solve_linear(matrix, (Fraction(1), Fraction(2)))
+        assert result.solution == (Fraction(1, 5), Fraction(3, 5))
+        assert not any(isinstance(x, float) for x in result.solution)
+
     def test_underdetermined_free_variables_zero(self):
         matrix = ExactMatrix.from_rows([[1, 1, 0], [0, 0, 1]])
         result = oracles.solve_linear(matrix, (Fraction(2), Fraction(7)))

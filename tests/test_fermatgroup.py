@@ -277,6 +277,21 @@ class TestBruteForcePointCounts:
         assert found == comp.point_count == 3
 
 
+@st.composite
+def subgroup_cases(draw):
+    """(k, n, d, generator vectors) with k 2..5, n 2..5, d 1..n-1: raw
+    vectors in -k..2k (not canonical), the zero vector, repeats, or none."""
+    k, n = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    d = draw(st.integers(1, n - 1))
+    vector = st.lists(st.integers(-k, 2 * k), min_size=n + 1, max_size=n + 1)
+    gens = draw(st.lists(vector, max_size=4))
+    if draw(st.booleans()):
+        gens.append([0] * (n + 1))
+    if gens:
+        gens = draw(st.permutations(gens + draw(st.lists(st.sampled_from(gens), max_size=2))))
+    return k, n, d, gens
+
+
 class TestFreeActions:
     def test_identity_never_free(self):
         assert not acts_freely(GroupElement.identity(2, 5), GfmType(2, 2, 5))
@@ -338,7 +353,52 @@ class TestFreeActions:
             except BudgetExceeded as exc:
                 return str(exc)
 
-        assert outcome(_subgroup_closure) == outcome(oracles.subgroup_closure)
+        closure = outcome(_subgroup_closure)
+        if not isinstance(closure, str):
+            closure = {GroupElement(k, e) for e in closure}
+        assert closure == outcome(oracles.subgroup_closure)
+
+    @settings(max_examples=200, deadline=None)
+    @given(subgroup_cases(), st.integers(1, 300))
+    def test_subgroup_acts_freely_matches_oracle(self, case, budget):
+        """The coset scan gives the oracle's (free, offending, order) or its
+        budget refusal text, over empty, repeated, trivial and non-canonical
+        generator lists; the closure forms each element once, identity first."""
+        k, n, d, gens = case
+        t = GfmType(d, k, n)
+        gens = [GroupElement(k, tuple(g)) for g in gens]
+
+        def outcome(scan):
+            try:
+                result = scan(gens, t, budget)
+            except BudgetExceeded as exc:
+                return str(exc)
+            return result.free, result.offending, result.subgroup_order
+
+        expected = outcome(oracles.subgroup_acts_freely)
+        assert outcome(subgroup_acts_freely) == expected
+        if not isinstance(expected, str):
+            closure = _subgroup_closure(gens, k, n, budget)
+            assert closure[0] == (0,) * (n + 1)
+            assert len(set(closure)) == len(closure) == expected[2]
+
+    def test_refusal_text_at_small_budget(self):
+        """The 24 unit vectors generate 2^24 elements: a budget of 1000 is
+        refused with the text of an element-by-element count."""
+        gens = list(canonical_generators(2, 24)[:24])
+        with pytest.raises(BudgetExceeded) as exc:
+            subgroup_acts_freely(gens, GfmType(1, 2, 24), budget=1000)
+        assert str(exc.value) == "enumeration needs 1001 steps, budget is 1000"
+
+    def test_acts_freely_is_empty_fixed_locus(self):
+        """Every element of every type with k <= 4 and n <= 4."""
+        for k in range(2, 5):
+            for n in range(2, 5):
+                for d in range(1, n):
+                    t = GfmType(d, k, n)
+                    for exps in itertools.product(range(k), repeat=n):
+                        g = GroupElement(k, exps + (0,))
+                        assert acts_freely(g, t) == (not fixed_locus(g, t).components)
 
     def test_bound_feasible(self):
         assert not bound_feasible(3, 1, 4)      # r = 1 never feasible
