@@ -19,8 +19,8 @@ _EXPORTS = {
     "constructions": "Conic conic_curve_parameters is_tangent kummer_parameters "
                      "restrict_to_line tangent_conic",
     "errors": "BudgetExceeded Inconclusive NotInGeneralPosition TangencyError",
-    "exactfield": "CyclotomicScalar ExactMatrix Rational all_maximal_minors_nonzero "
-                  "cyclotomic_polynomial projective_normalize",
+    "exactfield": "CyclotomicScalar ExactMatrix all_maximal_minors_nonzero "
+                  "cyclotomic_polynomial",
     "fermatgroup": "EquationSystem GfmType GroupElement acts_freely automorphism_order "
                    "bound_feasible canonical_generators classify_low_n equations "
                    "fiber_product_components fixed_locus is_linear_automorphism "
@@ -29,6 +29,7 @@ _EXPORTS = {
                   "invariant_report kodaira_dimension leading_coefficient plurigenus",
     "modaction": "Permutation act act_sigma1 act_sigma2 are_isomorphic "
                  "canonical_representative kernel_of_R orbit_and_stabilizer stabilizer",
+    "rational": "Rational projective_normalize",
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_SUBMODULE)

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInGeneralPosition
-from .exactfield import (
-    ExactMatrix,
+from .rational import (
     all_subsets_independent,
     clear_denominators,
     fraction_free_inverse,
@@ -212,6 +211,8 @@ def normalize(arr: Arrangement, *, check: bool = True):
     is multiplied back into T.  With ``check=False`` a singular frame raises
     ValueError and a zero in M a or in a table denominator ZeroDivisionError.
     """
+    from .exactfield import ExactMatrix
+
     d = arr.d
     duals = arr.duals
     if check and not is_general_position(duals, d):

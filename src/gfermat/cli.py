@@ -348,7 +348,7 @@ def _cmd_invariants(args, budget):
 
 def _cmd_kummer(args, budget):
     from .constructions import kummer_parameters
-    from .exactfield import rational_to_string
+    from .rational import rational_to_string
 
     values = [_parse_rational(v) for v in args.alpha]
     par = kummer_parameters(values)
@@ -477,10 +477,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report, pretty: bool) -> None:
-    if pretty:
-        text = json.dumps(report, sort_keys=True, indent=2)
-    else:
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    # report integers are exact and may pass the int-to-str digit limit
+    # (CPython 3.10.7 on), which guards input parsing: lift it here only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if pretty:
+            text = json.dumps(report, sort_keys=True, indent=2)
+        else:
+            text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     sys.stdout.write(text + "\n")
 
 

@@ -9,9 +9,9 @@ All three constructions stay inside exact rational arithmetic:
   the branch lines produces a curve of type (k, n) whose parameter is read
   off from the n+1 intersection points;
 * the smooth conics tangent to the four canonical lines form a rational
-  one-parameter family, and tangency throughout is decided by the dual
-  conic (the adjugate matrix): a line with dual point u is tangent iff
-  u . adj(Q) . u = 0.
+  one-parameter family, and a line with dual point u is tangent iff
+  u . adj(Q) . u = 0.  Q is symmetric, so the rows of adj(Q) are r1 x r2,
+  r2 x r0, r0 x r1 for Q's rows r0, r1, r2, and det Q = r0 . (r1 x r2).
 """
 
 from __future__ import annotations
@@ -26,11 +26,8 @@ from .arrangement import (
     is_standard_parameter,
 )
 from .errors import NotInGeneralPosition, TangencyError
-from .exactfield import (
-    ExactMatrix,
-    projective_normalize,
-    rational_to_string,
-)
+from .exactfield import ExactMatrix
+from .rational import projective_normalize, rational_to_string
 
 __all__ = [
     "Conic",
@@ -55,7 +52,8 @@ class Conic:
         if len(coeffs) != 6:
             raise ValueError("a conic needs six coefficients")
         object.__setattr__(self, "coefficients", coeffs)
-        if self.matrix().det() == 0:
+        r0, r1, r2 = self.matrix().row_list()
+        if sum(a * b for a, b in zip(r0, _cross(r1, r2))) == 0:
             raise ValueError("the conic is singular")
 
     def matrix(self) -> ExactMatrix:
@@ -68,7 +66,8 @@ class Conic:
         ])
 
     def dual_matrix(self) -> ExactMatrix:
-        return self.matrix().adjugate()
+        r0, r1, r2 = self.matrix().row_list()
+        return ExactMatrix.from_rows([_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)])
 
     def contains(self, point) -> bool:
         p = tuple(Fraction(c) for c in point)

@@ -1,53 +1,30 @@
-"""Exact scalars and dense exact linear algebra.
+"""Cyclotomic scalars and dense exact matrices, the field that the
+automorphism verifier, the equations and the conics need.
 
-Scalars are either rationals (``fractions.Fraction``, which already keeps
-lowest terms and a positive denominator) or cyclotomic numbers represented
-as polynomial residues modulo the k-th cyclotomic polynomial.  Matrices are
-dense, immutable and generic over any exact field whose elements support
-``+ - * /`` and comparison with ``0``/``1``.
-
-Rationals serialize as ``"p/q"`` (or ``"p"`` when the denominator is 1);
-cyclotomic scalars as a coefficient list tagged with their order k.
+A cyclotomic number is a residue modulo the k-th cyclotomic polynomial with
+``Fraction`` coefficients, serialized as its coefficient list and order k.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
+from .rational import (
+    all_subsets_independent,
+    clear_denominators,
+    rational_from_string,
+    rational_to_string,
+)
 
 __all__ = [
-    "Rational",
-    "rational_from_string",
-    "rational_to_string",
     "cyclotomic_polynomial",
     "CyclotomicScalar",
     "ExactMatrix",
-    "projective_normalize",
-    "clear_denominators",
-    "fraction_free_inverse",
-    "all_subsets_independent",
     "all_maximal_minors_nonzero",
 ]
-
-
-def rational_from_string(text) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` (also accepts ints and Fractions)."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, str):
-        return Fraction(text.strip())
-    raise ValueError(f"cannot parse rational from {text!r}")
-
-
-def rational_to_string(value: Fraction) -> str:
-    return str(Fraction(value))
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +274,11 @@ class ExactMatrix:
             raise ValueError("ragged rows")
         return cls(len(rows), width, tuple(itertools.chain.from_iterable(rows)))
 
-    @classmethod
-    def from_columns(cls, cols) -> ExactMatrix:
-        return cls.from_rows(zip(*[tuple(c) for c in cols]))
-
-    @classmethod
-    def identity(cls, n: int) -> ExactMatrix:
-        return cls.from_rows(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
-
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def row_list(self):
         return [list(self.row(i)) for i in range(self.rows)]
@@ -327,19 +291,6 @@ class ExactMatrix:
             sum((self.entry(i, j) * vec[j] for j in range(self.cols)),
                 start=Fraction(0) * self.entry(i, 0))
             for i in range(self.rows)
-        )
-
-    def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        cols = [other.column(j) for j in range(other.cols)]
-        return ExactMatrix.from_rows(
-            [[_dot(self.row(i), c) for c in cols] for i in range(self.rows)]
-        )
-
-    def submatrix(self, row_idx, col_idx) -> ExactMatrix:
-        return ExactMatrix.from_rows(
-            [[self.entry(i, j) for j in col_idx] for i in row_idx]
         )
 
     def det(self):
@@ -372,45 +323,13 @@ class ExactMatrix:
             prev = a[i][i]
         return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 
-    def adjugate(self) -> ExactMatrix:
-        """Transpose of the cofactor matrix; M @ adj(M) = det(M) I."""
-        if self.rows != self.cols:
-            raise ValueError("adjugate of a non-square matrix")
-        n = self.rows
-        if n == 1:
-            return ExactMatrix.from_rows([[_one_like(self.entries[0])]])
-        cof = []
-        for i in range(n):
-            cof_row = []
-            for j in range(n):
-                sub = self.submatrix([r for r in range(n) if r != i],
-                                     [c for c in range(n) if c != j])
-                m = sub.det()
-                cof_row.append(m if (i + j) % 2 == 0 else -m)
-            cof.append(cof_row)
-        return ExactMatrix.from_columns(cof)
-
     def to_json(self):
         return [[_scalar_to_json(e) for e in self.row(i)] for i in range(self.rows)]
-
-
-def _dot(u, v):
-    acc = None
-    for a, b in zip(u, v):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def _zero_like(sample):
     """The zero of ``sample``'s own type: ``int``, ``Fraction`` or cyclotomic."""
     return sample * 0
-
-
-def _one_like(sample):
-    if isinstance(sample, CyclotomicScalar):
-        return CyclotomicScalar.one(sample.order)
-    return Fraction(1)
 
 
 def _scalar_to_json(value):
@@ -420,59 +339,8 @@ def _scalar_to_json(value):
 
 
 # ---------------------------------------------------------------------------
-# Projective helpers and the integer minor engine
+# Minors of rational matrices
 # ---------------------------------------------------------------------------
-
-def projective_normalize(vec) -> tuple:
-    """Scale a nonzero vector so its first nonzero entry is 1 (idempotent)."""
-    vec = tuple(vec)
-    for entry in vec:
-        if entry != 0:
-            return tuple(x / entry for x in vec)
-    raise ValueError("cannot normalize the zero vector")
-
-
-def clear_denominators(vec) -> tuple[tuple[int, ...], int]:
-    """``(ints, den)`` with vec == ints / den, den the least common denominator."""
-    vec = [Fraction(x) for x in vec]
-    den = math.lcm(*(x.denominator for x in vec))
-    return tuple(x.numerator * (den // x.denominator) for x in vec), den
-
-
-def fraction_free_inverse(rows) -> list[list[int]]:
-    """D B^{-1}, D = +-det B, for a square integer matrix B by fraction-free
-    Gauss-Jordan elimination on [B | I] (Bareiss 1968): entries stay minors
-    of [B | I], so each ``//`` is exact.  Raises ValueError if B is singular."""
-    n = len(rows)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        swap = next((r for r in range(k, n) if a[r][k]), None)
-        if swap is None:
-            raise ValueError("matrix is singular")
-        a[k], a[swap] = a[swap], a[k]
-        p = a[k]
-        a = [row if row is p else [(p[k] * x - row[k] * y) // prev for x, y in zip(row, p)]
-             for row in a]
-        prev = p[k]
-    return [row[n:] for row in a]
-
-
-def all_subsets_independent(columns) -> bool:
-    """True iff every r of the integer vectors in the list ``columns``, each
-    of length r, are independent: fraction-free Bareiss on ``int`` (entries
-    stay minors, so ``//`` is exact) per r-subset, up to the first zero minor."""
-    for subset in itertools.combinations(columns, len(columns[0])):
-        vecs, prev = list(subset), 1
-        while vecs:
-            k = next((i for i, v in enumerate(vecs) if v[0]), None)
-            if k is None:
-                return False
-            p = vecs.pop(k)
-            vecs = [[(p[0] * x - v[0] * y) // prev for x, y in zip(v[1:], p[1:])] for v in vecs]
-            prev = p[0]
-    return True
-
 
 def all_maximal_minors_nonzero(matrix: ExactMatrix, s: int) -> bool:
     """True iff every s-by-s minor of the rational ``matrix`` is nonzero (rows

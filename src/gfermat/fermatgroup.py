@@ -15,15 +15,16 @@ taken on the canonical form, over every level 0 <= l <= k-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arrangement import StandardParameter, is_standard_parameter
 from .errors import DEFAULT_BUDGET, BudgetExceeded
-from .exactfield import CyclotomicScalar, ExactMatrix, rational_to_string
+from .rational import rational_to_string
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from .exactfield import ExactMatrix
     from .modaction import Permutation
 
 __all__ = [
@@ -161,6 +162,8 @@ class EquationSystem:
 
     @classmethod
     def from_table(cls, d: int, n: int, k: int, table) -> EquationSystem:
+        from .exactfield import ExactMatrix
+
         if d < 1 or n < d + 1 or k < 2:
             raise ValueError("need d >= 1, n >= d+1, k >= 2")
         table = tuple(tuple(Fraction(x) for x in row) for row in table)
@@ -389,6 +392,8 @@ def _common_field(values) -> list:
     """The values with every ``CyclotomicScalar`` promoted to the lcm of
     their orders, when the orders differ; other values become ``Fraction``s
     and a single order is kept as it is."""
+    from .exactfield import CyclotomicScalar
+
     orders = {v.order for v in values if isinstance(v, CyclotomicScalar)}
     order = math.lcm(*orders)
     return [v.promote(order) if isinstance(v, CyclotomicScalar) else Fraction(v)
@@ -428,8 +433,7 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
         raise ValueError("matrix must be square of size n+1")
     support = _monomial_support(matrix)
     if support is None:
-        lifted = ExactMatrix(matrix.rows, matrix.cols, tuple(_common_field(matrix.entries)))
-        if not lifted.det():
+        if not replace(matrix, entries=tuple(_common_field(matrix.entries))).det():
             raise ValueError("matrix is singular")
         return False
     coeff = equations(par, k).coefficient_matrix

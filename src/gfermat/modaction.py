@@ -56,7 +56,7 @@ from .arrangement import (
     random_parameter,
 )
 from .errors import DEFAULT_BUDGET, BudgetExceeded, Inconclusive
-from .exactfield import fraction_free_inverse
+from .rational import fraction_free_inverse
 
 __all__ = [
     "Permutation",

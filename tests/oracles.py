@@ -1,5 +1,6 @@
 """Independent reference implementations the fast library paths are
-compared against: cofactor determinants, a Fraction Gauss-Jordan inverse,
+compared against: cofactor determinants, the cofactor adjugate that the
+closed-form dual conic replaced, a Fraction Gauss-Jordan inverse,
 the Fraction normal form that the integer frame kernel replaced, the
 Fraction minor scans that the integer minor engine replaced, the full
 S_{n+1} enumeration that the frame scans replaced, the subgroup closure
@@ -11,7 +12,9 @@ lifted to one cyclotomic field, a rank check, each monomial entry raised to
 the k-th power by k-1 multiplications once per defining form, and a span
 test by Gaussian elimination (``rank``, ``solve_linear`` and
 ``LinearSolveResult``, moved here from the library).  Pivot divisions are
-exact on ``int`` entries too."""
+exact on ``int`` entries too.  ``submatrix``, ``from_columns``, ``identity``
+and ``matmul`` are the matrix helpers the tests need and the library does
+not."""
 
 import itertools
 import math
@@ -42,6 +45,26 @@ def _divide(x, y):
     return Fraction(x, y) if type(x) is int and type(y) is int else x / y
 
 
+def submatrix(matrix: ExactMatrix, row_idx, col_idx) -> ExactMatrix:
+    return ExactMatrix.from_rows([[matrix.entry(i, j) for j in col_idx] for i in row_idx])
+
+
+def from_columns(cols) -> ExactMatrix:
+    return ExactMatrix.from_rows(zip(*[tuple(c) for c in cols]))
+
+
+def identity(n: int) -> ExactMatrix:
+    return ExactMatrix.from_rows([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    if a.cols != b.rows:
+        raise ValueError("inner dimensions do not match")
+    return ExactMatrix.from_rows(
+        [[sum(a.entry(i, t) * b.entry(t, j) for t in range(a.cols)) for j in range(b.cols)]
+         for i in range(a.rows)])
+
+
 def det_cofactor(matrix: ExactMatrix):
     """Determinant by cofactor expansion along the first row."""
     if matrix.rows != matrix.cols:
@@ -53,11 +76,21 @@ def det_cofactor(matrix: ExactMatrix):
         pivot = matrix.entry(0, j)
         if pivot == 0:
             continue
-        sub = matrix.submatrix(range(1, matrix.rows),
-                               [c for c in range(matrix.cols) if c != j])
+        sub = submatrix(matrix, range(1, matrix.rows),
+                        [c for c in range(matrix.cols) if c != j])
         term = pivot * det_cofactor(sub)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def adjugate_cofactor(matrix: ExactMatrix) -> ExactMatrix:
+    """Transpose of the cofactor matrix, each cofactor a ``det_cofactor``
+    of a minor; M adj(M) = det(M) I."""
+    n = matrix.rows
+    return ExactMatrix.from_rows(
+        [[(-1) ** (i + j) * det_cofactor(submatrix(matrix, [r for r in range(n) if r != j],
+                                                   [c for c in range(n) if c != i]))
+          for j in range(n)] for i in range(n)])
 
 
 def inverse(matrix: ExactMatrix) -> ExactMatrix:
@@ -86,7 +119,7 @@ def normalize(arr: Arrangement):
     T = diag(1 / B^{-1} a) B^{-1} for the frame B and anchor a."""
     d = arr.d
     duals = arr.duals
-    base_inv = inverse(ExactMatrix.from_columns(duals[: d + 1]))
+    base_inv = inverse(from_columns(duals[: d + 1]))
     anchor = base_inv.matvec(duals[d + 1])
     transform = ExactMatrix.from_rows(
         [[e / a for e in base_inv.row(i)] for i, a in enumerate(anchor)]
@@ -115,7 +148,7 @@ def all_maximal_minors_nonzero(matrix: ExactMatrix, s: int) -> bool:
     """Every s-by-s minor nonzero: one Fraction Bareiss determinant per row
     subset and column subset, with no clearing of denominators."""
     return all(
-        matrix.submatrix(rows, cols).det() != 0
+        submatrix(matrix, rows, cols).det() != 0
         for rows in itertools.combinations(range(matrix.rows), s)
         for cols in itertools.combinations(range(matrix.cols), s)
     )
@@ -125,7 +158,7 @@ def is_general_position(points, d: int) -> bool:
     """Every d+1 of the (nonzero, length d+1) dual points independent: each
     (d+1)-minor of the Fraction dual matrix, one determinant at a time."""
     columns = [tuple(Fraction(c) for c in p) for p in points]
-    return all_maximal_minors_nonzero(ExactMatrix.from_columns(columns), d + 1)
+    return all_maximal_minors_nonzero(from_columns(columns), d + 1)
 
 
 def smoothness_by_minors(system) -> bool:

@@ -25,6 +25,8 @@ from gfermat.cli import (
 )
 from gfermat.constructions import kummer_parameters, tangent_conic
 from gfermat.exactfield import CyclotomicScalar
+from gfermat.fermatgroup import GfmType
+from gfermat.invariants import canonical_degree, hilbert_series_coefficient
 
 PAR_13 = '{"d":1,"n":3,"lambda":[["2"]]}'
 PAR_24 = '{"d":2,"n":4,"lambda":[["2","3"]]}'
@@ -290,6 +292,30 @@ class TestExitCodes:
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["r1"] == 75959 and out.count("\n") == 1
+
+    def test_report_integers_past_the_digit_limit_are_printed(self, capsys):
+        """pa of type (1198; 1000000, 1200) has more digits than CPython's
+        default int-to-str limit (4300): a fresh child prints the one exact
+        JSON object, and in process the limit is back in place afterwards."""
+        gfm_type = GfmType(1198, 1000000, 1200)
+        started = time.monotonic()
+        done = run_child("invariants", "1198", "1000000", "1200")
+        assert time.monotonic() - started < 5
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.count("\n") == 1 and not done.stderr
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            report = json.loads(done.stdout)
+            pa = hilbert_series_coefficient(gfm_type, canonical_degree(gfm_type))
+            assert report["pa"] == pa and len(str(pa)) > 4300
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        code, _ = run_cli(capsys, "invariants", "1198", "1000000", "1200")
+        assert code == EXIT_OK
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
     def test_degenerate_conic_parameter(self, capsys):
         code, _ = run_json(capsys, "conic", "2")

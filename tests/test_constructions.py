@@ -20,7 +20,9 @@ from gfermat.constructions import (
     tangent_conic,
 )
 from gfermat.errors import NotInGeneralPosition, TangencyError
+from gfermat.exactfield import ExactMatrix
 from gfermat.modaction import are_isomorphic
+from tests import oracles
 from tests.conftest import rand_fraction
 
 CANONICAL_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
@@ -178,6 +180,48 @@ class TestTangentConic:
     def test_singular_conic_rejected_by_type(self):
         with pytest.raises(ValueError):
             Conic((1, 1, 0, 2, 0, 0))  # (t1 + t2)^2
+
+
+def symmetric_matrix(coeffs):
+    """The symmetric matrix of a1 t1^2 + a2 t2^2 + a3 t3^2 + a4 t1 t2 +
+    a5 t1 t3 + a6 t2 t3, built here rather than by ``Conic``."""
+    a1, a2, a3, a4, a5, a6 = (Fraction(c) for c in coeffs)
+    return ExactMatrix.from_rows([[a1, a4 / 2, a5 / 2], [a4 / 2, a2, a6 / 2],
+                                  [a5 / 2, a6 / 2, a3]])
+
+
+def conic_coefficients(rng):
+    """Small integers with many zeros, rationals, or the product of two
+    linear forms (always singular: a line pair or a double line)."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return tuple(rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(6))
+    if kind == 1:
+        return tuple(rand_fraction(rng, 5) for _ in range(6))
+    (a, b, c), (e, f, g) = [[rand_fraction(rng, 4) for _ in range(3)] for _ in range(2)]
+    return (a * e, b * f, c * g, a * f + b * e, a * g + c * e, b * g + c * f)
+
+
+class TestConicClosedForms:
+    def test_dual_matrix_and_singularity_match_cofactor_oracle(self):
+        """On 400 seeded tuples: ``Conic`` refuses exactly those whose
+        cofactor determinant is 0, and the closed-form dual matrix of every
+        other one is the cofactor adjugate."""
+        rng = random.Random(20261018)
+        tuples = [(1, 1, 0, 2, 0, 0), (0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0),
+                  (0, 0, 0, 1, 1, 1)] + [conic_coefficients(rng) for _ in range(396)]
+        singular = 0
+        for coeffs in tuples:
+            matrix = symmetric_matrix(coeffs)
+            if oracles.det_cofactor(matrix) == 0:
+                singular += 1
+                with pytest.raises(ValueError, match="singular"):
+                    Conic(coeffs)
+                continue
+            conic = Conic(coeffs)
+            assert conic.matrix() == matrix
+            assert conic.dual_matrix() == oracles.adjugate_cofactor(matrix)
+        assert 100 <= singular <= len(tuples) - 100
 
 
 class TestIsTangent:

@@ -62,15 +62,35 @@ def loaded_after(*argv):
     return set(json.loads(done.stdout))
 
 
+PAR_24 = '{"d":2,"n":4,"lambda":[["2","3"]]}'
+
+# the verbs that build an exact matrix or a cyclotomic scalar; no other
+# verb loads exactfield
+FIELD_VERBS = {"normalize", "equations", "verify-matrix", "kummer", "restrict-line", "conic",
+               "conic-eta"}
+
+
 @pytest.mark.parametrize("argv,unused", [
     ((), {"arrangement", "constructions", "exactfield", "fermatgroup", "invariants",
-          "modaction"}),
+          "modaction", "rational"}),
     (("kummer", "0", "1", "2", "3", "4", "5"), {"fermatgroup", "invariants", "modaction"}),
-    (("invariants", "2", "4", "3"), {"constructions", "modaction"}),
-    (("equations", '{"d":2,"n":4,"lambda":[["2","3"]]}', "4"),
-     {"constructions", "invariants", "modaction"}),
+    (("invariants", "2", "4", "3"), {"constructions", "exactfield", "modaction"}),
+    (("equations", PAR_24, "4"), {"constructions", "invariants", "modaction"}),
+    (("orbit", PAR_24), {"constructions", "exactfield", "fermatgroup", "invariants"}),
+    (("stabilizer", PAR_24), {"constructions", "exactfield", "fermatgroup", "invariants"}),
+    (("iso", PAR_24, PAR_24), {"constructions", "exactfield", "fermatgroup", "invariants"}),
+    (("canon", PAR_24), {"constructions", "exactfield", "fermatgroup", "invariants"}),
+    (("aut-order", PAR_24, "3"), {"constructions", "exactfield", "invariants"}),
+    (("fixed-locus", "2", "3", "4", "[1,1,2,0,0]"),
+     {"constructions", "exactfield", "invariants", "modaction"}),
+    (("free", "2", "3", "4", "[[1,1,2,0,0]]"),
+     {"constructions", "exactfield", "invariants", "modaction"}),
+    (("classify-low-n", "3", "3"), {"constructions", "exactfield", "invariants", "modaction"}),
+    (("normalize", '{"d":1,"points":[["1","0"],["0","1"],["1","1"],["2","3"]]}'),
+     {"constructions", "fermatgroup", "invariants", "modaction"}),
 ])
 def test_verbs_load_only_what_they_use(argv, unused):
     loaded = loaded_after(*argv)
     assert "gfermat.cli" in loaded
     assert loaded.isdisjoint(f"gfermat.{name}" for name in unused), loaded
+    assert ("gfermat.exactfield" in loaded) == (bool(argv) and argv[0] in FIELD_VERBS), loaded
