@@ -74,18 +74,18 @@ FIELD_VERBS = {"normalize", "equations", "verify-matrix", "kummer", "restrict-li
     ((), {"arrangement", "constructions", "exactfield", "fermatgroup", "invariants",
           "modaction", "rational"}),
     (("kummer", "0", "1", "2", "3", "4", "5"), {"fermatgroup", "invariants", "modaction"}),
-    (("invariants", "2", "4", "3"), {"constructions", "exactfield", "modaction"}),
+    (("invariants", "2", "4", "3"), {"constructions", "modaction"}),
     (("equations", PAR_24, "4"), {"constructions", "invariants", "modaction"}),
-    (("orbit", PAR_24), {"constructions", "exactfield", "fermatgroup", "invariants"}),
-    (("stabilizer", PAR_24), {"constructions", "exactfield", "fermatgroup", "invariants"}),
-    (("iso", PAR_24, PAR_24), {"constructions", "exactfield", "fermatgroup", "invariants"}),
-    (("canon", PAR_24), {"constructions", "exactfield", "fermatgroup", "invariants"}),
-    (("aut-order", PAR_24, "3"), {"constructions", "exactfield", "invariants"}),
+    (("orbit", PAR_24), {"constructions", "fermatgroup", "invariants"}),
+    (("stabilizer", PAR_24), {"constructions", "fermatgroup", "invariants"}),
+    (("iso", PAR_24, PAR_24), {"constructions", "fermatgroup", "invariants"}),
+    (("canon", PAR_24), {"constructions", "fermatgroup", "invariants"}),
+    (("aut-order", PAR_24, "3"), {"constructions", "invariants"}),
     (("fixed-locus", "2", "3", "4", "[1,1,2,0,0]"),
-     {"constructions", "exactfield", "invariants", "modaction"}),
+     {"constructions", "invariants", "modaction"}),
     (("free", "2", "3", "4", "[[1,1,2,0,0]]"),
-     {"constructions", "exactfield", "invariants", "modaction"}),
-    (("classify-low-n", "3", "3"), {"constructions", "exactfield", "invariants", "modaction"}),
+     {"constructions", "invariants", "modaction"}),
+    (("classify-low-n", "3", "3"), {"constructions", "invariants", "modaction"}),
     (("normalize", '{"d":1,"points":[["1","0"],["0","1"],["1","1"],["2","3"]]}'),
      {"constructions", "fermatgroup", "invariants", "modaction"}),
 ])
