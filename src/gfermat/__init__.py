@@ -19,8 +19,7 @@ _EXPORTS = {
     "constructions": "Conic conic_curve_parameters is_tangent kummer_parameters "
                      "restrict_to_line tangent_conic",
     "errors": "BudgetExceeded Inconclusive NotInGeneralPosition TangencyError",
-    "exactfield": "CyclotomicScalar ExactMatrix all_maximal_minors_nonzero "
-                  "cyclotomic_polynomial",
+    "exactfield": "CyclotomicScalar ExactMatrix cyclotomic_polynomial",
     "fermatgroup": "EquationSystem GfmType GroupElement acts_freely automorphism_order "
                    "bound_feasible canonical_generators classify_low_n equations "
                    "fiber_product_components fixed_locus is_linear_automorphism "

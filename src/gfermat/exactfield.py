@@ -1,30 +1,24 @@
 """Cyclotomic scalars and dense exact matrices, the field that the
 automorphism verifier, the equations and the conics need.
 
-A cyclotomic number is a residue modulo the k-th cyclotomic polynomial with
-``Fraction`` coefficients, serialized as its coefficient list and order k.
+A cyclotomic number nums(zeta_k) / den is a residue modulo the monic integer
+k-th cyclotomic polynomial: integer numerators over one positive
+denominator, so sums and products stay in ``int`` and only the inverse (the
+conjugates over the norm) divides.  It is serialized as its order k and its
+``Fraction`` coefficient list.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .rational import (
-    all_subsets_independent,
-    clear_denominators,
-    rational_from_string,
-    rational_to_string,
-)
+from .rational import clear_denominators, rational_to_string
 
-__all__ = [
-    "cyclotomic_polynomial",
-    "CyclotomicScalar",
-    "ExactMatrix",
-    "all_maximal_minors_nonzero",
-]
+__all__ = ["cyclotomic_polynomial", "CyclotomicScalar", "ExactMatrix"]
 
 
 # ---------------------------------------------------------------------------
@@ -63,53 +57,54 @@ def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     return poly
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _poly_rem(poly, mod):
-    """Remainder of poly by the monic polynomial ``mod`` (Fraction coeffs)."""
-    rem = [Fraction(c) for c in poly]
-    deg_mod = len(mod) - 1
-    for shift in range(len(rem) - len(mod), -1, -1):
-        coeff = rem[shift + deg_mod]
-        if coeff:
-            for i in range(len(mod)):
-                rem[shift + i] -= coeff * mod[i]
-    del rem[deg_mod:]
-    return rem
+def _reduce(k: int, poly: list, den: int) -> CyclotomicScalar:
+    """The scalar (poly mod Phi_k) / den for an integer polynomial ``poly``
+    (ascending, reduced in place) and a nonzero integer ``den``: Phi_k is
+    monic, so the remainder stays in ``int``; one gcd then makes the
+    representation unique."""
+    phi = cyclotomic_polynomial(k)
+    deg = len(phi) - 1
+    for top in range(len(poly) - 1, deg - 1, -1):
+        c = poly[top]
+        if c:
+            for i in range(deg):
+                poly[top - deg + i] -= c * phi[i]
+    nums = poly[:deg] + [0] * (deg - len(poly))
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    return CyclotomicScalar(k, tuple(nums), den)
 
 
 @dataclass(frozen=True)
 class CyclotomicScalar:
-    """Element of Q(zeta_k), stored as a residue modulo Phi_k.
+    """The element nums(zeta_k) / den of Q(zeta_k).
 
-    ``coeffs`` always has length deg(Phi_k); the residue class of the
-    indeterminate satisfies Phi_k(zeta) = 0 and zeta^k = 1 exactly.
+    ``nums`` holds the deg(Phi_k) integer coefficients of a residue modulo
+    Phi_k, and ``den > 0`` shares no factor with all of them, so each value
+    has exactly one representation.  Phi_k(zeta) = 0 and zeta^k = 1 exactly.
     """
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
-    @staticmethod
-    def _modulus(k):
-        return [Fraction(c) for c in cyclotomic_polynomial(k)]
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @classmethod
     def from_poly(cls, k: int, coeffs) -> CyclotomicScalar:
-        rem = _poly_rem([Fraction(c) for c in coeffs], cls._modulus(k))
-        deg = len(cyclotomic_polynomial(k)) - 1
-        rem += [Fraction(0)] * (deg - len(rem))
-        return cls(k, tuple(rem))
+        ints, den = clear_denominators(coeffs)
+        return _reduce(k, list(ints), den)
 
     @classmethod
     def from_rational(cls, k: int, value) -> CyclotomicScalar:
-        return cls.from_poly(k, [Fraction(value)])
+        value = Fraction(value)
+        return _reduce(k, [value.numerator], value.denominator)
 
     @classmethod
     def zero(cls, k: int) -> CyclotomicScalar:
@@ -121,8 +116,7 @@ class CyclotomicScalar:
 
     @classmethod
     def zeta(cls, k: int, power: int = 1) -> CyclotomicScalar:
-        coeffs = [Fraction(0)] * (power % k) + [Fraction(1)]
-        return cls.from_poly(k, coeffs)
+        return _reduce(k, [0] * (power % k) + [1], 1)
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicScalar):
@@ -133,21 +127,29 @@ class CyclotomicScalar:
             return CyclotomicScalar.from_rational(self.order, other)
         return None
 
+    def _substitute(self, order: int, step: int) -> CyclotomicScalar:
+        """The value with zeta_k replaced by zeta_order^step, reduced modulo
+        Phi_order: ``promote`` for step = order / k, and the Galois conjugate
+        zeta_k -> zeta_k^step for order = k and a unit step."""
+        poly = [0] * order
+        for i, c in enumerate(self.nums):
+            poly[i * step % order] += c
+        return _reduce(order, poly, self.den)
+
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CyclotomicScalar(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        nums = [a * other.den + b * self.den for a, b in zip(self.nums, other.nums)]
+        return _reduce(self.order, nums, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicScalar(self.order, tuple(-a for a in self.coeffs))
+        return CyclotomicScalar(self.order, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -165,43 +167,29 @@ class CyclotomicScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CyclotomicScalar.from_poly(
-            self.order, _poly_mul(self.coeffs, other.coeffs)
-        )
+        out = [0] * (2 * len(self.nums) - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(other.nums, i):
+                    out[j] += a * b
+        return _reduce(self.order, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CyclotomicScalar:
-        """Inverse modulo Phi_k via the extended Euclidean algorithm.
+        """The product of the other Galois conjugates divided by the norm.
 
-        Phi_k is irreducible over Q, so every nonzero residue is a unit.
-        """
+        Phi_k is irreducible over Q, so the norm of a nonzero value (the
+        product of all its conjugates) is a nonzero rational."""
         if not self:
             raise ZeroDivisionError("cyclotomic scalar is zero")
-        r0, r1 = self._modulus(self.order), list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = [c / r1[0] for c in s1]
-                return CyclotomicScalar.from_poly(self.order, inv)
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for shift in range(len(rem) - len(r1), -1, -1):
-                c = rem[shift + len(r1) - 1] / r1[-1]
-                q[shift] = c
-                for i, rc in enumerate(r1):
-                    rem[shift + i] -= c * rc
-            del rem[len(r1) - 1:]
-            r0, r1 = r1, rem
-            new_s = [Fraction(0)] * max(len(s0), len(q) + len(s1) - 1)
-            for i, c in enumerate(s0):
-                new_s[i] += c
-            for i, c in enumerate(_poly_mul(q, s1)):
-                new_s[i] -= c
-            s0, s1 = s1, new_s
-        raise ZeroDivisionError("cyclotomic scalar is zero modulo Phi_k")
+        k = self.order
+        others = CyclotomicScalar.one(k)
+        for step in range(2, k):
+            if math.gcd(step, k) == 1:
+                others = others * self._substitute(k, step)
+        norm = self * others
+        return others * Fraction(norm.den, norm.nums[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -217,35 +205,29 @@ class CyclotomicScalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicScalar.from_rational(self.order, other)
+            return (not any(self.nums[1:])
+                    and self.nums[0] * other.denominator == other.numerator * self.den)
         if not isinstance(other, CyclotomicScalar):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        """A rational value hashes as its ``Fraction``, as it compares."""
+        if any(self.nums[1:]):
+            return hash((self.order, self.nums, self.den))
+        return hash(Fraction(self.nums[0], self.den))
 
     def promote(self, order: int) -> CyclotomicScalar:
         """Re-express the value in the cyclotomic field of a multiple order
-        via zeta_m = zeta_{order}^{order/m}."""
+        via zeta_k = zeta_order^(order/k)."""
         if order == self.order:
             return self
         if order % self.order:
             raise ValueError("can only promote to a multiple of the order")
-        step = CyclotomicScalar.zeta(order, order // self.order)
-        acc = CyclotomicScalar.zero(order)
-        power = CyclotomicScalar.one(order)
-        for c in self.coeffs:
-            acc = acc + power * c
-            power = power * step
-        return acc
+        return self._substitute(order, order // self.order)
 
     def to_json(self):
         return {"k": self.order, "coeffs": [rational_to_string(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data) -> CyclotomicScalar:
-        return cls.from_poly(int(data["k"]), [rational_from_string(c) for c in data["coeffs"]])
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +280,8 @@ class ExactMatrix:
 
         Each division is exact: the quotient is a minor of the matrix.  When
         both operands are ``int`` every entry of that minor is, so ``//``
-        keeps the result an exact ``int``."""
+        keeps the result an exact ``int``; otherwise the step multiplies by
+        the pivot's inverse, taken once per step."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
@@ -315,10 +298,11 @@ class ExactMatrix:
                 else:
                     return _zero_like(self.entries[0])
             whole = type(prev) is int
+            inv = Fraction(1, prev) if whole else 1 / prev
             for r in range(i + 1, n):
                 for c in range(i + 1, n):
                     x = a[r][c] * a[i][i] - a[r][i] * a[i][c]
-                    a[r][c] = x // prev if whole and type(x) is int else x / prev
+                    a[r][c] = x // prev if whole and type(x) is int else x * inv
                 a[r][i] = 0
             prev = a[i][i]
         return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
@@ -336,16 +320,3 @@ def _scalar_to_json(value):
     if isinstance(value, CyclotomicScalar):
         return value.to_json()
     return rational_to_string(value)
-
-
-# ---------------------------------------------------------------------------
-# Minors of rational matrices
-# ---------------------------------------------------------------------------
-
-def all_maximal_minors_nonzero(matrix: ExactMatrix, s: int) -> bool:
-    """True iff every s-by-s minor of the rational ``matrix`` is nonzero (rows
-    cleared to integers: that scales each minor by a nonzero factor)."""
-    if s < 1 or s > min(matrix.rows, matrix.cols):
-        raise ValueError("minor size out of range")
-    rows = [clear_denominators(matrix.row(i))[0] for i in range(matrix.rows)]
-    return all(all_subsets_independent(list(zip(*sub))) for sub in itertools.combinations(rows, s))

@@ -11,7 +11,10 @@ as it was before the coefficient-matrix read-off replaced it: every entry
 lifted to one cyclotomic field, a rank check, each monomial entry raised to
 the k-th power by k-1 multiplications once per defining form, and a span
 test by Gaussian elimination (``rank``, ``solve_linear`` and
-``LinearSolveResult``, moved here from the library).  Pivot divisions are
+``LinearSolveResult``, moved here from the library), and the ``Fraction``
+cyclotomic field that the integer one replaced (a residue with ``Fraction``
+coefficients, inverted by the extended Euclidean algorithm and promoted by
+one multiplication per coefficient).  Pivot divisions are
 exact on ``int`` entries too.  ``submatrix``, ``from_columns``, ``identity``
 and ``matmul`` are the matrix helpers the tests need and the library does
 not."""
@@ -30,7 +33,7 @@ from gfermat.arrangement import (
     random_parameter,
 )
 from gfermat.errors import BudgetExceeded, Inconclusive
-from gfermat.exactfield import CyclotomicScalar, ExactMatrix, _zero_like
+from gfermat.exactfield import CyclotomicScalar, ExactMatrix, _zero_like, cyclotomic_polynomial
 from gfermat.fermatgroup import (
     FreeActionResult,
     GroupElement,
@@ -38,6 +41,7 @@ from gfermat.fermatgroup import (
     equations,
     fixed_locus,
 )
+from gfermat.rational import rational_to_string
 
 
 def _divide(x, y):
@@ -63,6 +67,157 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_rows(
         [[sum(a.entry(i, t) * b.entry(t, j) for t in range(a.cols)) for j in range(b.cols)]
          for i in range(a.rows)])
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _poly_rem(poly, mod):
+    """Remainder of poly by the monic polynomial ``mod`` (Fraction coeffs)."""
+    rem = [Fraction(c) for c in poly]
+    deg_mod = len(mod) - 1
+    for shift in range(len(rem) - len(mod), -1, -1):
+        coeff = rem[shift + deg_mod]
+        if coeff:
+            for i in range(len(mod)):
+                rem[shift + i] -= coeff * mod[i]
+    del rem[deg_mod:]
+    return rem
+
+
+@dataclass(frozen=True)
+class FractionCyclotomic:
+    """Element of Q(zeta_k), stored as a residue modulo Phi_k with
+    ``Fraction`` coefficients; ``coeffs`` always has length deg(Phi_k)."""
+
+    order: int
+    coeffs: tuple
+
+    @staticmethod
+    def _modulus(k):
+        return [Fraction(c) for c in cyclotomic_polynomial(k)]
+
+    @classmethod
+    def from_poly(cls, k: int, coeffs):
+        rem = _poly_rem([Fraction(c) for c in coeffs], cls._modulus(k))
+        deg = len(cyclotomic_polynomial(k)) - 1
+        rem += [Fraction(0)] * (deg - len(rem))
+        return cls(k, tuple(rem))
+
+    @classmethod
+    def from_rational(cls, k: int, value):
+        return cls.from_poly(k, [Fraction(value)])
+
+    @classmethod
+    def zero(cls, k: int):
+        return cls.from_rational(k, 0)
+
+    @classmethod
+    def one(cls, k: int):
+        return cls.from_rational(k, 1)
+
+    @classmethod
+    def zeta(cls, k: int, power: int = 1):
+        return cls.from_poly(k, [Fraction(0)] * (power % k) + [Fraction(1)])
+
+    def _coerce(self, other):
+        if isinstance(other, FractionCyclotomic):
+            if other.order != self.order:
+                raise ValueError("cyclotomic orders differ")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionCyclotomic.from_rational(self.order, other)
+        return None
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return FractionCyclotomic(
+            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCyclotomic(self.order, tuple(-a for a in self.coeffs))
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return FractionCyclotomic.from_poly(self.order, _poly_mul(self.coeffs, other.coeffs))
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        """Inverse modulo Phi_k via the extended Euclidean algorithm."""
+        if not self:
+            raise ZeroDivisionError("cyclotomic scalar is zero")
+        r0, r1 = self._modulus(self.order), list(self.coeffs)
+        s0, s1 = [Fraction(0)], [Fraction(1)]
+        while any(r1):
+            while r1 and not r1[-1]:
+                r1.pop()
+            if len(r1) == 1:
+                return FractionCyclotomic.from_poly(self.order, [c / r1[0] for c in s1])
+            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
+            rem = list(r0)
+            for shift in range(len(rem) - len(r1), -1, -1):
+                c = rem[shift + len(r1) - 1] / r1[-1]
+                q[shift] = c
+                for i, rc in enumerate(r1):
+                    rem[shift + i] -= c * rc
+            del rem[len(r1) - 1:]
+            r0, r1 = r1, rem
+            new_s = [Fraction(0)] * max(len(s0), len(q) + len(s1) - 1)
+            for i, c in enumerate(s0):
+                new_s[i] += c
+            for i, c in enumerate(_poly_mul(q, s1)):
+                new_s[i] -= c
+            s0, s1 = s1, new_s
+        raise ZeroDivisionError("cyclotomic scalar is zero modulo Phi_k")
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionCyclotomic.from_rational(self.order, other)
+        if not isinstance(other, FractionCyclotomic):
+            return NotImplemented
+        return self.order == other.order and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.order, self.coeffs))
+
+    def promote(self, order: int):
+        """zeta_k = zeta_order^(order/k), one product per coefficient."""
+        if order == self.order:
+            return self
+        if order % self.order:
+            raise ValueError("can only promote to a multiple of the order")
+        step = FractionCyclotomic.zeta(order, order // self.order)
+        acc = FractionCyclotomic.zero(order)
+        power = FractionCyclotomic.one(order)
+        for c in self.coeffs:
+            acc = acc + power * c
+            power = power * step
+        return acc
+
+    def to_json(self):
+        return {"k": self.order, "coeffs": [rational_to_string(c) for c in self.coeffs]}
 
 
 def det_cofactor(matrix: ExactMatrix):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -62,10 +63,10 @@ def child_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
-def run_child(*argv):
+def run_child(*argv, timeout=60):
     """``python -m gfermat.cli *argv`` in a fresh child process."""
     return subprocess.run([sys.executable, "-m", "gfermat.cli", *argv], capture_output=True,
-                          text=True, env=child_env(), timeout=60)
+                          text=True, env=child_env(), timeout=timeout)
 
 
 class UnreadableStdin:
@@ -242,6 +243,18 @@ class TestExitCodes:
         assert done.stdout.count("\n") == 1 and not done.stderr
         assert json.loads(done.stdout)["error"] == {
             "kind": "budget", "message": "enumeration needs 160000000000 steps, budget is 1000000"}
+
+    def test_dense_order_101_matrix_is_rejected_within_20_s(self):
+        """A 4x4 non-monomial matrix of 30-term cells at k = 101 (charged
+        163216 steps) is rejected by a fresh child within 20 s: its
+        determinant inverts two pivots, each by the norm."""
+        r = random.Random(3)
+        rows = [[{"k": 101, "coeffs": [str(r.randint(-3, 3)) for _ in range(30)]}
+                 for _ in range(4)] for _ in range(4)]
+        done = run_child("verify-matrix", FERMAT_23, "2", json.dumps({"entries": rows}),
+                         timeout=20)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout == '{"accepted":false}\n'
 
     @pytest.mark.parametrize("cells,needed", [
         ([{"coeffs": ["0", "1"]}], 3**2 * 4**2),

@@ -1,6 +1,7 @@
 """Tests for exact scalars, cyclotomic arithmetic, exact linear algebra and
 the integer exact core."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,12 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gfermat
-from gfermat.exactfield import (
-    CyclotomicScalar,
-    ExactMatrix,
-    all_maximal_minors_nonzero,
-    cyclotomic_polynomial,
-)
+from gfermat.exactfield import CyclotomicScalar, ExactMatrix, cyclotomic_polynomial
 from gfermat.rational import (
     all_subsets_independent,
     clear_denominators,
@@ -24,7 +20,7 @@ from gfermat.rational import (
     rational_to_string,
 )
 from tests import oracles
-from tests.conftest import BIG, nonzero_rationals, rand_fraction, rand_invertible, rationals
+from tests.conftest import BIG, rand_fraction, rand_invertible, rationals
 
 
 def poly_mul_int(a, b):
@@ -104,7 +100,8 @@ class TestCyclotomicScalar:
 
     def test_json_round_trip(self):
         z = CyclotomicScalar.zeta(5, 2) / 3
-        assert CyclotomicScalar.from_json(z.to_json()) == z
+        data = z.to_json()
+        assert CyclotomicScalar.from_poly(data["k"], map(rational_from_string, data["coeffs"])) == z
 
     def test_promotion_to_multiple_order(self):
         # zeta_3 = zeta_6^2, and promotion respects arithmetic
@@ -116,6 +113,76 @@ class TestCyclotomicScalar:
         assert value.promote(3) is value
         with pytest.raises(ValueError):
             z3.promote(4)
+
+
+ORACLE_ORDERS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 13, 15, 30, 60, 105)
+
+
+def assert_matches_oracle(got, want):
+    """The same JSON bytes and truth value as the Fraction field, the same
+    comparisons with 0, 1 and the constant coefficient, and a rational value
+    hashes as its Fraction."""
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert bool(got) == bool(want)
+    for rational in (0, 1, want.coeffs[0]):
+        assert (got == rational) == (want == rational)
+    if not any(want.coeffs[1:]):
+        assert hash(got) == hash(want.coeffs[0])
+
+
+class TestCyclotomicOracle:
+    @pytest.mark.parametrize("k", ORACLE_ORDERS)
+    def test_matches_fraction_field(self, k):
+        """+, -, x, inverse and promote to 2k and 3k against the Fraction
+        field.  Coefficient lists are empty, of one term, of deg Phi_k terms
+        or longer than k; every second y is x rewritten as x + Phi_k * c, so
+        equal values built from different lists must compare and hash equal.
+        Two trials at k = 105, where the Fraction field's products are slow."""
+        rng = random.Random(k)
+        phi = cyclotomic_polynomial(k)
+        for trial in range(2 if k > 100 else 4):
+            a = [rand_fraction(rng) for _ in range(rng.choice((0, 1, len(phi) - 1, k + 2)))]
+            if trial % 2:
+                c = [rand_fraction(rng) for _ in range(rng.randint(1, 3))]
+                b = poly_mul_int(list(phi), c)
+                b = [x + y for x, y in zip(b, a + [0] * len(b))] + a[len(b):]
+            else:
+                b = [rand_fraction(rng) for _ in range(rng.choice((0, 1, k + 2)))]
+            x, y = CyclotomicScalar.from_poly(k, a), CyclotomicScalar.from_poly(k, b)
+            ox = oracles.FractionCyclotomic.from_poly(k, a)
+            oy = oracles.FractionCyclotomic.from_poly(k, b)
+            pairs = [(x, ox), (y, oy), (x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy),
+                     (x.promote(2 * k), ox.promote(2 * k)), (x.promote(3 * k), ox.promote(3 * k))]
+            if x:
+                pairs.append((x.inverse(), ox.inverse()))
+            for got, want in pairs:
+                assert_matches_oracle(got, want)
+            assert (x == y) == (ox == oy)
+            if trial % 2:
+                assert x == y and hash(x) == hash(y)
+
+    def test_inverse_at_order_101(self):
+        """A dense element of Q(zeta_101) (the Fraction field's inverse takes
+        minutes there): x * x^-1 == 1."""
+        rng = random.Random(101)
+        x = CyclotomicScalar.from_poly(101, [rand_fraction(rng) for _ in range(100)])
+        assert x * x.inverse() == 1
+
+    def test_rational_values_compare_and_hash_as_fractions(self, monkeypatch):
+        """A rational-valued scalar equals its Fraction and hashes like it,
+        and comparing a scalar with a rational builds no scalar."""
+        two = CyclotomicScalar.from_rational(5, 2)
+        half = CyclotomicScalar.from_rational(12, Fraction(5, 2))
+        assert two == 2 and len({two, 2}) == 1 and len({two, Fraction(2)}) == 1
+        assert half == Fraction(5, 2) and len({half, Fraction(5, 2)}) == 1
+        assert half != 2 and two != Fraction(5, 2) and two != 0
+
+        def refuse(cls, *args):
+            raise AssertionError("built a scalar to compare with a rational")
+
+        monkeypatch.setattr(CyclotomicScalar, "from_rational", classmethod(refuse))
+        z = CyclotomicScalar.zeta(5)
+        assert z != 0 and z != 1 and two == 2 and half != 0
 
 
 class TestRationalStrings:
@@ -245,6 +312,33 @@ class TestDeterminants:
         assert type(det) is int
         assert det == oracles.det_cofactor(matrix)
 
+    def test_cyclotomic_det_inverts_each_pivot_once(self, monkeypatch):
+        """An m x m cyclotomic matrix makes at most m-2 scalar inverses (none
+        for the first step's divisor 1) and still matches the cofactor
+        expansion, zero leading pivots and singular matrices included."""
+        calls = []
+        inverse = CyclotomicScalar.inverse
+
+        def counting(self):
+            calls.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(CyclotomicScalar, "inverse", counting)
+        rng = random.Random(7)
+        for k in (3, 5, 12):
+            for size in range(1, 6):
+                rows = [[CyclotomicScalar.from_poly(k, [rand_fraction(rng, 3) for _ in range(3)])
+                         for _ in range(size)] for _ in range(size)]
+                if size > 1 and rng.random() < 0.5:
+                    rows[0][0] = CyclotomicScalar.zero(k)
+                if size > 1 and rng.random() < 0.3:
+                    rows[-1] = rows[0][:]
+                matrix = ExactMatrix.from_rows(rows)
+                calls.clear()
+                det = matrix.det()
+                assert len(calls) <= max(size - 2, 0)
+                assert det == oracles.det_cofactor(matrix)
+
     def test_inverse(self, rng):
         for _ in range(30):
             size = rng.randint(1, 4)
@@ -299,40 +393,21 @@ class TestIntegerKernels:
 
 
 class TestMaximalMinors:
+    """The Fraction minor scan that the general-position and smoothness
+    oracles use, on matrices with known minors."""
+
     def test_identity_with_ones_column(self):
         matrix = ExactMatrix.from_rows(
             [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
         )
-        assert all_maximal_minors_nonzero(matrix, 3)
+        assert oracles.all_maximal_minors_nonzero(matrix, 3)
 
     def test_repeated_column(self):
         matrix = ExactMatrix.from_rows([[1, 2, 1], [3, 4, 3]])
-        assert not all_maximal_minors_nonzero(matrix, 2)
+        assert not oracles.all_maximal_minors_nonzero(matrix, 2)
 
     def test_identity_has_zero_2x2_minors(self):
-        assert not all_maximal_minors_nonzero(oracles.identity(3), 2)
-
-    def test_size_out_of_range(self):
-        with pytest.raises(ValueError):
-            all_maximal_minors_nonzero(oracles.identity(2), 3)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_every_size_against_fraction_scan(self, data):
-        """Any s, including s below the row count, on matrices whose rows and
-        columns may repeat."""
-        rows = data.draw(st.integers(1, 4))
-        cols = data.draw(st.integers(rows, 6))
-        entries = data.draw(st.sampled_from((rationals, nonzero_rationals)))
-        a = [list(data.draw(st.tuples(*[entries] * cols))) for _ in range(rows)]
-        if data.draw(st.booleans()):
-            i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
-            a[i] = list(a[i - 1])
-            for row in a:
-                row[j] = row[j - 1]
-        matrix = ExactMatrix.from_rows(a)
-        s = data.draw(st.integers(1, rows))
-        assert all_maximal_minors_nonzero(matrix, s) == oracles.all_maximal_minors_nonzero(matrix, s)
+        assert not oracles.all_maximal_minors_nonzero(oracles.identity(3), 2)
 
 
 class TestIndependenceEngine:

@@ -14,11 +14,11 @@ EXPORTS = [
     "Arrangement", "BudgetExceeded", "Conic", "CyclotomicScalar", "EquationSystem",
     "ExactMatrix", "GfmType", "GroupElement", "Hyperplane", "Inconclusive",
     "NotInGeneralPosition", "Permutation", "Rational", "StandardParameter", "TangencyError",
-    "act", "act_sigma1", "act_sigma2", "acts_freely", "all_maximal_minors_nonzero",
-    "are_isomorphic", "arrangement_of", "automorphism_order", "bound_feasible",
-    "canonical_degree", "canonical_generators", "canonical_representative", "classify",
-    "classify_low_n", "conic_curve_parameters", "cyclotomic_polynomial", "equations",
-    "fiber_product_components", "fixed_locus", "h0_twist", "hd_twist",
+    "act", "act_sigma1", "act_sigma2", "acts_freely", "are_isomorphic", "arrangement_of",
+    "automorphism_order", "bound_feasible", "canonical_degree", "canonical_generators",
+    "canonical_representative", "classify", "classify_low_n", "conic_curve_parameters",
+    "cyclotomic_polynomial", "equations", "fiber_product_components", "fixed_locus",
+    "h0_twist", "hd_twist",
     "hilbert_series_coefficient", "invariant_report", "is_general_position",
     "is_linear_automorphism", "is_standard_parameter", "is_tangent", "kernel_of_R",
     "kodaira_dimension", "kummer_parameters", "leading_coefficient", "normalize",
