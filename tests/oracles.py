@@ -199,9 +199,6 @@ class FractionCyclotomic:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
     def promote(self, order: int):
         """zeta_k = zeta_order^(order/k), one product per coefficient."""
         if order == self.order:
