@@ -31,9 +31,9 @@ from fractions import Fraction
 
 from .errors import NotInGeneralPosition
 from .rational import (
-    all_subsets_independent,
     clear_denominators,
     fraction_free_inverse,
+    minors,
     projective_normalize,
     rational_from_string,
     rational_to_string,
@@ -196,7 +196,7 @@ def is_general_position(points, d: int) -> bool:
             raise ValueError("points must be vectors of length d+1")
         if not any(p):
             raise ValueError("the zero vector is not a projective point")
-    return all_subsets_independent(pts)
+    return all(minors(pts))
 
 
 def normalize(arr: Arrangement, *, check: bool = True):
@@ -249,7 +249,7 @@ def arrangement_of(par: StandardParameter) -> Arrangement:
 
 def is_standard_parameter(par: StandardParameter) -> bool:
     """Membership test for X_{n,d} (general position of the derived duals)."""
-    return all_subsets_independent(_integer_duals(par))
+    return all(minors(_integer_duals(par)))
 
 
 def random_parameter(d: int, n: int, rng: random.Random, bound: int = 9) -> StandardParameter:

@@ -72,6 +72,11 @@ def _parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction builds 10^|exponent| before any digit limit applies
+        exp = re.search(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", value, re.IGNORECASE)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and exp and (len(exp[1]) > limit or int(exp[1]) > limit):
+            raise ValidationError(f"malformed rational {value!r}: exponent over the limit {limit}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -288,24 +293,23 @@ def _cmd_free(args, budget):
     if not isinstance(data, list):
         raise ValidationError("generators must be a list of exponent vectors")
     gens = [_parse_exponents(g, gfm_type.k) for g in data]
-    for g in gens:
-        if g.n != gfm_type.n:
-            raise ValidationError("exponent vectors must have length n+1")
+    if any(g.n != gfm_type.n for g in gens):
+        raise ValidationError("exponent vectors must have length n+1")
     result = subgroup_acts_freely(gens, gfm_type, budget=budget)
     bound = None
     if _is_prime(gfm_type.k, budget):
+        # the subgroup of Z_k^n is a k-group, so its order is a power of k
         power, order = 0, result.subgroup_order
         while order % gfm_type.k == 0:
             order //= gfm_type.k
             power += 1
-        if order == 1:
-            r = gfm_type.n - power
-            if r >= 1:
-                bound = {
-                    "p": gfm_type.k,
-                    "r": r,
-                    "feasible": bound_feasible(gfm_type.k, r, gfm_type.n),
-                }
+        r = gfm_type.n - power
+        if r >= 1:
+            bound = {
+                "p": gfm_type.k,
+                "r": r,
+                "feasible": bound_feasible(gfm_type.k, r, gfm_type.n),
+            }
     return {
         "free": result.free,
         "offending": result.offending.to_json() if result.offending else None,

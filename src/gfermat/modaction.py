@@ -13,14 +13,18 @@ Orbit, stabilizer, canonical form and isomorphism scan frames, not all of
 S_{n+1}.  act(eta, p) depends only on the frame eta sets up: the d+1
 hyperplanes it puts in the basis slots, in order, and the one it puts in
 the anchor slot.  The other n-d-1 hyperplanes only decide the order of the
-table rows.  Reordering the basis permutes the rows of M = D B^{-1}, and no
-scaling changes a table entry (``arrangement`` docstring), so one
-fraction-free inverse per unordered basis set S gives the integer
-coordinates C[b][q] = (M q)_b of every dual point q, and for every ordering
-(b_0, ..., b_d) of S and anchor a outside S the row of each other
-hyperplane q is
+table rows.  For every basis set S, ordering (b_0, ..., b_d) of S and
+anchor a outside S, the row of each other hyperplane q is
 
-    C[b_j][q] C[b_d][a] / (C[b_j][a] C[b_d][q]),  j < d.
+    C[b_j][q] C[b_d][a] / (C[b_j][a] C[b_d][q]),  j < d,
+
+with C[b][q] the coordinate of dual point q along b in the basis S; a
+factor depending on b alone, on q alone or on S cancels.  By Cramer's rule
+C[b][q] is the maximal minor of S with q in b's place.  Let D(T) be the
+minor of T's points in increasing order and i_x count the elements of S
+below x: putting q in its own place is a sign (-1)^(i_b + i_q + 1), times
+-1 when b > q.  So C[b][q] = D(S - b + q), negated when b > q: the table of
+every D(T), built once to decide general position, gives every frame's rows.
 
 A permutation fixes p iff its frame's rows are p's rows in p's order.  In
 general position the rows of a table are distinct, so a frame whose row set
@@ -56,7 +60,7 @@ from .arrangement import (
     random_parameter,
 )
 from .errors import DEFAULT_BUDGET, BudgetExceeded, Inconclusive
-from .rational import fraction_free_inverse
+from .rational import minors
 
 __all__ = [
     "Permutation",
@@ -220,17 +224,16 @@ def kernel_note(n: int, d: int) -> str | None:
     return None
 
 
-def _frame_tables(par: StandardParameter):
+def _frame_tables(par: StandardParameter, minor_table):
     """(frame, {hyperplane: row}) for every ordered frame (b_0, ..., b_d, a)
-    of par's canonical arrangement, with the table row of every hyperplane
-    outside it (module docstring), each entry a normalized (p, q) pair.  An
-    entry depends on the ordering only through b_d, so it is built once per
-    basis set, anchor and b_d."""
-    d, points, gcd = par.d, _integer_duals(par), math.gcd
-    for basis in itertools.combinations(range(par.n + 1), d + 1):
-        m = fraction_free_inverse(list(zip(*(points[i] for i in basis))))
-        coords = {q: dict(zip(basis, [sum(x * y for x, y in zip(row, p)) for row in m]))
-                  for q, p in enumerate(points) if q not in basis}
+    of par's canonical arrangement, with the row of every hyperplane outside
+    it read off the minor table (module docstring), each entry a normalized
+    (p, q) pair, built once per basis set, anchor and b_d."""
+    d, gcd, hyperplanes = par.d, math.gcd, range(par.n + 1)
+    for basis in itertools.combinations(hyperplanes, d + 1):
+        coords = {q: {b: minor_table[tuple(sorted({*basis, q} - {b}))] * (-1 if b > q else 1)
+                      for b in basis}
+                  for q in hyperplanes if q not in basis}
         for a, ca in coords.items():
             for last in basis:
                 head = [b for b in basis if b != last]
@@ -248,18 +251,9 @@ def _frame_tables(par: StandardParameter):
 
 
 def _compare_rows(r, s) -> int:
-    """Sign of r - s in the lexicographic rational order of two pair rows."""
+    """Sign of r - s in the lexicographic order of two pair rows or flat tables."""
     for (a, b), (c, e) in zip(r, s):
         x = a * e - c * b
-        if x:
-            return x
-    return 0
-
-
-def _compare_tables(t, u) -> int:
-    """Sign of t - u in the lexicographic order of two pair-row tables."""
-    for r, s in zip(t, u):
-        x = _compare_rows(r, s)
         if x:
             return x
     return 0
@@ -271,14 +265,14 @@ def _fraction_rows(pair_rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(map(fractions.__getitem__, row)) for row in pair_rows)
 
 
-def _carrying(par: StandardParameter, target: StandardParameter):
+def _carrying(par: StandardParameter, target: StandardParameter, minor_table):
     """(rows, images) per frame of par: its {hyperplane: row} map, and the
     one-line images of the permutation with that frame carrying par to
     target, or None if the frame's rows are not target's.  Rows are
     distinct, so matching every row fixes the slot of every hyperplane."""
     slots = {tuple((x.numerator, x.denominator) for x in row): j
              for j, row in enumerate(target.rows, start=par.d + 2)}
-    for frame, rows in _frame_tables(par):
+    for frame, rows in _frame_tables(par, minor_table):
         images = None
         if all(row in slots for row in rows.values()):
             images = [0] * (par.n + 1)
@@ -290,24 +284,27 @@ def _carrying(par: StandardParameter, target: StandardParameter):
         yield rows, images
 
 
-def _check_scan(par: StandardParameter, budget: int) -> None:
-    """Refuse a parameter off X_{n,d}, then charge (n+1)! to the budget."""
-    if not is_standard_parameter(par):
+def _check_scan(par: StandardParameter, budget: int) -> dict:
+    """The table {sorted (d+1)-subset: signed minor} of par's dual points;
+    refuse a parameter off X_{n,d} (a zero minor), then charge (n+1)!."""
+    subsets = itertools.combinations(range(par.n + 1), par.d + 1)
+    minor_table = dict(zip(subsets, minors(_integer_duals(par))))
+    if not all(minor_table.values()):
         raise ValueError("parameter is not in X_{n,d}")
     size = math.factorial(par.n + 1)
     if size > budget:
         raise BudgetExceeded(size, budget)
+    return minor_table
 
 
-def _stabilizer_images(par: StandardParameter) -> list[tuple[int, ...]]:
-    return sorted(images for _, images in _carrying(par, par) if images)
+def _stabilizer_images(par: StandardParameter, budget: int) -> list[tuple[int, ...]]:
+    return sorted(images for _, images in _carrying(par, par, _check_scan(par, budget)) if images)
 
 
 def orbit_and_stabilizer(par: StandardParameter, budget: int = DEFAULT_BUDGET) -> OrbitReport:
     """Orbit and stabilizer by the frame scan; exact, budgeted at (n+1)!."""
-    _check_scan(par, budget)
     row_sets, stabilizer = set(), []
-    for rows, images in _carrying(par, par):
+    for rows, images in _carrying(par, par, _check_scan(par, budget)):
         row_sets.add(frozenset(rows.values()))
         if images:
             stabilizer.append(images)
@@ -328,8 +325,7 @@ def orbit_and_stabilizer(par: StandardParameter, budget: int = DEFAULT_BUDGET) -
 
 def stabilizer(par: StandardParameter, budget: int = DEFAULT_BUDGET) -> tuple[Permutation, ...]:
     """The stabilizer of ``orbit_and_stabilizer`` without the orbit."""
-    _check_scan(par, budget)
-    return tuple(Permutation(images) for images in _stabilizer_images(par))
+    return tuple(Permutation(images) for images in _stabilizer_images(par, budget))
 
 
 KLEIN_ONE_LINE = ((1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1))
@@ -359,7 +355,7 @@ def kernel_of_R(
     rng = rng or random.Random(0)
     candidates = None  # all of S_{n+1}
     for _ in range(samples):
-        fixing = set(_stabilizer_images(random_parameter(d, n, rng)))
+        fixing = set(_stabilizer_images(random_parameter(d, n, rng), budget))
         candidates = fixing if candidates is None else candidates & fixing
         if len(candidates) == 1:
             break
@@ -393,11 +389,11 @@ def are_isomorphic(
         raise ValueError("parameters must share the same (n, d)")
     if not is_standard_parameter(second):
         raise ValueError("parameter is not in X_{n,d}")
-    _check_scan(first, budget)
+    scan = _carrying(first, second, _check_scan(first, budget))
     note = None
     if k is not None and (first.d, k, first.n) in EXCEPTIONAL_TYPES:
         note = "linear-category"
-    witness = min((images for _, images in _carrying(first, second) if images), default=None)
+    witness = min((images for _, images in scan if images), default=None)
     if witness is None:
         return IsomorphismResult(False, None, note)
     return IsomorphismResult(True, Permutation(witness), note)
@@ -409,11 +405,11 @@ def canonical_representative(par: StandardParameter, budget: int = DEFAULT_BUDGE
     It is the least over frames of the frame's rows in sorted order: the
     least row of a frame comes first, so only the frames whose least row
     ties the running minimum are sorted in full."""
-    _check_scan(par, budget)
+    minor_table = _check_scan(par, budget)
     if not par.rows:
         return par
     least, ties = None, []
-    for _, rows in _frame_tables(par):
+    for _, rows in _frame_tables(par, minor_table):
         rows = list(rows.values())
         low = rows[0]
         for row in rows[1:]:
@@ -424,5 +420,6 @@ def canonical_representative(par: StandardParameter, budget: int = DEFAULT_BUDGE
         elif low == least:
             ties.append(rows)
     by_row = cmp_to_key(_compare_rows)
-    least_table = min((sorted(rows, key=by_row) for rows in ties), key=cmp_to_key(_compare_tables))
+    least_table = min((sorted(rows, key=by_row) for rows in ties),
+                      key=lambda t: by_row(tuple(itertools.chain.from_iterable(t))))
     return StandardParameter._trusted(par.d, par.n, _fraction_rows(least_table))

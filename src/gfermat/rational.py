@@ -1,6 +1,6 @@
 """Rationals (``Fraction``, serialized as ``"p/q"`` or ``"p"``) and the
-integer exact core: projective scaling, clearing denominators, and the
-fraction-free (Bareiss) inverse and minor engine on integer vectors.
+integer exact core: projective scaling, clearing denominators, the
+fraction-free (Bareiss) inverse of one frame and the signed minor engine.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ __all__ = [
     "projective_normalize",
     "clear_denominators",
     "fraction_free_inverse",
-    "all_subsets_independent",
+    "minors",
 ]
 
 
@@ -75,17 +75,16 @@ def fraction_free_inverse(rows) -> list[list[int]]:
     return [row[n:] for row in a]
 
 
-def all_subsets_independent(columns) -> bool:
-    """True iff every r of the integer vectors in the list ``columns``, each
-    of length r, are independent: fraction-free Bareiss on ``int`` (entries
-    stay minors, so ``//`` is exact) per r-subset, up to the first zero minor."""
+def minors(columns):
+    """The signed determinant of every r of the integer vectors ``columns``,
+    each of length r, in ``itertools.combinations`` order: fraction-free
+    Bareiss on ``int`` (entries stay minors, so ``//`` is exact) per subset.
+    A pivot from place k is a sign (-1)^k; a zero pivot column gives 0."""
     for subset in itertools.combinations(columns, len(columns[0])):
-        vecs, prev = list(subset), 1
-        while vecs:
-            k = next((i for i, v in enumerate(vecs) if v[0]), None)
-            if k is None:
-                return False
+        vecs, prev, sign = list(subset), 1, 1
+        while vecs and prev:
+            k = 0 if vecs[0][0] else next((i for i, v in enumerate(vecs) if v[0]), 0)
             p = vecs.pop(k)
             vecs = [[(p[0] * x - v[0] * y) // prev for x, y in zip(v[1:], p[1:])] for v in vecs]
-            prev = p[0]
-    return True
+            prev, sign = p[0], -sign if k % 2 else sign
+        yield sign * prev

@@ -3,7 +3,9 @@ compared against: cofactor determinants, the cofactor adjugate that the
 closed-form dual conic replaced, a Fraction Gauss-Jordan inverse,
 the Fraction normal form that the integer frame kernel replaced, the
 Fraction minor scans that the integer minor engine replaced, the full
-S_{n+1} enumeration that the frame scans replaced, the subgroup closure
+S_{n+1} enumeration that the frame scans replaced, the frame tables as
+they were read off one fraction-free inverse per basis set before the
+minor table replaced it, the subgroup closure
 over validated group elements and the freeness scan over its sorted
 elements that the coset enumeration replaced, the lattice-box convolution
 that the closed-form section count replaced, and the automorphism verifier
@@ -41,7 +43,7 @@ from gfermat.fermatgroup import (
     equations,
     fixed_locus,
 )
-from gfermat.rational import rational_to_string
+from gfermat.rational import fraction_free_inverse, rational_to_string
 
 
 def _divide(x, y):
@@ -342,6 +344,32 @@ def scans(par: StandardParameter, targets=()):
         if rows in witnesses and witnesses[rows] is None:
             witnesses[rows] = images
     return sorted(seen), tuple(stabilizer), witnesses
+
+
+def frame_tables(par: StandardParameter):
+    """(frame, {hyperplane: row}) per ordered frame (b_0, ..., b_d, a), as
+    ``modaction._frame_tables`` yields them, from the coordinates
+    C[b][q] = (M q)_b with M = D B^{-1} for each basis set B: one
+    fraction-free inverse and one matrix-vector product per dual point."""
+    d, points = par.d, _integer_duals(par)
+    for basis in itertools.combinations(range(par.n + 1), d + 1):
+        m = fraction_free_inverse(list(zip(*(points[i] for i in basis))))
+        coords = {q: dict(zip(basis, [sum(x * y for x, y in zip(row, p)) for row in m]))
+                  for q, p in enumerate(points) if q not in basis}
+        for a, ca in coords.items():
+            for last in basis:
+                head = [b for b in basis if b != last]
+                entries = {}
+                for q, c in coords.items():
+                    if q != a:
+                        entries[q] = {}
+                        for b in head:
+                            num, den = c[b] * ca[last], ca[b] * c[last]
+                            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+                            entries[q][b] = (num // g, den // g)
+                for order in itertools.permutations(head):
+                    yield order + (last, a), {q: tuple(e[b] for b in order)
+                                              for q, e in entries.items()}
 
 
 def kernel_of_R(n: int, d: int, samples: int, rng):

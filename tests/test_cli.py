@@ -330,6 +330,31 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
+    @pytest.mark.parametrize("argv", [("conic", "1e1000000"), ("conic", "1E-3000000"),
+                                      ("kummer", "1e2000000", "2", "3", "4", "5", "6"),
+                                      ("conic", " 2.5e0_004_301 "), ("conic", "1e" + "9" * 5000)])
+    def test_exponents_past_the_digit_limit_are_refused(self, argv):
+        """Fraction builds 10^|exponent| before any digit limit applies, so an
+        exponent past CPython's int-to-str limit is refused first, as a
+        validation error, like a digit string past the limit."""
+        if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            pytest.skip("the int-to-str digit limit is off")
+        done = run_child(*argv, timeout=10)
+        assert done.returncode == EXIT_VALIDATION, done.stderr
+        assert "exponent over the limit" in json.loads(done.stdout)["error"]["message"]
+
+    def test_exponent_limit_boundary(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("the int-to-str digit limit is off")
+        assert cli._parse_rational(f"1e{limit}") == 10**limit
+        assert cli._parse_rational(f"1e-{limit}") == Fraction(1, 10**limit)
+        for text in (f"1e{limit + 1}", f"-3.5E-{limit + 1}", "1" * (limit + 1)):
+            with pytest.raises(cli.ValidationError):
+                cli._parse_rational(text)
+        code, report = run_json(capsys, "conic", f"1e{limit + 1}")
+        assert code == EXIT_VALIDATION and report["error"]["kind"] == "validation"
+
     def test_degenerate_conic_parameter(self, capsys):
         code, _ = run_json(capsys, "conic", "2")
         assert code == EXIT_PRECONDITION

@@ -1,6 +1,7 @@
 """Tests for exact scalars, cyclotomic arithmetic, exact linear algebra and
 the integer exact core."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 import gfermat
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix, cyclotomic_polynomial
 from gfermat.rational import (
-    all_subsets_independent,
     clear_denominators,
     fraction_free_inverse,
+    minors,
     projective_normalize,
     rational_from_string,
     rational_to_string,
@@ -410,12 +411,37 @@ class TestMaximalMinors:
         assert not oracles.all_maximal_minors_nonzero(oracles.identity(3), 2)
 
 
+# r to r + 3 integer vectors of one length r in 1..4; small entries (zero
+# often) make singular subsets and pivot swaps common
+integer_columns = st.integers(1, 4).flatmap(
+    lambda r: st.lists(
+        st.lists(st.one_of(st.integers(-2, 2), st.integers(-BIG, BIG)), min_size=r, max_size=r),
+        min_size=r, max_size=r + 3,
+    )
+)
+
+
 class TestIndependenceEngine:
+    """``minors``: the signed determinant of every r-subset, in
+    ``itertools.combinations`` order; all nonzero iff every r are independent."""
+
     def test_pivot_swap(self):
         # the first vector has leading entry 0, so the pivot comes from the second
-        assert all_subsets_independent([(0, 1), (1, 0), (1, 1)])
-        assert all_subsets_independent([(0, 2, 1), (3, 0, 0), (0, 0, 5)])
+        assert list(minors([(0, 1), (1, 0), (1, 1)])) == [-1, -1, 1]
+        assert list(minors([(0, 2, 1), (3, 0, 0), (0, 0, 5)])) == [-30]
 
     def test_stops_at_first_zero_minor(self):
-        assert not all_subsets_independent([(1, 0), (0, 1), (2, 0)])
-        assert not all_subsets_independent([(0, 0, 1), (0, 1, 0), (0, 2, 1), (1, 1, 1)])
+        assert list(minors([(1, 0), (0, 1), (2, 0)])) == [1, 0, -2]
+        sweep = minors([(0, 0, 1), (0, 1, 0), (0, 2, 1), (1, 1, 1)])
+        assert not all(sweep)
+        assert list(sweep) == [-1, -2, 1]  # all() stopped at the first minor, 0
+
+    @settings(max_examples=300)
+    @given(integer_columns)
+    @example([[0, 1], [1, 0], [1, 1]])
+    def test_signed_minors_match_cofactor(self, columns):
+        expected = [oracles.det_cofactor(oracles.from_columns(subset))
+                    for subset in itertools.combinations(columns, len(columns[0]))]
+        got = list(minors(columns))
+        assert got == expected
+        assert all(type(m) is int for m in got)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gfermat.arrangement import StandardParameter, is_standard_parameter, random_parameter
-from gfermat.errors import BudgetExceeded, Inconclusive
+from gfermat.errors import DEFAULT_BUDGET, BudgetExceeded, Inconclusive
 from gfermat.fermatgroup import automorphism_order
 from gfermat.modaction import (
     KLEIN_ONE_LINE,
     Permutation,
+    _check_scan,
+    _frame_tables,
     act,
     act_sigma1,
     act_sigma2,
@@ -379,6 +382,62 @@ class TestFrameScansAgainstEnumeration:
             stab = _images(stabilizer(par))
             assert klein <= set(stab)
             assert stab == oracles.scans(par)[1]
+
+
+class TestMinorTableFrames:
+    """Every ordered frame's rows read off the minor table against the
+    fraction-free inverse per basis set that the table replaced."""
+
+    @pytest.mark.parametrize("dn", [(d, n) for d in (1, 2, 3) for n in range(d + 1, 7)],
+                             ids=lambda dn: f"d{dn[0]}n{dn[1]}")
+    def test_frames_match_inverse_oracle(self, dn):
+        d, n = dn
+        rng = random.Random(59 + 10 * d + n)
+        for bound in (9, 9, 10**6):  # entries p/q, |p| <= bound, 1 <= q <= bound
+            par = random_parameter(d, n, rng, bound)
+            got = dict(_frame_tables(par, _check_scan(par, DEFAULT_BUDGET)))
+            assert len(got) == math.perm(n + 1, d + 2)
+            assert got == dict(oracles.frame_tables(par))
+
+    def test_negative_entries_and_empty_table(self):
+        for par in (par1(-3, Fraction(-1, 2)), par1(-1), StandardParameter(2, 5, (
+                (Fraction(-2), Fraction(3, 7)), (Fraction(5), Fraction(-4, 3))))):
+            assert dict(_frame_tables(par, _check_scan(par, DEFAULT_BUDGET))) == \
+                dict(oracles.frame_tables(par))
+        for d in (1, 2, 3):
+            par = StandardParameter(d, d + 1, ())
+            frames = dict(_frame_tables(par, _check_scan(par, DEFAULT_BUDGET)))
+            assert frames == dict(oracles.frame_tables(par))
+            assert len(frames) == math.factorial(d + 2)
+            assert all(rows == {} for rows in frames.values())
+
+    def test_scans_invert_no_matrix(self, monkeypatch):
+        """Orbit, stabilizer, iso, canon, aut-order and the kernel run on the
+        minor table alone: every binding of the inverse raises."""
+        rng = random.Random(61)
+        cases = [random_parameter(1, 4, rng), random_parameter(2, 5, rng), HARMONIC]
+
+        def run_scans():
+            out = []
+            for par in cases:
+                other = random_parameter(par.d, par.n, rng)
+                out += [orbit_and_stabilizer(par), stabilizer(par), canonical_representative(par),
+                        are_isomorphic(par, other), are_isomorphic(par, canonical_representative(par)),
+                        automorphism_order(par, 3)]
+            return out + [kernel_of_R(4, 1, rng=random.Random(5)),
+                          kernel_of_R(5, 2, rng=random.Random(5))]
+
+        rng.seed(67)
+        expected = run_scans()
+
+        def refuse(rows):
+            raise AssertionError("a scan inverted a matrix")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gfermat") and hasattr(module, "fraction_free_inverse"):
+                monkeypatch.setattr(module, "fraction_free_inverse", refuse)
+        rng.seed(67)
+        assert run_scans() == expected
 
 
 def par2(*rows):
