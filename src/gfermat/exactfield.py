@@ -25,36 +25,37 @@ __all__ = ["cyclotomic_polynomial", "CyclotomicScalar", "ExactMatrix"]
 # Cyclotomic polynomials and scalars
 # ---------------------------------------------------------------------------
 
-def _poly_divmod_int(num, den):
-    """Exact division of integer polynomials (dense ascending tuples)."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(num) - len(den), -1, -1):
-        coeff, rem = divmod(num[shift + len(den) - 1], den[-1])
-        if rem:
-            raise ValueError("non-exact polynomial division")
-        q[shift] = coeff
-        for i, c in enumerate(den):
-            num[shift + i] -= coeff * c
-    if any(num):
-        raise ValueError("non-exact polynomial division")
-    return tuple(q)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the monic k-th cyclotomic polynomial.
 
-    Computed by exact division of x^k - 1 by the cyclotomic polynomials of
-    the proper divisors of k, so that prod_{e | k} Phi_e = x^k - 1.
+    Phi_k(x) = Phi_r(x^(k/r)) for the radical r of k, and Phi_r is the
+    product of (x^e - 1)^mu(r/e) over the divisors e of r.  Each factor is
+    one pass over a power series kept to degree phi(r), since every factor
+    has a unit constant term (Arnold and Monagan, "Calculating cyclotomic
+    polynomials", Math. Comp. 80, 2011).
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    poly = tuple([-1] + [0] * (k - 1) + [1])  # x^k - 1
-    for e in range(1, k):
-        if k % e == 0:
-            poly = _poly_divmod_int(poly, cyclotomic_polynomial(e))
-    return poly
+    primes, m, p = [], k, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    primes += [m] if m > 1 else []
+    r, deg = math.prod(primes), math.prod(p - 1 for p in primes)
+    c = [1] + [0] * deg
+    for j in range(len(primes) + 1):
+        for divisor in itertools.combinations(primes, j):
+            e = r // math.prod(divisor)
+            # mu = +1: times x^e - 1, descending; mu = -1: over it, ascending
+            for i in range(deg, -1, -1) if j % 2 == 0 else range(deg + 1):
+                c[i] = (c[i - e] if i >= e else 0) - c[i]
+    poly = [0] * (deg * (k // r) + 1)
+    poly[:: k // r] = c
+    return tuple(poly)
 
 
 def _reduce(k: int, poly: list, den: int) -> CyclotomicScalar:

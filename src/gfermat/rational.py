@@ -1,7 +1,9 @@
 """Rationals (``Fraction``, serialized as ``"p/q"`` or ``"p"``) and the
 integer exact core: projective scaling, clearing denominators, the
 fraction-free (Bareiss) inverse of one frame and the signed minor engine.
-"""
+The engine sweeps subsets depth first on an explicit stack: subsets with a
+common prefix share its elimination steps, and r is not bounded by the
+recursion limit."""
 
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ def projective_normalize(vec) -> tuple:
 
 def clear_denominators(vec) -> tuple[tuple[int, ...], int]:
     """``(ints, den)`` with vec == ints / den, den the least common denominator."""
-    vec = [Fraction(x) for x in vec]
+    vec = [x if type(x) is Fraction else Fraction(x) for x in vec]
     den = math.lcm(*(x.denominator for x in vec))
     return tuple(x.numerator * (den // x.denominator) for x in vec), den
 
@@ -77,14 +79,39 @@ def fraction_free_inverse(rows) -> list[list[int]]:
 
 def minors(columns):
     """The signed determinant of every r of the integer vectors ``columns``,
-    each of length r, in ``itertools.combinations`` order: fraction-free
-    Bareiss on ``int`` (entries stay minors, so ``//`` is exact) per subset.
-    A pivot from place k is a sign (-1)^k; a zero pivot column gives 0."""
-    for subset in itertools.combinations(columns, len(columns[0])):
-        vecs, prev, sign = list(subset), 1, 1
-        while vecs and prev:
-            k = 0 if vecs[0][0] else next((i for i, v in enumerate(vecs) if v[0]), 0)
-            p = vecs.pop(k)
-            vecs = [[(p[0] * x - v[0] * y) // prev for x, y in zip(v[1:], p[1:])] for v in vecs]
-            prev, sign = p[0], -sign if k % 2 else sign
-        yield sign * prev
+    each of length r, lazily and in ``itertools.combinations`` order.  A
+    stack level holds the vectors after a prefix, reduced against it by
+    fraction-free Bareiss (entries stay minors, so ``//`` is exact).  The
+    next vector p pivots on its first nonzero coordinate k, a sign (-1)^k,
+    and each later vector is reduced once for every subset extending the
+    prefix.  A zero p has only zero minors below it; a leaf is one 2x2
+    determinant over the previous pivot."""
+    r = len(columns[0])
+    if r == 1:
+        yield from (v[0] for v in columns)
+        return
+    stack = [[columns, 1, 1, 0]]  # reduced rest, previous pivot, sign, next place
+    while stack:
+        rest, prev, sign, i = level = stack[-1]
+        left = r + 1 - len(stack)  # vectors still to choose, this one included
+        if len(rest) - i < left:
+            stack.pop()
+            continue
+        level[3] = i + 1
+        p = rest[i]
+        if left == 2:
+            a, b = p
+            for v in rest[i + 1:]:
+                yield sign * (a * v[1] - b * v[0]) // prev
+            continue
+        k = next((k for k, x in enumerate(p) if x), None)
+        if k is None:
+            yield from itertools.repeat(0, math.comb(len(rest) - i - 1, left - 1))
+            continue
+        pk, later = p[k], []
+        for v in rest[i + 1:]:
+            vk = v[k]
+            w = [(pk * x - vk * y) // prev for x, y in zip(v, p)]
+            del w[k]
+            later.append(w)
+        stack.append([later, pk, -sign if k % 2 else sign, 0])

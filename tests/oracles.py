@@ -2,7 +2,9 @@
 compared against: cofactor determinants, the cofactor adjugate that the
 closed-form dual conic replaced, a Fraction Gauss-Jordan inverse,
 the Fraction normal form that the integer frame kernel replaced, the
-Fraction minor scans that the integer minor engine replaced, the full
+Fraction minor scans that the integer minor engine replaced, the
+per-subset Bareiss minors that the depth-first sweep replaced, Phi_k by
+division of x^k - 1 that the radical formula replaced, the full
 S_{n+1} enumeration that the frame scans replaced, the frame tables as
 they were read off one fraction-free inverse per basis set before the
 minor table replaced it, the subgroup closure
@@ -91,6 +93,33 @@ def _poly_rem(poly, mod):
                 rem[shift + i] -= coeff * mod[i]
     del rem[deg_mod:]
     return rem
+
+
+def _poly_divmod_int(num, den):
+    """Exact division of integer polynomials (dense ascending tuples)."""
+    num = list(num)
+    q = [0] * (len(num) - len(den) + 1)
+    for shift in range(len(num) - len(den), -1, -1):
+        coeff, rem = divmod(num[shift + len(den) - 1], den[-1])
+        if rem:
+            raise ValueError("non-exact polynomial division")
+        q[shift] = coeff
+        for i, c in enumerate(den):
+            num[shift + i] -= coeff * c
+    if any(num):
+        raise ValueError("non-exact polynomial division")
+    return tuple(q)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(k: int) -> tuple[int, ...]:
+    """Phi_k by exact division of x^k - 1 by Phi_e for every proper divisor
+    e of k, so that prod_{e | k} Phi_e = x^k - 1."""
+    poly = tuple([-1] + [0] * (k - 1) + [1])  # x^k - 1
+    for e in range(1, k):
+        if k % e == 0:
+            poly = _poly_divmod_int(poly, cyclotomic_by_division(e))
+    return poly
 
 
 @dataclass(frozen=True)
@@ -296,6 +325,21 @@ def act(eta, par: StandardParameter) -> StandardParameter:
     inv = eta.inverse()
     reordered = tuple(duals[inv(j)] for j in range(par.n + 1))
     return normalize(Arrangement(d, reordered))[1]
+
+
+def minors_per_subset(columns):
+    """The signed determinant of every r of the integer vectors ``columns``
+    in ``itertools.combinations`` order, one fraction-free Bareiss
+    elimination per subset.  A pivot from place k is a sign (-1)^k; a zero
+    pivot column gives 0."""
+    for subset in itertools.combinations(columns, len(columns[0])):
+        vecs, prev, sign = list(subset), 1, 1
+        while vecs and prev:
+            k = 0 if vecs[0][0] else next((i for i, v in enumerate(vecs) if v[0]), 0)
+            p = vecs.pop(k)
+            vecs = [[(p[0] * x - v[0] * y) // prev for x, y in zip(v[1:], p[1:])] for v in vecs]
+            prev, sign = p[0], -sign if k % 2 else sign
+        yield sign * prev
 
 
 def all_maximal_minors_nonzero(matrix: ExactMatrix, s: int) -> bool:

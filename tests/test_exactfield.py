@@ -1,9 +1,12 @@
 """Tests for exact scalars, cyclotomic arithmetic, exact linear algebra and
 the integer exact core."""
 
+import inspect
 import itertools
 import json
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -56,6 +59,17 @@ class TestCyclotomicPolynomial:
         # outside {-1, 0, 1}
         assert -2 in cyclotomic_polynomial(105)
         assert len(cyclotomic_polynomial(100)) == 41
+
+    def test_matches_division_by_proper_divisors(self):
+        for k in range(1, 400):
+            assert cyclotomic_polynomial(k) == oracles.cyclotomic_by_division(k), k
+
+    def test_order_with_repeated_primes_is_radical_substituted(self):
+        # Phi_4000(x) = Phi_10(x^400), of degree phi(4000) = 1600
+        phi = cyclotomic_polynomial(4000)
+        assert len(phi) == 1601
+        assert phi[::400] == cyclotomic_polynomial(10) == (1, -1, 1, -1, 1)
+        assert not any(c for i, c in enumerate(phi) if i % 400)
 
 
 class TestCyclotomicScalar:
@@ -421,6 +435,32 @@ integer_columns = st.integers(1, 4).flatmap(
 )
 
 
+@st.composite
+def sweep_columns(draw):
+    """1 to r + 8 integer vectors of one length r in 1..6: fresh ones (with
+    leading zeros sometimes), zero ones, scaled copies and sums of earlier
+    ones, so that pivot swaps and zero subtrees occur deep in the sweep."""
+    r = draw(st.integers(1, 6))
+    entries = st.one_of(st.integers(-2, 2), st.integers(-BIG, BIG))
+    scales = st.sampled_from((1, -1, 2, -3))
+    columns = []
+    for _ in range(draw(st.integers(1, r + 8))):
+        kind = draw(st.sampled_from(("fresh", "leading zeros", "zero", "copy", "sum")))
+        if kind == "zero":
+            vec = [0] * r
+        elif kind in ("copy", "sum") and columns:
+            a, b = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+            s, t = draw(scales), draw(scales) if kind == "sum" else 0
+            vec = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            vec = draw(st.lists(entries, min_size=r, max_size=r))
+            if kind == "leading zeros":
+                zeros = draw(st.integers(1, r))
+                vec = [0] * zeros + vec[zeros:]
+        columns.append(vec)
+    return columns
+
+
 class TestIndependenceEngine:
     """``minors``: the signed determinant of every r-subset, in
     ``itertools.combinations`` order; all nonzero iff every r are independent."""
@@ -445,3 +485,30 @@ class TestIndependenceEngine:
         got = list(minors(columns))
         assert got == expected
         assert all(type(m) is int for m in got)
+
+    @settings(max_examples=300)
+    @given(sweep_columns())
+    @example([[1, 2], [2, 4], [0, 0], [0, 3]])
+    @example([[0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 0, 0], [0, 0, 0]])
+    def test_sweep_matches_per_subset_bareiss(self, columns):
+        """The whole sequence, zeros included, equals one elimination per subset."""
+        assert list(minors(columns)) == list(oracles.minors_per_subset(columns))
+
+    def test_sweep_is_lazy(self):
+        rng = random.Random(4)
+        columns = [tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(40)]
+        columns[1] = columns[0]
+        assert next(minors(columns)) == 0
+        sweep = minors(columns)
+        assert not all(sweep)
+        assert sum(1 for _ in sweep) == math.comb(40, 4) - 1  # all() took one
+
+    def test_depth_is_not_bounded_by_recursion_limit(self):
+        r = 200
+        columns = [tuple(int(i == j) for i in range(r)) for j in range(r)] + [(1,) * r]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            assert next(minors(columns)) == 1
+        finally:
+            sys.setrecursionlimit(limit)
