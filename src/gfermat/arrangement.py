@@ -208,16 +208,18 @@ def normalize(arr: Arrangement, *, check: bool = True):
     [l_{i,1} : ... : l_{i,d} : 1].  T is unique up to a global scalar.
 
     Computed on integers (module docstring); the anchor's common denominator
-    is multiplied back into T.  With ``check=False`` a singular frame raises
-    ValueError and a zero in M a or in a table denominator ZeroDivisionError.
+    is multiplied back into T.  The check sweeps the minors of the same
+    cleared points (``Arrangement`` has already checked their lengths, their
+    count and that none is zero).  With ``check=False`` a singular frame
+    raises ValueError and a zero in M a or in a table denominator
+    ZeroDivisionError.
     """
     from .exactfield import ExactMatrix
 
     d = arr.d
-    duals = arr.duals
-    if check and not is_general_position(duals, d):
+    points, dens = zip(*(clear_denominators(q) for q in arr.duals))
+    if check and not all(minors(points)):
         raise NotInGeneralPosition("arrangement is not in general position")
-    points, dens = zip(*(clear_denominators(q) for q in duals))
     m, anchor, rows = _frame_normal_form(points, d)
     transform = ExactMatrix.from_rows(
         [[Fraction(x * dens[d + 1], a) for x in row] for row, a in zip(m, anchor)])

@@ -9,7 +9,21 @@ unity), subject to the single relation phi_1 ... phi_{n+1} = 1.
 
 Group elements are exponent vectors modulo that diagonal relation and are
 stored canonically with last exponent 0; all level-set computations are
-taken on the canonical form, over every level 0 <= l <= k-1.
+taken on the canonical form, over every level 0 <= l <= k-1.  A level set
+with a fixed component has at least n+1-d coordinates, so it misses at most
+d of them and, by pigeonhole, holds one of the first d+1: only their levels
+are counted.
+
+The subgroup scan packs each canonical exponent vector into one integer:
+coordinate j is digit n-j, w bits wide with M = 2^(w-1) >= 2k-1, so
+coordinate 0 is the most significant digit and integer order is
+lexicographic order.  With ONES holding 1 in every digit and HIGH = M ONES,
+a product h + g is reduced digitwise as s - (((s + (M-k) ONES) & HIGH)
+>> (w-1)) k: each digit sum is at most 2k-2 < M, adding M-k lifts it to the
+high bit exactly when it is >= k and stays below 2M, so neither the sum nor
+the correction carries into the next digit.  XOR with l ONES leaves every
+digit below M and zero exactly where it was l, and adding (M-1) ONES then
+sets the high bit of exactly the nonzero digits, again without a carry.
 """
 
 from __future__ import annotations
@@ -122,13 +136,6 @@ class GroupElement:
 
     def is_identity(self) -> bool:
         return not any(self.exponents)
-
-    def level_sets(self) -> dict[int, tuple[int, ...]]:
-        """1-based coordinate indices grouped by canonical exponent value."""
-        out: dict[int, list[int]] = {}
-        for j, m in enumerate(self.exponents, start=1):
-            out.setdefault(m, []).append(j)
-        return {l: tuple(idx) for l, idx in sorted(out.items())}
 
     def to_json(self):
         return {"k": self.k, "exponents": list(self.exponents)}
@@ -282,37 +289,45 @@ def fixed_locus(element: GroupElement, gfm_type: GfmType) -> FixedLocusReport:
     """Components of the fixed locus of a deck-group element.
 
     A level set L_l of the canonical exponent vector contributes a component
-    exactly when #L_l >= n+1-d; its dimension is #L_l + d - n - 1.  All
-    levels are scanned (the level carrying exponent 0 fixes its coordinates
+    exactly when #L_l >= n+1-d; its dimension is #L_l + d - n - 1.  Every
+    level may qualify (the level carrying exponent 0 fixes its coordinates
     pointwise just like any other), which is well defined because the
-    canonical form pins the representative.
+    canonical form pins the representative.  Components come in increasing
+    level order.
     """
     d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
-    if element.k != k or element.n != n:
+    exponents = element.exponents
+    if element.k != k or len(exponents) != n + 1:
         raise ValueError("element does not match the type")
     components = []
-    for level, indices in element.level_sets().items():
-        size = len(indices)
-        if size >= n + 1 - d:
-            dimension = size + d - n - 1
-            subtype_n = size - 1
-            count = k ** subtype_n if dimension == 0 else None
-            components.append(
-                FixedComponent(level, indices, dimension, dimension, subtype_n, count)
-            )
+    for level, size in _fixed_levels(exponents, d, n):
+        indices = tuple([j for j, m in enumerate(exponents, start=1) if m == level])
+        dimension = size + d - n - 1
+        count = k ** (size - 1) if dimension == 0 else None
+        components.append(
+            FixedComponent(level, indices, dimension, dimension, size - 1, count)
+        )
     return FixedLocusReport(element, gfm_type, tuple(components))
 
 
-def _has_fixed_point(exponents: tuple[int, ...], gfm_type: GfmType) -> bool:
-    """Some level set of the canonical exponents reaches size n+1-d."""
-    return max(map(exponents.count, set(exponents))) >= gfm_type.n + 1 - gfm_type.d
+def _fixed_levels(exponents: tuple[int, ...], d: int, n: int) -> list[tuple[int, int]]:
+    """(level, size) of every level set of at least n+1-d coordinates, in
+    increasing level order.  Such a set misses at most d coordinates, so by
+    pigeonhole it meets the first d+1: only their levels are counted."""
+    need = n + 1 - d
+    levels = []
+    for level in sorted(set(exponents[: d + 1])):
+        size = exponents.count(level)
+        if size >= need:
+            levels.append((level, size))
+    return levels
 
 
 def acts_freely(element: GroupElement, gfm_type: GfmType) -> bool:
     """True iff no level set reaches size n+1-d (no fixed points at all)."""
     if element.k != gfm_type.k or element.n != gfm_type.n:
         raise ValueError("element does not match the type")
-    return not _has_fixed_point(element.exponents, gfm_type)
+    return not _fixed_levels(element.exponents, gfm_type.d, gfm_type.n)
 
 
 @dataclass(frozen=True)
@@ -322,21 +337,34 @@ class FreeActionResult:
     subgroup_order: int
 
 
-def _subgroup_closure(generators, k: int, n: int, budget: int) -> list:
-    """The generated subgroup as canonical exponent tuples (last exponent 0,
-    so a product is the elementwise sum mod k), identity first, each formed
-    once: a generator g outside the group H built so far appends the cosets
-    H+g, H+2g, ... until a multiple of g falls back into H.  A coset that
-    would take the order past the budget is refused before it is built."""
-    elements = [(0,) * (n + 1)]
-    members = set(elements)
+def _packing(k: int, n: int) -> tuple[int, int]:
+    """(w, ONES) of the packed exponent vectors (module docstring)."""
+    w = (2 * k - 2).bit_length() + 1
+    return w, ((1 << w * (n + 1)) - 1) // ((1 << w) - 1)
+
+
+def _subgroup_closure(generators, k: int, n: int, budget: int) -> list[int]:
+    """The generated subgroup as packed canonical exponent vectors (module
+    docstring; the last exponent is 0, so a product is the digitwise sum
+    mod k), identity first, each formed once: a generator g outside the
+    group H built so far appends the cosets H+g, H+2g, ... until a multiple
+    of g falls back into H.  A coset that would take the order past the
+    budget is refused before it is built."""
+    w, ones = _packing(k, n)
+    high, shift = ones << (w - 1), w - 1
+    off = high - k * ones
+    elements = [0]
+    members = {0}
     for g in generators:
-        g = g.exponents
+        packed = 0
+        for m in g.exponents:
+            packed = packed << w | m
         coset = elements[:]
-        while (first := tuple([(a + b) % k for a, b in zip(coset[0], g)])) not in members:
+        while (first := (s := coset[0] + packed) - ((s + off & high) >> shift) * k) not in members:
             if len(elements) + len(coset) > budget:
                 raise BudgetExceeded(budget + 1, budget)
-            coset = [first] + [tuple([(a + b) % k for a, b in zip(h, g)]) for h in coset[1:]]
+            coset = [first] + [(s := h + packed) - ((s + off & high) >> shift) * k
+                               for h in coset[1:]]
             elements += coset
             members.update(coset)
     return elements
@@ -351,15 +379,29 @@ def subgroup_acts_freely(
     ``BudgetExceeded`` when its order passes the budget.
 
     Returns the least (in exponent order) non-free nontrivial element when
-    the action is not free.
+    the action is not free.  An element has a fixed point when, for the
+    level l of one of its first d+1 coordinates, at most d digits of
+    element XOR l ONES are nonzero (module docstring).
     """
-    k, n = gfm_type.k, gfm_type.n
+    d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
     for g in generators:
         if g.k != k or g.n != n:
             raise ValueError("generator does not match the type")
     elements = _subgroup_closure(generators, k, n, budget)
-    offenders = [e for e in elements[1:] if _has_fixed_point(e, gfm_type)]
-    offending = GroupElement(k, min(offenders)) if offenders else None
+    w, ones = _packing(k, n)
+    high, digit = ones << (w - 1), (1 << w) - 1
+    low = high - ones
+    shifts = [w * (n - j) for j in range(d + 1)]
+    offenders = []
+    for x in elements[1:]:
+        for s in shifts:
+            if ((x ^ (x >> s & digit) * ones) + low & high).bit_count() <= d:
+                offenders.append(x)
+                break
+    offending = None
+    if offenders:
+        least = min(offenders)
+        offending = GroupElement(k, tuple(least >> w * (n - j) & digit for j in range(n + 1)))
     return FreeActionResult(offending is None, offending, len(elements))
 
 

@@ -39,11 +39,12 @@ from gfermat.arrangement import (
 from gfermat.errors import BudgetExceeded, Inconclusive
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix, _zero_like, cyclotomic_polynomial
 from gfermat.fermatgroup import (
+    FixedComponent,
+    FixedLocusReport,
     FreeActionResult,
     GroupElement,
     _monomial_support,
     equations,
-    fixed_locus,
 )
 from gfermat.rational import fraction_free_inverse, rational_to_string
 
@@ -448,13 +449,53 @@ def subgroup_closure(generators, k: int, n: int, budget: int):
     return elements
 
 
+def coset_closure(generators, k: int, n: int, budget: int) -> list:
+    """The coset enumeration on canonical exponent tuples, in the library's
+    order: identity first, then for each generator g outside the group H
+    built so far the cosets H+g, H+2g, ... until a multiple of g falls back
+    into H; a coset that would pass the budget is refused before it is built."""
+    elements = [(0,) * (n + 1)]
+    members = set(elements)
+    for g in generators:
+        g = g.exponents
+        coset = elements[:]
+        while (first := tuple([(a + b) % k for a, b in zip(coset[0], g)])) not in members:
+            if len(elements) + len(coset) > budget:
+                raise BudgetExceeded(budget + 1, budget)
+            coset = [first] + [tuple([(a + b) % k for a, b in zip(h, g)]) for h in coset[1:]]
+            elements += coset
+            members.update(coset)
+    return elements
+
+
+def fixed_locus_by_level_sets(element: GroupElement, gfm_type) -> FixedLocusReport:
+    """Every level set of the canonical exponents, grouped in one dict and
+    scanned in level order; a set of at least n+1-d coordinates is a
+    component."""
+    d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
+    if element.k != k or element.n != n:
+        raise ValueError("element does not match the type")
+    level_sets: dict[int, list[int]] = {}
+    for j, m in enumerate(element.exponents, start=1):
+        level_sets.setdefault(m, []).append(j)
+    components = []
+    for level, indices in sorted(level_sets.items()):
+        size = len(indices)
+        if size >= n + 1 - d:
+            dimension = size + d - n - 1
+            count = k ** (size - 1) if dimension == 0 else None
+            components.append(
+                FixedComponent(level, tuple(indices), dimension, dimension, size - 1, count))
+    return FixedLocusReport(element, gfm_type, tuple(components))
+
+
 def subgroup_acts_freely(generators, gfm_type, budget: int) -> FreeActionResult:
     """Breadth-first closure over validated group elements, sorted by
-    exponents; the first nontrivial element with a nonempty fixed locus
-    is the offending one."""
+    exponents; the first nontrivial element with a nonempty level-set fixed
+    locus is the offending one."""
     elements = subgroup_closure(generators, gfm_type.k, gfm_type.n, budget)
     for element in sorted(elements, key=lambda g: g.exponents):
-        if not element.is_identity() and fixed_locus(element, gfm_type).components:
+        if not element.is_identity() and fixed_locus_by_level_sets(element, gfm_type).components:
             return FreeActionResult(False, element, len(elements))
     return FreeActionResult(True, None, len(elements))
 

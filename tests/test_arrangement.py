@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gfermat import arrangement as arrangement_module
 from gfermat.arrangement import (
     Arrangement,
     Hyperplane,
@@ -20,7 +21,7 @@ from gfermat.arrangement import (
 )
 from gfermat.errors import NotInGeneralPosition
 from gfermat.exactfield import ExactMatrix
-from gfermat.rational import projective_normalize
+from gfermat.rational import clear_denominators, projective_normalize
 from tests import oracles
 from tests.conftest import nonzero_rationals, rand_fraction, rand_invertible, rationals, tables
 
@@ -107,6 +108,22 @@ class TestGeneralPosition:
 
 
 class TestNormalize:
+    def test_clears_each_point_once(self, monkeypatch):
+        """The general-position check and the frame share one clearing of
+        the dual points: 10 calls for the 10 points of a d = 2, n = 9
+        arrangement."""
+        calls = []
+
+        def counted(vec):
+            calls.append(vec)
+            return clear_denominators(vec)
+
+        par = random_parameter(2, 9, random.Random(3))
+        arr = arrangement_of(par)
+        monkeypatch.setattr(arrangement_module, "clear_denominators", counted)
+        assert normalize(arr)[1] == par
+        assert len(calls) == 10
+
     def test_identity_on_canonical_arrangement(self):
         par = StandardParameter(2, 4, ((Fraction(2), Fraction(3)),))
         transform, again = normalize(arrangement_of(par))

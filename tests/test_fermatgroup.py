@@ -14,6 +14,7 @@ from gfermat.errors import BudgetExceeded
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix
 from gfermat.fermatgroup import (
     EquationSystem,
+    FreeActionResult,
     GfmType,
     GroupElement,
     acts_freely,
@@ -197,6 +198,23 @@ class TestFixedLocus:
             assert {(c.indices, c.dimension) for c in direct.components} == \
                    {(c.indices, c.dimension) for c in inv.components}
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_level_set_oracle(self, data):
+        """Level counts over the first d+1 coordinates give the report of
+        the full level-set scan, for k up to 10^30 and n up to 12; the
+        exponents are raw values drawn from at most four levels, so level
+        sets of every size occur."""
+        k = data.draw(st.one_of(st.integers(2, 9), st.integers(2, 10**30)))
+        n = data.draw(st.integers(2, 12))
+        d = data.draw(st.integers(1, n - 1))
+        levels = data.draw(st.lists(st.integers(-k, 2 * k), min_size=1, max_size=4))
+        exps = data.draw(st.lists(st.sampled_from(levels), min_size=n + 1, max_size=n + 1))
+        g, t = GroupElement(k, tuple(exps)), GfmType(d, k, n)
+        expected = oracles.fixed_locus_by_level_sets(g, t)
+        assert fixed_locus(g, t) == expected
+        assert acts_freely(g, t) == (not expected.components)
+
     def test_dimension_bookkeeping(self):
         rng = random.Random(10)
         t = GfmType(3, 3, 7)
@@ -277,19 +295,46 @@ class TestBruteForcePointCounts:
         assert found == comp.point_count == 3
 
 
+# k at the digit-width edges of the packing: 2k - 2 a power of two, and
+# k a power of two (the least room above the digit sums).
+EDGE_K = (2, 3, 4, 5, 8, 9, 16, 17, 32, 33)
+# Degrees far past one machine word, with the divisors q taken for
+# generators (k/q) v of order q.
+BIG_K = {2**64 + 1: (274177,), 10**30: (2, 4, 5, 8, 10, 16, 25)}
+
+
 @st.composite
 def subgroup_cases(draw):
-    """(k, n, d, generator vectors) with k 2..5, n 2..5, d 1..n-1: raw
-    vectors in -k..2k (not canonical), the zero vector, repeats, or none."""
-    k, n = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    """(k, n, d, generator vectors) with n 2..5, d 1..n-1: raw vectors in
+    -k..2k (not canonical), the zero vector, repeats, or none, for k at the
+    digit-width edges; for a huge k, vectors (k/q) v with q | k, shifted
+    along the diagonal (the same element)."""
+    n = draw(st.integers(2, 5))
     d = draw(st.integers(1, n - 1))
-    vector = st.lists(st.integers(-k, 2 * k), min_size=n + 1, max_size=n + 1)
+    if draw(st.integers(0, 3)):
+        k = draw(st.sampled_from(EDGE_K))
+        vector = st.lists(st.integers(-k, 2 * k), min_size=n + 1, max_size=n + 1)
+    else:
+        k = draw(st.sampled_from(sorted(BIG_K)))
+        vector = st.builds(
+            lambda q, v, shift: [k // q * m + shift for m in v],
+            st.sampled_from(BIG_K[k]),
+            st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1),
+            st.integers(-k, 2 * k),
+        )
     gens = draw(st.lists(vector, max_size=4))
     if draw(st.booleans()):
         gens.append([0] * (n + 1))
     if gens:
         gens = draw(st.permutations(gens + draw(st.lists(st.sampled_from(gens), max_size=2))))
     return k, n, d, gens
+
+
+def unpack(x, k, n):
+    """The exponent tuple of a packed element: coordinate j is digit n-j of
+    w bits, with 2^(w-1) the least power of two >= 2k-1."""
+    w = (2 * k - 2).bit_length() + 1
+    return tuple((x >> w * (n - j)) % 2**w for j in range(n + 1))
 
 
 class TestFreeActions:
@@ -355,8 +400,27 @@ class TestFreeActions:
 
         closure = outcome(_subgroup_closure)
         if not isinstance(closure, str):
-            closure = {GroupElement(k, e) for e in closure}
+            closure = {GroupElement(k, unpack(x, k, n)) for x in closure}
         assert closure == outcome(oracles.subgroup_closure)
+
+    @settings(max_examples=40, deadline=None)
+    @given(subgroup_cases())
+    def test_packed_closure_is_the_coset_closure(self, case):
+        """Decoded, the packed closure is the tuple coset closure element by
+        element and in order, and every budget 1..300 gives both the same
+        refusal text or the same subgroup."""
+        k, n, _, gens = case
+        gens = [GroupElement(k, tuple(g)) for g in gens]
+        for budget in range(1, 301):
+            try:
+                expected = oracles.coset_closure(gens, k, n, budget)
+            except BudgetExceeded as exc:
+                with pytest.raises(BudgetExceeded) as ours:
+                    _subgroup_closure(gens, k, n, budget)
+                assert str(ours.value) == str(exc)
+                continue
+            closure = _subgroup_closure(gens, k, n, budget)
+            assert [unpack(x, k, n) for x in closure] == expected
 
     @settings(max_examples=200, deadline=None)
     @given(subgroup_cases(), st.integers(1, 300))
@@ -379,8 +443,18 @@ class TestFreeActions:
         assert outcome(subgroup_acts_freely) == expected
         if not isinstance(expected, str):
             closure = _subgroup_closure(gens, k, n, budget)
-            assert closure[0] == (0,) * (n + 1)
+            assert unpack(closure[0], k, n) == (0,) * (n + 1)
             assert len(set(closure)) == len(closure) == expected[2]
+
+    def test_order_q_subgroup_past_two_words(self):
+        """k = 2^64 + 1 = 274177 * 67280421310721 (2k - 2 is a power of two):
+        (k/q)(1, 1, 0) generates q = 274177 elements, each a fixed point of
+        the first two coordinates, so the generator is the least offender."""
+        k, q = 2**64 + 1, 274177
+        gens = [GroupElement(k, (k // q, k // q, 0))]
+        closure = _subgroup_closure(gens, k, 2, q)
+        assert [unpack(x, k, 2) for x in closure] == oracles.coset_closure(gens, k, 2, q)
+        assert subgroup_acts_freely(gens, GfmType(1, k, 2), q) == FreeActionResult(False, gens[0], q)
 
     def test_refusal_text_at_small_budget(self):
         """The 24 unit vectors generate 2^24 elements: a budget of 1000 is
@@ -399,6 +473,7 @@ class TestFreeActions:
                     for exps in itertools.product(range(k), repeat=n):
                         g = GroupElement(k, exps + (0,))
                         assert acts_freely(g, t) == (not fixed_locus(g, t).components)
+                        assert fixed_locus(g, t) == oracles.fixed_locus_by_level_sets(g, t)
 
     def test_bound_feasible(self):
         assert not bound_feasible(3, 1, 4)      # r = 1 never feasible
