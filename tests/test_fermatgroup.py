@@ -448,8 +448,9 @@ class TestFreeActions:
 
     def test_order_q_subgroup_past_two_words(self):
         """k = 2^64 + 1 = 274177 * 67280421310721 (2k - 2 is a power of two):
-        (k/q)(1, 1, 0) generates q = 274177 elements, each a fixed point of
-        the first two coordinates, so the generator is the least offender."""
+        (k/q)(1, 1, 0) generates q = 274177 elements whose first two
+        exponents agree, a level set of n+1-d = 2 coordinates, so every
+        nontrivial element has a fixed point and the generator is the least."""
         k, q = 2**64 + 1, 274177
         gens = [GroupElement(k, (k // q, k // q, 0))]
         closure = _subgroup_closure(gens, k, 2, q)
