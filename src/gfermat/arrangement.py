@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInGeneralPosition
+from .errors import NotInGeneralPosition, ValidationError
 from .rational import (
     clear_denominators,
     fraction_free_inverse,
@@ -107,11 +107,20 @@ class Arrangement:
 
     @classmethod
     def from_json(cls, data) -> Arrangement:
-        d = int(data["d"])
-        points = [
-            tuple(rational_from_string(c) for c in q) for q in data["points"]
-        ]
-        return cls(d, tuple(Hyperplane(q) for q in points))
+        """The arrangement payload (docs/SCHEMAS.md); a malformed one, or
+        points that do not make an arrangement, is a ``ValidationError``."""
+        if not isinstance(data, dict) or "d" not in data or "points" not in data:
+            raise ValidationError("arrangement payload needs 'd' and 'points'")
+        if not isinstance(data["points"], list):
+            raise ValidationError("'points' must be a list of dual points")
+        d = _json_int(data, "d")
+        try:
+            points = [tuple(rational_from_string(c) for c in q) for q in data["points"]]
+            return cls(d, tuple(Hyperplane(q) for q in points))
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:  # TypeError: a point that is a number
+            raise ValidationError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -165,14 +174,23 @@ class StandardParameter:
 
     @classmethod
     def from_json(cls, data) -> StandardParameter:
-        return cls(
-            int(data["d"]),
-            int(data["n"]),
-            tuple(
-                tuple(rational_from_string(x) for x in row)
-                for row in data["lambda"]
-            ),
-        )
+        """The parameter payload (docs/SCHEMAS.md); a malformed one, or a
+        table of the wrong shape, is a ``ValidationError``."""
+        if not isinstance(data, dict):
+            raise ValidationError("parameter payload must be an object")
+        for key in ("d", "n", "lambda"):
+            if key not in data:
+                raise ValidationError(f"parameter payload is missing {key!r}")
+        rows = data["lambda"]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValidationError("'lambda' must be a list of rows")
+        d, n = _json_int(data, "d"), _json_int(data, "n")
+        try:
+            return cls(d, n, tuple(tuple(rational_from_string(x) for x in row) for row in rows))
+        except ValidationError:
+            raise
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
 
     @classmethod
     def from_columns(cls, d, n, columns) -> StandardParameter:
@@ -180,6 +198,15 @@ class StandardParameter:
         if len(columns) != d:
             raise ValueError("need d columns")
         return cls(d, n, tuple(zip(*columns)) if columns[0] else ())
+
+
+def _json_int(data, key: str) -> int:
+    """``data[key]``, a JSON integer; a float or bool is refused rather than
+    truncated."""
+    value = data[key]
+    if type(value) is not int:
+        raise ValidationError(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
 
 
 def is_general_position(points, d: int) -> bool:

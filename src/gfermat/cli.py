@@ -18,13 +18,12 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded, NotInGeneralPosition, TangencyError
+from .errors import (DEFAULT_BUDGET, BudgetExceeded, NotInGeneralPosition, TangencyError,
+                     ValidationError)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
-    from .arrangement import Arrangement, StandardParameter
     from .exactfield import ExactMatrix
     from .fermatgroup import GfmType, GroupElement
 
@@ -34,10 +33,6 @@ EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
 DEFAULT_BUDGET_ENV = "GFERMAT_BUDGET"
-
-
-class ValidationError(ValueError):
-    """Malformed payload (bad JSON, bad schema, unparseable scalar)."""
 
 
 def _read_payload_text(arg: str) -> str:
@@ -66,73 +61,6 @@ def _load_json(arg: str):
         raise ValidationError(f"malformed JSON payload: {exc}") from exc
 
 
-def _parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ValidationError("booleans are not rationals")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        # Fraction builds 10^|exponent| before any digit limit applies
-        exp = re.search(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", value, re.IGNORECASE)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and exp and (len(exp[1]) > limit or int(exp[1]) > limit):
-            raise ValidationError(f"malformed rational {value!r}: exponent over the limit {limit}")
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"malformed rational {value!r}: {exc}") from exc
-    raise ValidationError(f"expected a rational string, got {value!r}")
-
-
-def _parse_dimension(data, key: str) -> int:
-    """A JSON integer; a float or bool is refused rather than truncated."""
-    value = data[key]
-    if type(value) is not int:
-        raise ValidationError(f"{key!r} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _parse_parameter(data) -> StandardParameter:
-    from .arrangement import StandardParameter
-
-    if not isinstance(data, dict):
-        raise ValidationError("parameter payload must be an object")
-    for key in ("d", "n", "lambda"):
-        if key not in data:
-            raise ValidationError(f"parameter payload is missing {key!r}")
-    rows = data["lambda"]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise ValidationError("'lambda' must be a list of rows")
-    d, n = _parse_dimension(data, "d"), _parse_dimension(data, "n")
-    try:
-        return StandardParameter(
-            d, n, tuple(tuple(_parse_rational(x) for x in row) for row in rows)
-        )
-    except ValueError as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(str(exc)) from exc
-
-
-def _parse_arrangement(data) -> Arrangement:
-    from .arrangement import Arrangement, Hyperplane
-
-    if not isinstance(data, dict) or "d" not in data or "points" not in data:
-        raise ValidationError("arrangement payload needs 'd' and 'points'")
-    if not isinstance(data["points"], list):
-        raise ValidationError("'points' must be a list of dual points")
-    d = _parse_dimension(data, "d")
-    try:
-        points = [
-            tuple(_parse_rational(c) for c in q) for q in data["points"]
-        ]
-        return Arrangement(d, tuple(Hyperplane(q) for q in points))
-    except (TypeError, ValueError) as exc:  # TypeError: a point that is a number
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(str(exc)) from exc
-
-
 def _parse_exponents(data, k: int) -> GroupElement:
     from .fermatgroup import GroupElement
 
@@ -150,6 +78,7 @@ def _parse_matrix(data, k: int, size: int, budget: int) -> ExactMatrix:
     is charged to the budget for the lcm L of those orders (the field the
     verifier may lift to), before any cyclotomic field is built."""
     from .exactfield import CyclotomicScalar, ExactMatrix
+    from .rational import rational_from_string
 
     if not isinstance(data, dict) or "entries" not in data:
         raise ValidationError("matrix payload needs 'entries'")
@@ -177,8 +106,8 @@ def _parse_matrix(data, k: int, size: int, budget: int) -> ExactMatrix:
     def entry(cell):
         if isinstance(cell, dict):
             return CyclotomicScalar.from_poly(
-                cell.get("k", k), [_parse_rational(c) for c in cell["coeffs"]])
-        return _parse_rational(cell)
+                cell.get("k", k), [rational_from_string(c) for c in cell["coeffs"]])
+        return rational_from_string(cell)
 
     try:
         return ExactMatrix.from_rows(
@@ -209,17 +138,18 @@ def _permutations_json(perms):
 # ---------------------------------------------------------------------------
 
 def _cmd_normalize(args, budget):
-    from .arrangement import normalize
+    from .arrangement import Arrangement, normalize
 
-    arrangement = _parse_arrangement(_load_json(args.arrangement))
+    arrangement = Arrangement.from_json(_load_json(args.arrangement))
     transform, par = normalize(arrangement)
     return {"T": transform.to_json(), "parameter": par.to_json()}
 
 
 def _cmd_orbit(args, budget):
+    from .arrangement import StandardParameter
     from .modaction import orbit_and_stabilizer
 
-    par = _parse_parameter(_load_json(args.parameter))
+    par = StandardParameter.from_json(_load_json(args.parameter))
     report = orbit_and_stabilizer(par, budget=budget)
     return {
         "base": par.to_json(),
@@ -232,9 +162,10 @@ def _cmd_orbit(args, budget):
 
 
 def _cmd_stabilizer(args, budget):
+    from .arrangement import StandardParameter
     from .modaction import kernel_note, stabilizer
 
-    par = _parse_parameter(_load_json(args.parameter))
+    par = StandardParameter.from_json(_load_json(args.parameter))
     elements = stabilizer(par, budget=budget)
     return {
         "stabilizer": _permutations_json(elements),
@@ -244,10 +175,11 @@ def _cmd_stabilizer(args, budget):
 
 
 def _cmd_iso(args, budget):
+    from .arrangement import StandardParameter
     from .modaction import are_isomorphic
 
-    first = _parse_parameter(_load_json(args.first))
-    second = _parse_parameter(_load_json(args.second))
+    first = StandardParameter.from_json(_load_json(args.first))
+    second = StandardParameter.from_json(_load_json(args.second))
     k = _parse_degree(args.degree) if args.degree is not None else None
     result = are_isomorphic(first, second, k=k, budget=budget)
     return {
@@ -258,16 +190,18 @@ def _cmd_iso(args, budget):
 
 
 def _cmd_canon(args, budget):
+    from .arrangement import StandardParameter
     from .modaction import canonical_representative
 
-    par = _parse_parameter(_load_json(args.parameter))
+    par = StandardParameter.from_json(_load_json(args.parameter))
     return {"parameter": canonical_representative(par, budget=budget).to_json()}
 
 
 def _cmd_equations(args, budget):
+    from .arrangement import StandardParameter
     from .fermatgroup import equations, smoothness_certificate
 
-    par = _parse_parameter(_load_json(args.parameter))
+    par = StandardParameter.from_json(_load_json(args.parameter))
     k = _parse_degree(args.k)
     system = equations(par, k)
     report = system.to_json()
@@ -319,17 +253,19 @@ def _cmd_free(args, budget):
 
 
 def _cmd_aut_order(args, budget):
+    from .arrangement import StandardParameter
     from .fermatgroup import automorphism_order
 
-    par = _parse_parameter(_load_json(args.parameter))
+    par = StandardParameter.from_json(_load_json(args.parameter))
     k = _parse_degree(args.k)
     return automorphism_order(par, k, budget=budget).to_json()
 
 
 def _cmd_verify_matrix(args, budget):
+    from .arrangement import StandardParameter
     from .fermatgroup import is_linear_automorphism
 
-    par = _parse_parameter(_load_json(args.parameter))
+    par = StandardParameter.from_json(_load_json(args.parameter))
     k = _parse_degree(args.k)
     matrix = _parse_matrix(_load_json(args.matrix), k, par.n + 1, budget)
     return {"accepted": is_linear_automorphism(matrix, par, k)}
@@ -352,9 +288,9 @@ def _cmd_invariants(args, budget):
 
 def _cmd_kummer(args, budget):
     from .constructions import kummer_parameters
-    from .rational import rational_to_string
+    from .rational import rational_from_string, rational_to_string
 
-    values = [_parse_rational(v) for v in args.alpha]
+    values = [rational_from_string(v) for v in args.alpha]
     par = kummer_parameters(values)
     return {
         "parameter": par.to_json(),
@@ -363,21 +299,24 @@ def _cmd_kummer(args, budget):
 
 
 def _cmd_restrict_line(args, budget):
+    from .arrangement import StandardParameter
     from .constructions import restrict_to_line
+    from .rational import rational_from_string
 
-    par = _parse_parameter(_load_json(args.parameter))
+    par = StandardParameter.from_json(_load_json(args.parameter))
     rho_data = _load_json(args.rho)
     if not isinstance(rho_data, list) or len(rho_data) != 3:
         raise ValidationError("rho must be a list of three rationals")
-    rho = tuple(_parse_rational(c) for c in rho_data)
+    rho = tuple(rational_from_string(c) for c in rho_data)
     result = restrict_to_line(par, rho, allow_singular=args.allow_singular)
     return result.to_json()
 
 
 def _cmd_conic(args, budget):
     from .constructions import tangent_conic
+    from .rational import rational_from_string
 
-    conic = tangent_conic(_parse_rational(args.a))
+    conic = tangent_conic(rational_from_string(args.a))
     report = conic.to_json()
     report["matrix"] = conic.matrix().to_json()
     report["dual_matrix"] = conic.dual_matrix().to_json()
@@ -385,16 +324,18 @@ def _cmd_conic(args, budget):
 
 
 def _cmd_conic_eta(args, budget):
+    from .arrangement import StandardParameter
     from .constructions import conic_curve_parameters
+    from .rational import rational_from_string
 
-    par = _parse_parameter(_load_json(args.parameter))
+    par = StandardParameter.from_json(_load_json(args.parameter))
     anchors = (1, 2, 3)
     if args.anchors:
         try:
             anchors = tuple(int(i) for i in args.anchors.split(","))
         except ValueError as exc:
             raise ValidationError("--anchors expects comma-separated indices") from exc
-    result = conic_curve_parameters(_parse_rational(args.a), par, anchors)
+    result = conic_curve_parameters(rational_from_string(args.a), par, anchors)
     return result.to_json()
 
 

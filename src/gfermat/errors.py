@@ -12,6 +12,10 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
+class ValidationError(ValueError):
+    """Malformed payload (bad JSON, bad schema, unparseable scalar)."""
+
+
 class Inconclusive(RuntimeError):
     """A sampled search ended with more than one candidate left."""
 

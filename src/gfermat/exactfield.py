@@ -1,5 +1,6 @@
-"""Cyclotomic scalars and dense exact matrices, the field that the
-automorphism verifier, the equations and the conics need.
+"""Cyclotomic scalars and dense exact matrices.  The automorphism verifier
+needs the cyclotomic field; normalization, the equations and the conics use
+only ``ExactMatrix`` of rationals.
 
 A cyclotomic number nums(zeta_k) / den is a residue modulo the monic integer
 k-th cyclotomic polynomial: integer numerators over one positive

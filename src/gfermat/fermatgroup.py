@@ -379,9 +379,10 @@ def subgroup_acts_freely(
     ``BudgetExceeded`` when its order passes the budget.
 
     Returns the least (in exponent order) non-free nontrivial element when
-    the action is not free.  An element has a fixed point when, for the
-    level l of one of its first d+1 coordinates, at most d digits of
-    element XOR l ONES are nonzero (module docstring).
+    the action is not free: the elements are scanned in integer order, which
+    is exponent order, up to the first one with a fixed point.  An element
+    has one when, for the level l of one of its first d+1 coordinates, at
+    most d digits of element XOR l ONES are nonzero (module docstring).
     """
     d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
     for g in generators:
@@ -392,17 +393,13 @@ def subgroup_acts_freely(
     high, digit = ones << (w - 1), (1 << w) - 1
     low = high - ones
     shifts = [w * (n - j) for j in range(d + 1)]
-    offenders = []
+    elements.sort()  # the identity 0 stays first
     for x in elements[1:]:
         for s in shifts:
             if ((x ^ (x >> s & digit) * ones) + low & high).bit_count() <= d:
-                offenders.append(x)
-                break
-    offending = None
-    if offenders:
-        least = min(offenders)
-        offending = GroupElement(k, tuple(least >> w * (n - j) & digit for j in range(n + 1)))
-    return FreeActionResult(offending is None, offending, len(elements))
+                offending = GroupElement(k, tuple(x >> w * (n - j) & digit for j in range(n + 1)))
+                return FreeActionResult(False, offending, len(elements))
+    return FreeActionResult(True, None, len(elements))
 
 
 def bound_feasible(p: int, r: int, n: int) -> bool:

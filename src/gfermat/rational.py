@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import sys
 from fractions import Fraction
+
+from .errors import ValidationError
 
 Rational = Fraction
 
@@ -24,15 +28,26 @@ __all__ = [
 ]
 
 
-def rational_from_string(text) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` (also accepts ints and Fractions)."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, str):
-        return Fraction(text.strip())
-    raise ValueError(f"cannot parse rational from {text!r}")
+def rational_from_string(value) -> Fraction:
+    """The rational scalar of a payload (docs/SCHEMAS.md): a JSON integer,
+    or a string such as ``"p/q"``, ``"p"`` or ``"2.5e-3"``.  Anything else
+    is a ``ValidationError``: a bool, a float, any other type, ``"1/0"``,
+    malformed text, and a decimal exponent past CPython's int-to-str digit
+    limit, refused before ``Fraction`` builds 10^|exponent|."""
+    if isinstance(value, bool):
+        raise ValidationError("booleans are not rationals")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        exp = re.search(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", value, re.IGNORECASE)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and exp and (len(exp[1]) > limit or int(exp[1]) > limit):
+            raise ValidationError(f"malformed rational {value!r}: exponent over the limit {limit}")
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"malformed rational {value!r}: {exc}") from exc
+    raise ValidationError(f"expected a rational string, got {value!r}")
 
 
 def rational_to_string(value: Fraction) -> str:

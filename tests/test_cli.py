@@ -24,10 +24,13 @@ from gfermat.cli import (
     EXIT_VALIDATION,
     main,
 )
+from gfermat.arrangement import Arrangement, StandardParameter
 from gfermat.constructions import kummer_parameters, tangent_conic
+from gfermat.errors import ValidationError
 from gfermat.exactfield import CyclotomicScalar
 from gfermat.fermatgroup import GfmType
 from gfermat.invariants import canonical_degree, hilbert_series_coefficient
+from gfermat.rational import rational_from_string
 
 PAR_13 = '{"d":1,"n":3,"lambda":[["2"]]}'
 PAR_24 = '{"d":2,"n":4,"lambda":[["2","3"]]}'
@@ -347,11 +350,11 @@ class TestExitCodes:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if not limit:
             pytest.skip("the int-to-str digit limit is off")
-        assert cli._parse_rational(f"1e{limit}") == 10**limit
-        assert cli._parse_rational(f"1e-{limit}") == Fraction(1, 10**limit)
+        assert rational_from_string(f"1e{limit}") == 10**limit
+        assert rational_from_string(f"1e-{limit}") == Fraction(1, 10**limit)
         for text in (f"1e{limit + 1}", f"-3.5E-{limit + 1}", "1" * (limit + 1)):
-            with pytest.raises(cli.ValidationError):
-                cli._parse_rational(text)
+            with pytest.raises(ValidationError):
+                rational_from_string(text)
         code, report = run_json(capsys, "conic", f"1e{limit + 1}")
         assert code == EXIT_VALIDATION and report["error"]["kind"] == "validation"
 
@@ -519,11 +522,111 @@ class TestVerbs:
         assert report["parameter"]["lambda"] == [["-1"]]
 
     def test_output_round_trips_schema(self, capsys):
-        from gfermat.arrangement import StandardParameter
-
         code, report = run_json(capsys, "canon", PAR_24)
         assert code == EXIT_OK
         assert StandardParameter.from_json(report["parameter"]).to_json() == report["parameter"]
+
+
+FRAME_1 = [["1", "0"], ["0", "1"], ["1", "1"]]
+
+# (library reader, verb reading the same payload, payload, start of the message)
+MALFORMED = [
+    (StandardParameter, "canon", {"d": 1.9, "n": 3, "lambda": [["2"]]},
+     "'d' must be a JSON integer, got 1.9"),
+    (StandardParameter, "canon", {"d": True, "n": 3, "lambda": [["2"]]},
+     "'d' must be a JSON integer, got True"),
+    (StandardParameter, "canon", {"d": "1", "n": 3, "lambda": [["2"]]},
+     "'d' must be a JSON integer, got '1'"),
+    (StandardParameter, "canon", {"d": 1, "n": 3.0, "lambda": [["2"]]},
+     "'n' must be a JSON integer, got 3.0"),
+    (StandardParameter, "canon", {"d": 1, "n": False, "lambda": [["2"]]},
+     "'n' must be a JSON integer, got False"),
+    (StandardParameter, "canon", {"d": 1, "n": "3", "lambda": [["2"]]},
+     "'n' must be a JSON integer, got '3'"),
+    (StandardParameter, "canon", {"d": 1, "n": 3, "lambda": [[True]]},
+     "booleans are not rationals"),
+    (StandardParameter, "canon", {"d": 1, "n": 3, "lambda": [[2.5]]},
+     "expected a rational string, got 2.5"),
+    (StandardParameter, "canon", {"d": 1, "n": 3, "lambda": [[None]]},
+     "expected a rational string, got None"),
+    (StandardParameter, "canon", {"d": 1, "n": 3, "lambda": [["1e100000000"]]},
+     "malformed rational '1e100000000': exponent over the limit"),
+    (StandardParameter, "canon", {"d": 1, "n": 3, "lambda": [["1/0"]]},
+     "malformed rational '1/0': "),
+    (StandardParameter, "canon", {"d": 1, "n": 3, "lambda": "2"},
+     "'lambda' must be a list of rows"),
+    (StandardParameter, "canon", {"d": 1, "n": 3, "lambda": ["2"]},
+     "'lambda' must be a list of rows"),
+    (StandardParameter, "canon", {"d": 1, "lambda": [["2"]]},
+     "parameter payload is missing 'n'"),
+    (StandardParameter, "canon", ["d", "n", "lambda"], "parameter payload must be an object"),
+    (StandardParameter, "canon", {"d": 1, "n": 3, "lambda": []},
+     "parameter table must have n-d-1 rows"),
+    (StandardParameter, "canon", {"d": 1, "n": 3, "lambda": [["2", "3"]]},
+     "parameter table rows must have d entries"),
+    (Arrangement, "normalize", {"d": 1.5, "points": FRAME_1 + [["2", "3"]]},
+     "'d' must be a JSON integer, got 1.5"),
+    (Arrangement, "normalize", {"d": True, "points": FRAME_1 + [["2", "3"]]},
+     "'d' must be a JSON integer, got True"),
+    (Arrangement, "normalize", {"d": 1, "points": FRAME_1 + [["2", False]]},
+     "booleans are not rationals"),
+    (Arrangement, "normalize", {"d": 1, "points": FRAME_1 + [["2", 0.5]]},
+     "expected a rational string, got 0.5"),
+    (Arrangement, "normalize", {"d": 1, "points": FRAME_1 + [["2", None]]},
+     "expected a rational string, got None"),
+    (Arrangement, "normalize", {"d": 1, "points": FRAME_1 + [["2", "-3E+100000000"]]},
+     "malformed rational '-3E+100000000': exponent over the limit"),
+    (Arrangement, "normalize", {"d": 1, "points": FRAME_1 + [["2", "1/0"]]},
+     "malformed rational '1/0': "),
+    (Arrangement, "normalize", {"d": 1, "points": FRAME_1 + [5]},
+     "'int' object is not iterable"),
+    (Arrangement, "normalize", {"d": 1, "points": FRAME_1 + [["2"]]},
+     "hyperplane dual points must have length d+1"),
+    (Arrangement, "normalize", {"d": 1, "points": {"0": ["1", "0"]}},
+     "'points' must be a list of dual points"),
+    (Arrangement, "normalize", {"points": FRAME_1}, "arrangement payload needs 'd' and 'points'"),
+    (Arrangement, "normalize", {"d": 1}, "arrangement payload needs 'd' and 'points'"),
+]
+
+
+class TestPayloadReaders:
+    """The library readers are the only readers of the parameter and
+    arrangement payloads: the CLI prints exactly their messages."""
+
+    @pytest.mark.parametrize("reader,verb,payload,start", MALFORMED)
+    def test_library_and_cli_refuse_alike(self, capsys, reader, verb, payload, start):
+        if "limit" in start and not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            pytest.skip("the int-to-str digit limit is off")
+        with pytest.raises(ValidationError) as refused:
+            reader.from_json(payload)
+        assert str(refused.value).startswith(start)
+        code, report = run_json(capsys, verb, json.dumps(payload))
+        assert code == EXIT_VALIDATION
+        assert report["error"] == {"kind": "validation", "message": str(refused.value)}
+
+    def test_cli_raises_the_library_error_class(self):
+        assert cli.ValidationError is ValidationError and issubclass(ValidationError, ValueError)
+
+    @pytest.mark.parametrize("value", [True, False, 2.5, Fraction(1, 2), None, ["1"]])
+    def test_only_json_integers_and_strings_are_rationals(self, value):
+        with pytest.raises(ValidationError):
+            rational_from_string(value)
+
+    def test_huge_exponent_is_refused_at_once(self):
+        if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            pytest.skip("the int-to-str digit limit is off")
+        start = time.perf_counter()
+        with pytest.raises(ValidationError):
+            rational_from_string("1e100000000")
+        with pytest.raises(ValidationError):
+            StandardParameter.from_json({"d": 1, "n": 3, "lambda": [["1e100000000"]]})
+        with pytest.raises(ValidationError):
+            Arrangement.from_json({"d": 1, "points": FRAME_1 + [["1e100000000", "1"]]})
+        assert time.perf_counter() - start < 1
+
+    def test_arrangement_round_trip(self):
+        arrangement = Arrangement.from_json({"d": 1, "points": FRAME_1 + [["2", "3"]]})
+        assert Arrangement.from_json(arrangement.to_json()) == arrangement
 
 
 VERBS = ["normalize", "orbit", "stabilizer", "iso", "canon", "equations", "fixed-locus",

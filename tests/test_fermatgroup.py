@@ -381,6 +381,18 @@ class TestFreeActions:
         assert not result.free
         assert result.offending == gens[0]
 
+    def test_least_offender_is_not_the_first_formed(self):
+        """The closure forms g = (2, 2, 2, 0) before 2g = (1, 1, 1, 0); both
+        have a level set of n+1-d = 3 coordinates, and the lesser is reported."""
+        t = GfmType(1, 3, 3)
+        gens = [GroupElement(3, (2, 2, 2, 0))]
+        closure = _subgroup_closure(gens, 3, 3, 10)
+        assert [unpack(x, 3, 3) for x in closure] == [(0, 0, 0, 0), (2, 2, 2, 0), (1, 1, 1, 0)]
+        assert not acts_freely(gens[0], t)
+        result = subgroup_acts_freely(gens, t)
+        assert result == oracles.subgroup_acts_freely(gens, t, 10)
+        assert result.offending == GroupElement(3, (1, 1, 1, 0))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 5).flatmap(lambda k: st.integers(1, 4).flatmap(
         lambda n: st.tuples(st.just(k), st.just(n), st.lists(
