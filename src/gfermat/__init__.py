@@ -16,16 +16,15 @@ import importlib
 _EXPORTS = {
     "arrangement": "Arrangement Hyperplane StandardParameter arrangement_of "
                    "is_general_position is_standard_parameter normalize random_parameter",
-    "constructions": "Conic conic_curve_parameters is_tangent kummer_parameters "
-                     "restrict_to_line tangent_conic",
+    "constructions": "Conic conic_curve_parameters kummer_parameters restrict_to_line "
+                     "tangent_conic",
     "errors": "BudgetExceeded Inconclusive NotInGeneralPosition TangencyError",
     "exactfield": "CyclotomicScalar ExactMatrix cyclotomic_polynomial",
-    "fermatgroup": "EquationSystem GfmType GroupElement acts_freely automorphism_order "
-                   "bound_feasible canonical_generators classify_low_n equations "
-                   "fiber_product_components fixed_locus is_linear_automorphism "
+    "fermatgroup": "EquationSystem GfmType GroupElement automorphism_order bound_feasible "
+                   "classify_low_n equations fixed_locus is_linear_automorphism "
                    "smoothness_certificate subgroup_acts_freely",
-    "invariants": "canonical_degree classify h0_twist hd_twist hilbert_series_coefficient "
-                  "invariant_report kodaira_dimension leading_coefficient plurigenus",
+    "invariants": "canonical_degree classify h0_twist hilbert_series_coefficient "
+                  "invariant_report kodaira_dimension plurigenus",
     "modaction": "Permutation act act_sigma1 act_sigma2 are_isomorphic "
                  "canonical_representative kernel_of_R orbit_and_stabilizer stabilizer",
     "rational": "Rational projective_normalize",

@@ -96,9 +96,6 @@ class Arrangement:
     def duals(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(h.dual_point for h in self.hyperplanes)
 
-    def is_general_position(self) -> bool:
-        return is_general_position(self.duals, self.d)
-
     def to_json(self):
         return {
             "d": self.d,
@@ -191,13 +188,6 @@ class StandardParameter:
             raise
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-
-    @classmethod
-    def from_columns(cls, d, n, columns) -> StandardParameter:
-        columns = [tuple(Fraction(x) for x in col) for col in columns]
-        if len(columns) != d:
-            raise ValueError("need d columns")
-        return cls(d, n, tuple(zip(*columns)) if columns[0] else ())
 
 
 def _json_int(data, key: str) -> int:

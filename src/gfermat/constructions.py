@@ -36,7 +36,6 @@ __all__ = [
     "kummer_parameters",
     "restrict_to_line",
     "tangent_conic",
-    "is_tangent",
     "conic_curve_parameters",
 ]
 
@@ -69,18 +68,8 @@ class Conic:
         r0, r1, r2 = self.matrix().row_list()
         return ExactMatrix.from_rows([_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)])
 
-    def contains(self, point) -> bool:
-        p = tuple(Fraction(c) for c in point)
-        m = self.matrix()
-        return _quadratic_form(m, p) == 0
-
     def to_json(self):
         return {"coefficients": [rational_to_string(c) for c in self.coefficients]}
-
-
-def _quadratic_form(matrix: ExactMatrix, vec) -> Fraction:
-    image = matrix.matvec(vec)
-    return sum(a * b for a, b in zip(vec, image))
 
 
 def _cross(u, v):
@@ -184,16 +173,6 @@ def tangent_conic(a) -> Conic:
     ))
 
 
-def is_tangent(rho, conic: Conic) -> bool:
-    """Dual-conic tangency test: rho . adj(Q) . rho = 0."""
-    rho = tuple(Fraction(c) for c in rho)
-    if len(rho) != 3:
-        raise ValueError("the line needs a dual point in P^2")
-    if not any(rho):
-        raise ValueError("the zero vector is not a line")
-    return _quadratic_form(conic.dual_matrix(), rho) == 0
-
-
 def _bracket(p, q):
     return p[0] * q[1] - p[1] * q[0]
 
@@ -232,7 +211,7 @@ def conic_curve_parameters(a, par: StandardParameter, anchors=(1, 2, 3)) -> Coni
     adj = conic.dual_matrix()
     duals = arrangement_of(par).duals
     for j, q in enumerate(duals, start=1):
-        if _quadratic_form(adj, q) != 0:
+        if sum(a * b for a, b in zip(q, adj.matvec(q))):
             raise TangencyError(j)
     poles = [projective_normalize(adj.matvec(q)) for q in duals]
     if len(set(poles)) != len(poles):

@@ -39,7 +39,6 @@ from .rational import rational_to_string
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .exactfield import ExactMatrix
-    from .modaction import Permutation
 
 __all__ = [
     "GfmType",
@@ -52,15 +51,11 @@ __all__ = [
     "LowNClassification",
     "equations",
     "smoothness_certificate",
-    "canonical_generators",
     "fixed_locus",
-    "acts_freely",
     "subgroup_acts_freely",
     "bound_feasible",
     "is_linear_automorphism",
-    "induced_hyperplane_permutation",
     "automorphism_order",
-    "fiber_product_components",
     "classify_low_n",
 ]
 
@@ -108,15 +103,6 @@ class GroupElement:
     def identity(cls, k: int, n: int) -> GroupElement:
         return cls(k, (0,) * (n + 1))
 
-    @classmethod
-    def generator(cls, k: int, n: int, j: int) -> GroupElement:
-        """phi_j (1-based j), the multiplier of the j-th coordinate."""
-        if not 1 <= j <= n + 1:
-            raise ValueError("generator index out of range")
-        exps = [0] * (n + 1)
-        exps[j - 1] = 1
-        return cls(k, tuple(exps))
-
     @property
     def n(self) -> int:
         return len(self.exponents) - 1
@@ -139,13 +125,6 @@ class GroupElement:
 
     def to_json(self):
         return {"k": self.k, "exponents": list(self.exponents)}
-
-
-def canonical_generators(k: int, n: int) -> tuple[GroupElement, ...]:
-    """The n+1 order-k multipliers phi_1, ..., phi_{n+1}; their product is 1."""
-    if k < 2 or n < 2:
-        raise ValueError("need k >= 2 and n >= 2")
-    return tuple(GroupElement.generator(k, n, j) for j in range(1, n + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -293,41 +272,24 @@ def fixed_locus(element: GroupElement, gfm_type: GfmType) -> FixedLocusReport:
     level may qualify (the level carrying exponent 0 fixes its coordinates
     pointwise just like any other), which is well defined because the
     canonical form pins the representative.  Components come in increasing
-    level order.
+    level order; only the levels of the first d+1 coordinates are counted
+    (module docstring).
     """
     d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
     exponents = element.exponents
     if element.k != k or len(exponents) != n + 1:
         raise ValueError("element does not match the type")
     components = []
-    for level, size in _fixed_levels(exponents, d, n):
-        indices = tuple([j for j, m in enumerate(exponents, start=1) if m == level])
-        dimension = size + d - n - 1
-        count = k ** (size - 1) if dimension == 0 else None
-        components.append(
-            FixedComponent(level, indices, dimension, dimension, size - 1, count)
-        )
-    return FixedLocusReport(element, gfm_type, tuple(components))
-
-
-def _fixed_levels(exponents: tuple[int, ...], d: int, n: int) -> list[tuple[int, int]]:
-    """(level, size) of every level set of at least n+1-d coordinates, in
-    increasing level order.  Such a set misses at most d coordinates, so by
-    pigeonhole it meets the first d+1: only their levels are counted."""
-    need = n + 1 - d
-    levels = []
     for level in sorted(set(exponents[: d + 1])):
         size = exponents.count(level)
-        if size >= need:
-            levels.append((level, size))
-    return levels
-
-
-def acts_freely(element: GroupElement, gfm_type: GfmType) -> bool:
-    """True iff no level set reaches size n+1-d (no fixed points at all)."""
-    if element.k != gfm_type.k or element.n != gfm_type.n:
-        raise ValueError("element does not match the type")
-    return not _fixed_levels(element.exponents, gfm_type.d, gfm_type.n)
+        if size >= n + 1 - d:
+            indices = tuple([j for j, m in enumerate(exponents, start=1) if m == level])
+            dimension = size + d - n - 1
+            count = k ** (size - 1) if dimension == 0 else None
+            components.append(
+                FixedComponent(level, indices, dimension, dimension, size - 1, count)
+            )
+    return FixedLocusReport(element, gfm_type, tuple(components))
 
 
 @dataclass(frozen=True)
@@ -488,26 +450,8 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
     return True
 
 
-def induced_hyperplane_permutation(matrix: ExactMatrix) -> Permutation:
-    """The permutation of branch hyperplanes induced by a monomial matrix.
-
-    The matrix sends the coordinate hyperplane carrying index c(r) to the
-    one carrying index r, where c(r) is the column of the nonzero entry in
-    row r.
-    """
-    from .modaction import Permutation
-
-    support = _monomial_support(matrix)
-    if support is None:
-        raise ValueError("matrix is not monomial")
-    images = [0] * matrix.rows
-    for r, c in enumerate(support):
-        images[c] = r
-    return Permutation(tuple(images))
-
-
 # ---------------------------------------------------------------------------
-# Automorphism order, fiber product, low-n classification
+# Automorphism order and low-n classification
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -558,13 +502,6 @@ def automorphism_order(
     )
     category = "Lin" if infinite_aut else "Aut"
     return AutomorphismOrder(stab * deck, stab, stab // kernel, kernel, deck, category)
-
-
-def fiber_product_components(gfm_type: GfmType) -> int:
-    """Number of irreducible components of the naive fiber product of the
-    n-d defining degree-k hypersurfaces: k^((n-d)(d+1) - n)."""
-    d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
-    return k ** ((n - d) * (d + 1) - n)
 
 
 @dataclass(frozen=True)

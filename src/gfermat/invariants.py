@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -24,13 +23,11 @@ if TYPE_CHECKING:
 
 __all__ = [
     "h0_twist",
-    "hd_twist",
     "hilbert_series_coefficient",
     "canonical_degree",
     "plurigenus",
     "kodaira_dimension",
     "classify",
-    "leading_coefficient",
     "InvariantReport",
     "invariant_report",
     "KODAIRA_NEG_INF",
@@ -45,11 +42,6 @@ RATIONAL_TUPLES = frozenset({(2, 3), (3, 3), (2, 4)})
 def h0_twist(gfm_type: GfmType, r: int) -> int:
     """Dimension of the space of degree-r twisted global sections."""
     return 0 if r < 0 else hilbert_series_coefficient(gfm_type, r)
-
-
-def hd_twist(gfm_type: GfmType, r: int) -> int:
-    """Top cohomology via duality against the canonical twist r1."""
-    return h0_twist(gfm_type, canonical_degree(gfm_type) - r)
 
 
 def hilbert_series_coefficient(gfm_type: GfmType, r: int) -> int:
@@ -106,19 +98,6 @@ def classify(gfm_type: GfmType) -> str:
     if r1 > 0:
         return "general-type"
     return "negative-kodaira"
-
-
-def leading_coefficient(gfm_type: GfmType) -> Fraction:
-    """Leading coefficient k^{n-d} r1^d / d! of the plurigenus polynomial.
-
-    For m r1 >= max(k, (n-d)(k-1)) the map m -> P_m is a degree-d polynomial
-    with this leading coefficient.
-    """
-    d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
-    r1 = canonical_degree(gfm_type)
-    if r1 <= 0:
-        raise ValueError("leading coefficient requires r1 > 0")
-    return Fraction(k ** (n - d) * r1**d, math.factorial(d))
 
 
 @dataclass(frozen=True)

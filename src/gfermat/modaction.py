@@ -286,14 +286,18 @@ def _carrying(par: StandardParameter, target: StandardParameter, minor_table):
 
 def _check_scan(par: StandardParameter, budget: int) -> dict:
     """The table {sorted (d+1)-subset: signed minor} of par's dual points;
-    refuse a parameter off X_{n,d} (a zero minor), then charge (n+1)!."""
+    refuse a parameter off X_{n,d} (a zero minor), then charge (n+1)!.  A
+    scan past the budget builds no table: it is refused after the lazy
+    membership sweep, which stops at the first zero minor."""
+    size = math.factorial(par.n + 1)
+    if size > budget:
+        if not is_standard_parameter(par):
+            raise ValueError("parameter is not in X_{n,d}")
+        raise BudgetExceeded(size, budget)
     subsets = itertools.combinations(range(par.n + 1), par.d + 1)
     minor_table = dict(zip(subsets, minors(_integer_duals(par))))
     if not all(minor_table.values()):
         raise ValueError("parameter is not in X_{n,d}")
-    size = math.factorial(par.n + 1)
-    if size > budget:
-        raise BudgetExceeded(size, budget)
     return minor_table
 
 

@@ -21,7 +21,11 @@ coefficients, inverted by the extended Euclidean algorithm and promoted by
 one multiplication per coefficient).  Pivot divisions are
 exact on ``int`` entries too.  ``submatrix``, ``from_columns``, ``identity``
 and ``matmul`` are the matrix helpers the tests need and the library does
-not."""
+not.  Moved here from the library, where no verb used them: the deck
+generators phi_j (``generator``, ``canonical_generators``), ``acts_freely``
+on the level-set fixed locus, ``induced_hyperplane_permutation``, the
+plurigenus ``leading_coefficient``, and the conic references ``is_tangent``
+(with the cofactor adjugate) and ``conic_contains``."""
 
 import itertools
 import math
@@ -46,6 +50,7 @@ from gfermat.fermatgroup import (
     _monomial_support,
     equations,
 )
+from gfermat.modaction import Permutation
 from gfermat.rational import fraction_free_inverse, rational_to_string
 
 
@@ -277,6 +282,26 @@ def adjugate_cofactor(matrix: ExactMatrix) -> ExactMatrix:
           for j in range(n)] for i in range(n)])
 
 
+def _quadratic_form(matrix: ExactMatrix, vec) -> Fraction:
+    return sum(a * b for a, b in zip(vec, matrix.matvec(vec)))
+
+
+def conic_contains(conic, point) -> bool:
+    """Incidence: p . Q . p = 0."""
+    return _quadratic_form(conic.matrix(), tuple(Fraction(c) for c in point)) == 0
+
+
+def is_tangent(rho, conic) -> bool:
+    """Dual-conic tangency, rho . adj(Q) . rho = 0, with the cofactor
+    adjugate."""
+    rho = tuple(Fraction(c) for c in rho)
+    if len(rho) != 3:
+        raise ValueError("the line needs a dual point in P^2")
+    if not any(rho):
+        raise ValueError("the zero vector is not a line")
+    return _quadratic_form(adjugate_cofactor(conic.matrix()), rho) == 0
+
+
 def inverse(matrix: ExactMatrix) -> ExactMatrix:
     """Inverse by Gauss-Jordan elimination over Fraction."""
     if matrix.rows != matrix.cols:
@@ -431,6 +456,20 @@ def kernel_of_R(n: int, d: int, samples: int, rng):
     return candidates
 
 
+def generator(k: int, n: int, j: int) -> GroupElement:
+    """phi_j (1-based j), the multiplier of the j-th coordinate."""
+    if not 1 <= j <= n + 1:
+        raise ValueError("generator index out of range")
+    return GroupElement(k, tuple(int(i == j) for i in range(1, n + 2)))
+
+
+def canonical_generators(k: int, n: int) -> tuple[GroupElement, ...]:
+    """The n+1 order-k multipliers phi_1, ..., phi_{n+1}; their product is 1."""
+    if k < 2 or n < 2:
+        raise ValueError("need k >= 2 and n >= 2")
+    return tuple(generator(k, n, j) for j in range(1, n + 2))
+
+
 def subgroup_closure(generators, k: int, n: int, budget: int):
     """Breadth-first closure over validated group elements."""
     elements = {GroupElement.identity(k, n)}
@@ -489,6 +528,12 @@ def fixed_locus_by_level_sets(element: GroupElement, gfm_type) -> FixedLocusRepo
     return FixedLocusReport(element, gfm_type, tuple(components))
 
 
+def acts_freely(element: GroupElement, gfm_type) -> bool:
+    """No level set reaches n+1-d coordinates: the level-set fixed locus is
+    empty."""
+    return not fixed_locus_by_level_sets(element, gfm_type).components
+
+
 def subgroup_acts_freely(generators, gfm_type, budget: int) -> FreeActionResult:
     """Breadth-first closure over validated group elements, sorted by
     exponents; the first nontrivial element with a nonempty level-set fixed
@@ -526,6 +571,17 @@ def h0_box_sum(gfm_type, r: int) -> int:
         count * math.comb(r - s + d, d)
         for s, count in enumerate(_box_sum_counts(k, n - d)) if s <= r
     )
+
+
+def leading_coefficient(gfm_type) -> Fraction:
+    """Leading coefficient k^{n-d} r1^d / d! of the plurigenus polynomial,
+    r1 = (n-d)k - n - 1.  For m r1 >= max(k, (n-d)(k-1)) the map m -> P_m is
+    a degree-d polynomial with this leading coefficient."""
+    d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
+    r1 = (n - d) * k - n - 1
+    if r1 <= 0:
+        raise ValueError("leading coefficient requires r1 > 0")
+    return Fraction(k ** (n - d) * r1**d, math.factorial(d))
 
 
 def rank(matrix: ExactMatrix) -> int:
@@ -643,3 +699,16 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
         if solve_linear(basis_t, transformed).status == "inconsistent":
             return False
     return True
+
+
+def induced_hyperplane_permutation(matrix: ExactMatrix) -> Permutation:
+    """The permutation of branch hyperplanes induced by a monomial matrix:
+    it sends the coordinate hyperplane carrying index c(r) to the one
+    carrying index r, where c(r) is the column of row r's nonzero entry."""
+    support = _monomial_support(matrix)
+    if support is None:
+        raise ValueError("matrix is not monomial")
+    images = [0] * matrix.rows
+    for r, c in enumerate(support):
+        images[c] = r
+    return Permutation(tuple(images))

@@ -28,9 +28,10 @@ from gfermat.arrangement import Arrangement, StandardParameter
 from gfermat.constructions import kummer_parameters, tangent_conic
 from gfermat.errors import ValidationError
 from gfermat.exactfield import CyclotomicScalar
-from gfermat.fermatgroup import GfmType
+from gfermat.fermatgroup import EquationSystem, GfmType, smoothness_certificate
 from gfermat.invariants import canonical_degree, hilbert_series_coefficient
 from gfermat.rational import rational_from_string
+from tests.conftest import tables
 
 PAR_13 = '{"d":1,"n":3,"lambda":[["2"]]}'
 PAR_24 = '{"d":2,"n":4,"lambda":[["2","3"]]}'
@@ -111,6 +112,26 @@ class TestExitCodes:
         code, report = run_json(capsys, "orbit", PAR_13, "--budget", "5")
         assert code == EXIT_BUDGET
         assert report["error"]["kind"] == "budget"
+
+    @pytest.mark.parametrize("argv", [("orbit", "P"), ("stabilizer", "P"), ("canon", "P"),
+                                      ("aut-order", "P", "3"), ("iso", "P", PAR_13)])
+    def test_refused_scan_checks_membership_and_builds_no_table(self, capsys, monkeypatch,
+                                                                argv):
+        """Past the budget, a parameter off X_{n,d} still exits 3 and one in
+        X_{n,d} exits 4 with the same report, and neither builds the minor
+        table (the scan's table sweep is gone)."""
+        from gfermat import modaction
+
+        monkeypatch.setattr(modaction, "minors", None)
+        for par, expected in [
+            ('{"d":1,"n":3,"lambda":[["1"]]}',
+             (EXIT_PRECONDITION, '{"error":{"kind":"precondition",'
+                                 '"message":"parameter is not in X_{n,d}"}}\n')),
+            (PAR_13, (EXIT_BUDGET, '{"error":{"kind":"budget",'
+                                   '"message":"enumeration needs 24 steps, budget is 23"}}\n')),
+        ]:
+            assert run_cli(capsys, *[par if a == "P" else a for a in argv],
+                           "--budget", "23") == expected
 
     def test_budget_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("GFERMAT_BUDGET", "5")
@@ -430,6 +451,34 @@ class TestVerbs:
             "2*x1^4 + 3*x2^4 + x3^4 + x5^4",
         ]
         assert report["smooth"] is True
+
+    def test_equations_sweeps_the_minors_once(self, capsys, monkeypatch):
+        from gfermat import arrangement, modaction, rational
+
+        sweeps = []
+
+        def counting(columns):
+            sweeps.append(len(columns))
+            return rational.minors(columns)
+
+        for module in (arrangement, modaction):
+            monkeypatch.setattr(module, "minors", counting)
+        code, report = run_json(capsys, "equations", PAR_24, "4")
+        assert (code, report["smooth"], sweeps) == (EXIT_OK, True, [5])
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables())
+    def test_smooth_is_the_smoothness_certificate(self, table):
+        """A table exits 3 exactly when the certificate fails, and every
+        printed report says ``"smooth": true``."""
+        d, n, rows = table
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["equations", json.dumps(StandardParameter(*table).to_json()), "3"])
+        if smoothness_certificate(EquationSystem.from_table(d, n, 3, rows)):
+            assert (code, json.loads(out.getvalue())["smooth"]) == (EXIT_OK, True)
+        else:
+            assert code == EXIT_PRECONDITION
 
     def test_fixed_locus(self, capsys):
         code, report = run_json(

@@ -14,7 +14,6 @@ from gfermat.arrangement import (
 from gfermat.constructions import (
     Conic,
     conic_curve_parameters,
-    is_tangent,
     kummer_parameters,
     restrict_to_line,
     tangent_conic,
@@ -171,7 +170,7 @@ class TestTangentConic:
         for a in (1, 3, -1, Fraction(5, 7), Fraction(-3, 2)):
             conic = tangent_conic(a)
             for rho in CANONICAL_LINES:
-                assert is_tangent(rho, conic)
+                assert oracles.is_tangent(rho, conic)
 
     def test_matrix_nonsingular(self):
         for a in (1, -2, Fraction(7, 3)):
@@ -228,24 +227,24 @@ class TestIsTangent:
     def test_hand_expanded_example(self):
         # rho = (0, 1, -1) against the a = 1 conic: the adjugate is
         # [[0,-4,-4],[-4,0,8],[-4,8,0]], so the value is 0+0-2*8 = -16 != 0
-        assert not is_tangent((0, 1, -1), tangent_conic(1))
+        assert not oracles.is_tangent((0, 1, -1), tangent_conic(1))
 
     def test_secant_line_rejected(self):
         conic = tangent_conic(1)
         # the tangency points of lines 1 and 2 lie on the conic; their
         # connecting line is a secant
         p, q = (0, 1, 1), (1, 0, -2)
-        assert conic.contains(p) and conic.contains(q)
+        assert oracles.conic_contains(conic, p) and oracles.conic_contains(conic, q)
         secant = (
             p[1] * q[2] - p[2] * q[1],
             p[2] * q[0] - p[0] * q[2],
             p[0] * q[1] - p[1] * q[0],
         )
-        assert not is_tangent(secant, conic)
+        assert not oracles.is_tangent(secant, conic)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            is_tangent((0, 0, 0), tangent_conic(1))
+            oracles.is_tangent((0, 0, 0), tangent_conic(1))
 
 
 def fifth_tangent_line(a, t):
@@ -275,7 +274,7 @@ class TestConicCurveParameters:
     def test_constructed_fifth_tangent_line(self):
         u = fifth_tangent_line(1, 2)
         conic = tangent_conic(1)
-        assert is_tangent(u, conic)
+        assert oracles.is_tangent(u, conic)
         lam, mu = u[0] / u[2], u[1] / u[2]
         par = StandardParameter(2, 4, ((lam, mu),))
         assert is_standard_parameter(par)
@@ -291,7 +290,7 @@ class TestConicCurveParameters:
         while True:
             par = random_parameter(2, 4, rng)
             lam, mu = par.rows[0]
-            if not is_tangent((lam, mu, 1), tangent_conic(1)):
+            if not oracles.is_tangent((lam, mu, 1), tangent_conic(1)):
                 break
         with pytest.raises(TangencyError) as info:
             conic_curve_parameters(1, par)
@@ -312,5 +311,5 @@ class TestConicCurveParameters:
         result = conic_curve_parameters(-1, par)
         duals = arrangement_of(par).duals
         for point, dual in zip(result.tangency_points, duals):
-            assert conic.contains(point)
+            assert oracles.conic_contains(conic, point)
             assert sum(q * x for q, x in zip(dual, point)) == 0
