@@ -14,8 +14,8 @@ pays only for the submodules it uses.
 import importlib
 
 _EXPORTS = {
-    "arrangement": "Arrangement Hyperplane StandardParameter arrangement_of "
-                   "is_general_position is_standard_parameter normalize random_parameter",
+    "arrangement": "Arrangement Hyperplane StandardParameter is_general_position "
+                   "is_standard_parameter normalize",
     "constructions": "Conic conic_curve_parameters kummer_parameters restrict_to_line "
                      "tangent_conic",
     "errors": "BudgetExceeded Inconclusive NotInGeneralPosition TangencyError",

@@ -25,7 +25,6 @@ alike, so only the scale of a survives in T; the table entries
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,9 +44,7 @@ __all__ = [
     "StandardParameter",
     "is_general_position",
     "normalize",
-    "arrangement_of",
     "is_standard_parameter",
-    "random_parameter",
 ]
 
 
@@ -95,12 +92,6 @@ class Arrangement:
     @property
     def duals(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(h.dual_point for h in self.hyperplanes)
-
-    def to_json(self):
-        return {
-            "d": self.d,
-            "points": [[rational_to_string(c) for c in q] for q in self.duals],
-        }
 
     @classmethod
     def from_json(cls, data) -> Arrangement:
@@ -255,34 +246,13 @@ def _frame_normal_form(points, d: int):
 
 
 def _integer_duals(par: StandardParameter) -> list[tuple[int, ...]]:
-    """Dual points of arrangement_of(par), each cleared to integers."""
+    """Dual points of par's canonical arrangement, each cleared to integers."""
     d = par.d
     frame = [tuple(int(i == j) for i in range(d + 1)) for j in range(d + 1)] + [(1,) * (d + 1)]
     return frame + [clear_denominators(row + (1,))[0] for row in par.rows]
-
-
-def arrangement_of(par: StandardParameter) -> Arrangement:
-    """The canonical ordered arrangement attached to a parameter table."""
-    return Arrangement(par.d, tuple(Hyperplane(q) for q in _integer_duals(par)))
 
 
 def is_standard_parameter(par: StandardParameter) -> bool:
     """Membership test for X_{n,d} (general position of the derived duals)."""
     return all(minors(_integer_duals(par)))
 
-
-def random_parameter(d: int, n: int, rng: random.Random, bound: int = 9) -> StandardParameter:
-    """Rejection-sample a parameter table uniformly from small rationals."""
-
-    def draw():
-        num = rng.randint(-bound, bound)
-        den = rng.randint(1, bound)
-        return Fraction(num, den)
-
-    while True:
-        rows = tuple(
-            tuple(draw() for _ in range(d)) for _ in range(n - d - 1)
-        )
-        candidate = StandardParameter(d, n, rows)
-        if is_standard_parameter(candidate):
-            return candidate

@@ -19,11 +19,11 @@ import os
 import re
 import sys
 
-from .errors import (DEFAULT_BUDGET, BudgetExceeded, NotInGeneralPosition, TangencyError,
-                     ValidationError)
+from .errors import DEFAULT_BUDGET, BudgetExceeded, ValidationError
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from .arrangement import StandardParameter
     from .exactfield import ExactMatrix
     from .fermatgroup import GfmType, GroupElement
 
@@ -59,6 +59,13 @@ def _load_json(arg: str):
         return json.loads(_read_payload_text(arg))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON payload: {exc}") from exc
+
+
+def _parameter(arg: str) -> StandardParameter:
+    """The parameter payload of ``arg``."""
+    from .arrangement import StandardParameter
+
+    return StandardParameter.from_json(_load_json(arg))
 
 
 def _parse_exponents(data, k: int) -> GroupElement:
@@ -146,10 +153,9 @@ def _cmd_normalize(args, budget):
 
 
 def _cmd_orbit(args, budget):
-    from .arrangement import StandardParameter
     from .modaction import orbit_and_stabilizer
 
-    par = StandardParameter.from_json(_load_json(args.parameter))
+    par = _parameter(args.parameter)
     report = orbit_and_stabilizer(par, budget=budget)
     return {
         "base": par.to_json(),
@@ -162,10 +168,9 @@ def _cmd_orbit(args, budget):
 
 
 def _cmd_stabilizer(args, budget):
-    from .arrangement import StandardParameter
     from .modaction import kernel_note, stabilizer
 
-    par = StandardParameter.from_json(_load_json(args.parameter))
+    par = _parameter(args.parameter)
     elements = stabilizer(par, budget=budget)
     return {
         "stabilizer": _permutations_json(elements),
@@ -175,11 +180,10 @@ def _cmd_stabilizer(args, budget):
 
 
 def _cmd_iso(args, budget):
-    from .arrangement import StandardParameter
     from .modaction import are_isomorphic
 
-    first = StandardParameter.from_json(_load_json(args.first))
-    second = StandardParameter.from_json(_load_json(args.second))
+    first = _parameter(args.first)
+    second = _parameter(args.second)
     k = _parse_degree(args.degree) if args.degree is not None else None
     result = are_isomorphic(first, second, k=k, budget=budget)
     return {
@@ -190,18 +194,16 @@ def _cmd_iso(args, budget):
 
 
 def _cmd_canon(args, budget):
-    from .arrangement import StandardParameter
     from .modaction import canonical_representative
 
-    par = StandardParameter.from_json(_load_json(args.parameter))
+    par = _parameter(args.parameter)
     return {"parameter": canonical_representative(par, budget=budget).to_json()}
 
 
 def _cmd_equations(args, budget):
-    from .arrangement import StandardParameter
     from .fermatgroup import equations
 
-    par = StandardParameter.from_json(_load_json(args.parameter))
+    par = _parameter(args.parameter)
     report = equations(par, _parse_degree(args.k)).to_json()
     # equations() has refused every parameter off X_{n,d}, and membership is
     # exactly smoothness_certificate's test (the Gale dual, its docstring)
@@ -253,19 +255,17 @@ def _cmd_free(args, budget):
 
 
 def _cmd_aut_order(args, budget):
-    from .arrangement import StandardParameter
     from .fermatgroup import automorphism_order
 
-    par = StandardParameter.from_json(_load_json(args.parameter))
+    par = _parameter(args.parameter)
     k = _parse_degree(args.k)
     return automorphism_order(par, k, budget=budget).to_json()
 
 
 def _cmd_verify_matrix(args, budget):
-    from .arrangement import StandardParameter
     from .fermatgroup import is_linear_automorphism
 
-    par = StandardParameter.from_json(_load_json(args.parameter))
+    par = _parameter(args.parameter)
     k = _parse_degree(args.k)
     matrix = _parse_matrix(_load_json(args.matrix), k, par.n + 1, budget)
     return {"accepted": is_linear_automorphism(matrix, par, k)}
@@ -299,11 +299,10 @@ def _cmd_kummer(args, budget):
 
 
 def _cmd_restrict_line(args, budget):
-    from .arrangement import StandardParameter
     from .constructions import restrict_to_line
     from .rational import rational_from_string
 
-    par = StandardParameter.from_json(_load_json(args.parameter))
+    par = _parameter(args.parameter)
     rho_data = _load_json(args.rho)
     if not isinstance(rho_data, list) or len(rho_data) != 3:
         raise ValidationError("rho must be a list of three rationals")
@@ -324,11 +323,10 @@ def _cmd_conic(args, budget):
 
 
 def _cmd_conic_eta(args, budget):
-    from .arrangement import StandardParameter
     from .constructions import conic_curve_parameters
     from .rational import rational_from_string
 
-    par = StandardParameter.from_json(_load_json(args.parameter))
+    par = _parameter(args.parameter)
     anchors = (1, 2, 3)
     if args.anchors:
         try:
@@ -463,7 +461,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         _emit({"error": {"kind": "budget", "message": str(exc)}}, pretty)
         return EXIT_BUDGET
-    except (NotInGeneralPosition, TangencyError, ValueError) as exc:
+    except ValueError as exc:
         _emit({"error": {"kind": "precondition", "message": str(exc)}}, pretty)
         return EXIT_PRECONDITION
     _emit(report, pretty)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .arrangement import (
     StandardParameter,
-    arrangement_of,
+    _integer_duals,
     is_general_position,
     is_standard_parameter,
 )
@@ -138,8 +138,8 @@ def restrict_to_line(par: StandardParameter, rho, *, allow_singular: bool = Fals
     rho = projective_normalize(tuple(Fraction(c) for c in rho))
     if len(rho) != 3:
         raise ValueError("the line needs a dual point in P^2")
-    duals = arrangement_of(par).duals
-    general = is_general_position(duals + (rho,), 2)
+    duals = _integer_duals(par)  # every use below is invariant under scaling a dual
+    general = is_general_position(duals + [rho], 2)
     if not general and not allow_singular:
         raise NotInGeneralPosition(
             "the line is not in general position with the branch lines"
@@ -209,7 +209,7 @@ def conic_curve_parameters(a, par: StandardParameter, anchors=(1, 2, 3)) -> Coni
         raise ValueError("parameter is not in X_{n,2}")
     conic = tangent_conic(a)
     adj = conic.dual_matrix()
-    duals = arrangement_of(par).duals
+    duals = _integer_duals(par)  # every use below is invariant under scaling a dual
     for j, q in enumerate(duals, start=1):
         if sum(a * b for a, b in zip(q, adj.matvec(q))):
             raise TangencyError(j)

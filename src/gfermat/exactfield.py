@@ -310,15 +310,9 @@ class ExactMatrix:
         return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 
     def to_json(self):
-        return [[_scalar_to_json(e) for e in self.row(i)] for i in range(self.rows)]
+        return [[rational_to_string(e) for e in self.row(i)] for i in range(self.rows)]
 
 
 def _zero_like(sample):
     """The zero of ``sample``'s own type: ``int``, ``Fraction`` or cyclotomic."""
     return sample * 0
-
-
-def _scalar_to_json(value):
-    if isinstance(value, CyclotomicScalar):
-        return value.to_json()
-    return rational_to_string(value)

@@ -99,29 +99,9 @@ class GroupElement:
         exps = tuple((m - shift) % self.k for m in exps)
         object.__setattr__(self, "exponents", exps)
 
-    @classmethod
-    def identity(cls, k: int, n: int) -> GroupElement:
-        return cls(k, (0,) * (n + 1))
-
     @property
     def n(self) -> int:
         return len(self.exponents) - 1
-
-    def __mul__(self, other: GroupElement) -> GroupElement:
-        if self.k != other.k or self.n != other.n:
-            raise ValueError("group elements live in different groups")
-        return GroupElement(
-            self.k, tuple(a + b for a, b in zip(self.exponents, other.exponents))
-        )
-
-    def __pow__(self, exponent: int) -> GroupElement:
-        return GroupElement(self.k, tuple(m * exponent for m in self.exponents))
-
-    def inverse(self) -> GroupElement:
-        return self ** (-1)
-
-    def is_identity(self) -> bool:
-        return not any(self.exponents)
 
     def to_json(self):
         return {"k": self.k, "exponents": list(self.exponents)}

@@ -30,10 +30,7 @@ __all__ = [
     "classify",
     "InvariantReport",
     "invariant_report",
-    "KODAIRA_NEG_INF",
 ]
-
-KODAIRA_NEG_INF = float("-inf")
 
 K3_TUPLES = frozenset({(4, 3), (2, 5)})
 RATIONAL_TUPLES = frozenset({(2, 3), (3, 3), (2, 4)})
@@ -71,10 +68,10 @@ def plurigenus(gfm_type: GfmType, m: int) -> int:
 
 
 def kodaira_dimension(gfm_type: GfmType):
-    """-inf, 0 or d according to the sign of r1."""
+    """The Kodaira dimension: "-infinity", 0 or d according to the sign of r1."""
     r1 = canonical_degree(gfm_type)
     if r1 < 0:
-        return KODAIRA_NEG_INF
+        return "-infinity"
     if r1 == 0:
         return 0
     return gfm_type.d
@@ -104,18 +101,17 @@ def classify(gfm_type: GfmType) -> str:
 class InvariantReport:
     gfm_type: GfmType
     r1: int
-    kodaira: float | int
+    kodaira: int | str
     pa_pg: int
     plurigenera: dict[int, int]
     label: str
     intermediate_vanishing_note: str
 
     def to_json(self):
-        kodaira = "-infinity" if self.kodaira == KODAIRA_NEG_INF else self.kodaira
         return {
             "type": {"d": self.gfm_type.d, "k": self.gfm_type.k, "n": self.gfm_type.n},
             "r1": self.r1,
-            "kodaira": kodaira,
+            "kodaira": self.kodaira,
             "pa": self.pa_pg,
             "pg": self.pa_pg,
             "plurigenera": {str(m): p for m, p in sorted(self.plurigenera.items())},

@@ -57,7 +57,6 @@ from .arrangement import (
     _frame_normal_form,
     _integer_duals,
     is_standard_parameter,
-    random_parameter,
 )
 from .errors import DEFAULT_BUDGET, BudgetExceeded, Inconclusive
 from .rational import minors
@@ -97,10 +96,6 @@ class Permutation:
         object.__setattr__(self, "images", images)
 
     @classmethod
-    def identity(cls, m: int) -> Permutation:
-        return cls(tuple(range(m)))
-
-    @classmethod
     def transposition(cls, m: int, i: int, j: int) -> Permutation:
         images = list(range(m))
         images[i], images[j] = images[j], images[i]
@@ -121,9 +116,6 @@ class Permutation:
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
 
     def __mul__(self, other: Permutation) -> Permutation:
         """Apply self, then other."""
@@ -348,6 +340,9 @@ def kernel_of_R(
     returned directly).  Otherwise each of up to ``samples`` random
     parameters removes the candidates that move it, so a lone survivor (the
     identity) is exact; if more than one survives, Inconclusive is raised.
+    A sample's entries are num/den with num in -9..9 and den in 1..9, drawn
+    row by row; a draw off X_{n,d} is drawn again, and the scan reads the
+    minor table that tested the draw, so each sample is swept once.
     """
     if n < d + 2 and (n, d) != (3, 1):
         raise ValueError("kernel identification needs n >= d+2")
@@ -359,7 +354,16 @@ def kernel_of_R(
     rng = rng or random.Random(0)
     candidates = None  # all of S_{n+1}
     for _ in range(samples):
-        fixing = set(_stabilizer_images(random_parameter(d, n, rng), budget))
+        while True:
+            rows = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d))
+                         for _ in range(n - d - 1))
+            par = StandardParameter._trusted(d, n, rows)
+            try:
+                minor_table = _check_scan(par, budget)
+                break
+            except ValueError:  # off X_{n,d}: draw again
+                pass
+        fixing = {images for _, images in _carrying(par, par, minor_table) if images}
         candidates = fixing if candidates is None else candidates & fixing
         if len(candidates) == 1:
             break

@@ -22,10 +22,14 @@ one multiplication per coefficient).  Pivot divisions are
 exact on ``int`` entries too.  ``submatrix``, ``from_columns``, ``identity``
 and ``matmul`` are the matrix helpers the tests need and the library does
 not.  Moved here from the library, where no verb used them: the deck
-generators phi_j (``generator``, ``canonical_generators``), ``acts_freely``
+generators phi_j (``generator``, ``canonical_generators``), the deck-group
+law (``deck_identity``, ``deck_product``, ``deck_power``, which were
+``GroupElement``'s identity, product, power and inverse), ``acts_freely``
 on the level-set fixed locus, ``induced_hyperplane_permutation``, the
-plurigenus ``leading_coefficient``, and the conic references ``is_tangent``
-(with the cofactor adjugate) and ``conic_contains``."""
+plurigenus ``leading_coefficient``, the conic references ``is_tangent``
+(with the cofactor adjugate) and ``conic_contains``, the canonical
+``arrangement_of`` a parameter, and ``random_parameter``, the rejection
+sampler whose draws ``kernel_of_R`` repeats."""
 
 import itertools
 import math
@@ -35,10 +39,11 @@ from functools import lru_cache
 
 from gfermat.arrangement import (
     Arrangement,
+    Hyperplane,
     StandardParameter,
     _frame_normal_form,
     _integer_duals,
-    random_parameter,
+    is_standard_parameter,
 )
 from gfermat.errors import BudgetExceeded, Inconclusive
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix, _zero_like, cyclotomic_polynomial
@@ -349,7 +354,7 @@ def act(eta, par: StandardParameter) -> StandardParameter:
     duals.append((Fraction(1),) * (d + 1))
     duals.extend(tuple(row) + (Fraction(1),) for row in par.rows)
     inv = eta.inverse()
-    reordered = tuple(duals[inv(j)] for j in range(par.n + 1))
+    reordered = tuple(duals[inv.images[j]] for j in range(par.n + 1))
     return normalize(Arrangement(d, reordered))[1]
 
 
@@ -442,6 +447,28 @@ def frame_tables(par: StandardParameter):
                                               for q, e in entries.items()}
 
 
+def arrangement_of(par: StandardParameter) -> Arrangement:
+    """The canonical ordered arrangement attached to a parameter table."""
+    return Arrangement(par.d, tuple(Hyperplane(q) for q in _integer_duals(par)))
+
+
+def random_parameter(d: int, n: int, rng, bound: int = 9) -> StandardParameter:
+    """Rejection-sample a parameter table uniformly from small rationals."""
+
+    def draw():
+        num = rng.randint(-bound, bound)
+        den = rng.randint(1, bound)
+        return Fraction(num, den)
+
+    while True:
+        rows = tuple(
+            tuple(draw() for _ in range(d)) for _ in range(n - d - 1)
+        )
+        candidate = StandardParameter(d, n, rows)
+        if is_standard_parameter(candidate):
+            return candidate
+
+
 def kernel_of_R(n: int, d: int, samples: int, rng):
     """The surviving candidates' images after filtering all of S_{n+1} by up to
     ``samples`` random parameters (Inconclusive if more than one survives)."""
@@ -470,15 +497,31 @@ def canonical_generators(k: int, n: int) -> tuple[GroupElement, ...]:
     return tuple(generator(k, n, j) for j in range(1, n + 2))
 
 
+def deck_identity(k: int, n: int) -> GroupElement:
+    return GroupElement(k, (0,) * (n + 1))
+
+
+def deck_product(g: GroupElement, h: GroupElement) -> GroupElement:
+    """The deck-group product: exponent vectors add mod k."""
+    if g.k != h.k or g.n != h.n:
+        raise ValueError("group elements live in different groups")
+    return GroupElement(g.k, tuple(a + b for a, b in zip(g.exponents, h.exponents)))
+
+
+def deck_power(g: GroupElement, exponent: int) -> GroupElement:
+    """g to the given power; the power -1 is the inverse."""
+    return GroupElement(g.k, tuple(m * exponent for m in g.exponents))
+
+
 def subgroup_closure(generators, k: int, n: int, budget: int):
     """Breadth-first closure over validated group elements."""
-    elements = {GroupElement.identity(k, n)}
+    elements = {deck_identity(k, n)}
     frontier = list(elements)
     while frontier:
         new_frontier = []
         for g in generators:
             for h in frontier:
-                prod = g * h
+                prod = deck_product(g, h)
                 if prod not in elements:
                     elements.add(prod)
                     new_frontier.append(prod)
@@ -540,7 +583,7 @@ def subgroup_acts_freely(generators, gfm_type, budget: int) -> FreeActionResult:
     locus is the offending one."""
     elements = subgroup_closure(generators, gfm_type.k, gfm_type.n, budget)
     for element in sorted(elements, key=lambda g: g.exponents):
-        if not element.is_identity() and fixed_locus_by_level_sets(element, gfm_type).components:
+        if any(element.exponents) and fixed_locus_by_level_sets(element, gfm_type).components:
             return FreeActionResult(False, element, len(elements))
     return FreeActionResult(True, None, len(elements))
 

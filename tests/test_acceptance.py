@@ -10,11 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from gfermat.arrangement import (
-    StandardParameter,
-    is_standard_parameter,
-    random_parameter,
-)
+from gfermat.arrangement import StandardParameter, is_standard_parameter
 from gfermat.constructions import kummer_parameters
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix
 from gfermat.fermatgroup import (
@@ -45,6 +41,7 @@ from gfermat.modaction import (
 )
 from tests import oracles
 from tests.conftest import rand_fraction
+from tests.oracles import random_parameter
 
 
 def par1(*values):
@@ -210,8 +207,8 @@ def test_criterion_08_fixed_loci():
         shifted = GroupElement(4, tuple((m + shift) % 4 for m in exps))
         assert fixed_locus(g, t) == fixed_locus(shifted, t)
         direct = {(c.indices, c.dimension) for c in fixed_locus(g, t).components}
-        inverse = {(c.indices, c.dimension) for c in fixed_locus(g.inverse(), t).components}
-        assert direct == inverse
+        inverse = fixed_locus(oracles.deck_power(g, -1), t)
+        assert direct == {(c.indices, c.dimension) for c in inverse.components}
     report(8, "fixed loci", "cubic-surface 3 points; generator loci; 1000 invariance checks")
 
 

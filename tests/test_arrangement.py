@@ -13,17 +13,16 @@ from gfermat.arrangement import (
     Arrangement,
     Hyperplane,
     StandardParameter,
-    arrangement_of,
     is_general_position,
     is_standard_parameter,
     normalize,
-    random_parameter,
 )
 from gfermat.errors import NotInGeneralPosition
 from gfermat.exactfield import ExactMatrix
 from gfermat.rational import clear_denominators, projective_normalize
 from tests import oracles
 from tests.conftest import nonzero_rationals, rand_fraction, rand_invertible, rationals, tables
+from tests.oracles import arrangement_of, random_parameter
 
 E1 = (1, 0, 0)
 E2 = (0, 1, 0)

@@ -5,12 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gfermat.arrangement import (
-    StandardParameter,
-    arrangement_of,
-    is_standard_parameter,
-    random_parameter,
-)
+from gfermat.arrangement import StandardParameter, is_standard_parameter
 from gfermat.constructions import (
     Conic,
     conic_curve_parameters,
@@ -23,6 +18,7 @@ from gfermat.exactfield import ExactMatrix
 from gfermat.modaction import are_isomorphic
 from tests import oracles
 from tests.conftest import rand_fraction
+from tests.oracles import arrangement_of, random_parameter
 
 CANONICAL_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 

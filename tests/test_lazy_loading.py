@@ -13,15 +13,16 @@ import gfermat
 EXPORTS = [
     "Arrangement", "BudgetExceeded", "Conic", "CyclotomicScalar", "EquationSystem",
     "ExactMatrix", "GfmType", "GroupElement", "Hyperplane", "Inconclusive",
-    "NotInGeneralPosition", "Permutation", "Rational", "StandardParameter", "TangencyError",
-    "act", "act_sigma1", "act_sigma2", "are_isomorphic", "arrangement_of",
+    "NotInGeneralPosition", "Permutation", "Rational", "StandardParameter",
+    "TangencyError", "act", "act_sigma1", "act_sigma2", "are_isomorphic",
     "automorphism_order", "bound_feasible", "canonical_degree", "canonical_representative",
     "classify", "classify_low_n", "conic_curve_parameters", "cyclotomic_polynomial",
-    "equations", "fixed_locus", "h0_twist", "hilbert_series_coefficient", "invariant_report",
-    "is_general_position", "is_linear_automorphism", "is_standard_parameter", "kernel_of_R",
-    "kodaira_dimension", "kummer_parameters", "normalize", "orbit_and_stabilizer",
-    "plurigenus", "projective_normalize", "random_parameter", "restrict_to_line",
-    "smoothness_certificate", "stabilizer", "subgroup_acts_freely", "tangent_conic",
+    "equations", "fixed_locus", "h0_twist", "hilbert_series_coefficient",
+    "invariant_report", "is_general_position", "is_linear_automorphism",
+    "is_standard_parameter", "kernel_of_R", "kodaira_dimension", "kummer_parameters",
+    "normalize", "orbit_and_stabilizer", "plurigenus", "projective_normalize",
+    "restrict_to_line", "smoothness_certificate", "stabilizer", "subgroup_acts_freely",
+    "tangent_conic",
 ]
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gfermat.__file__)))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gfermat.arrangement import StandardParameter, is_standard_parameter, random_parameter
+from gfermat.arrangement import StandardParameter, is_standard_parameter
 from gfermat.errors import DEFAULT_BUDGET, BudgetExceeded, Inconclusive
 from gfermat.fermatgroup import automorphism_order
 from gfermat.modaction import (
@@ -29,6 +29,7 @@ from gfermat.modaction import (
 )
 from tests import oracles
 from tests.conftest import nonzero_rationals, rationals, tables
+from tests.oracles import random_parameter
 
 
 def par1(*values):
@@ -44,7 +45,7 @@ class TestPermutation:
         b = Permutation.full_cycle(4)
         ab = a * b
         for x in range(4):
-            assert ab(x) == b(a(x))
+            assert ab.images[x] == b.images[a.images[x]]
 
     def test_inverse(self):
         p = Permutation.from_one_line((3, 1, 4, 2))
@@ -95,7 +96,7 @@ class TestGeneratorConsistency:
 class TestActionLaws:
     def test_identity_acts_trivially(self, rng):
         par = random_parameter(2, 5, rng)
-        assert act(Permutation.identity(6), par) == par
+        assert act(Permutation(tuple(range(6))), par) == par
 
     def test_homomorphism_law(self):
         rng = random.Random(23)
@@ -116,7 +117,7 @@ class TestActionLaws:
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            act(Permutation.identity(5), HARMONIC)
+            act(Permutation(tuple(range(5))), HARMONIC)
 
 
 def _actions(entries):
@@ -227,6 +228,26 @@ class TestKernel:
         kernel = kernel_of_R(n, d, samples=10, rng=random.Random(5))
         assert len(kernel) == 1
         assert kernel[0].is_identity()
+
+    @pytest.mark.parametrize("n,d", [(4, 1), (4, 2), (5, 2), (6, 3)])
+    def test_each_sample_is_swept_once(self, n, d, monkeypatch):
+        """One minor sweep per parameter drawn, refused draws included; a
+        draw is 2 d (n-d-1) randint calls."""
+        from gfermat import arrangement, modaction, rational
+
+        sweeps, draws = [], []
+
+        def counting(columns):
+            sweeps.append(len(columns))
+            return rational.minors(columns)
+
+        for module in (arrangement, modaction):
+            monkeypatch.setattr(module, "minors", counting)
+        rng = random.Random(n * 10 + d)
+        randint = rng.randint
+        monkeypatch.setattr(rng, "randint", lambda a, b: draws.append(a) or randint(a, b))
+        kernel_of_R(n, d, rng=rng)
+        assert sweeps == [n + 1] * (len(draws) // (2 * d * (n - d - 1)))
 
     @pytest.mark.parametrize("n,d", [(4, 1), (5, 2)])
     def test_unsampled_kernel_is_inconclusive(self, n, d):
@@ -341,7 +362,10 @@ class TestFrameScansAgainstEnumeration:
            .filter(lambda dn: math.factorial(dn[1] + 1) <= ENUMERABLE),
            st.integers(0, 3), st.integers(0, 2**16))
     @example((1, 4), 0, 0)
+    @example((1, 4), 12, 5)
+    @example((2, 4), 12, 6)
     @example((2, 5), 12, 7)
+    @example((3, 6), 12, 8)
     def test_kernel_matches_filtering(self, dn, samples, seed):
         d, n = dn
         assume((n, d) != (3, 1))
