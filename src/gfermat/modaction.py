@@ -27,20 +27,37 @@ below x: putting q in its own place is a sign (-1)^(i_b + i_q + 1), times
 every D(T), built once to decide general position, gives every frame's rows.
 
 A permutation fixes p iff its frame's rows are p's rows in p's order.  In
-general position the rows of a table are distinct, so a frame whose row set
-equals p's sends each other hyperplane to one forced slot: each such frame
-gives exactly one stabilizer element (and, against a second table, one
-isomorphism).  The orbit is every row order of every frame's rows.  Scans
-are still charged (n+1)! against the budget, which bounds the
-(n+1)!/(n-d-1)! frames they visit.
+general position the rows of a table are distinct, and so are the entries
+of a row: entries j and k of q's row are equal iff the minor of
+S - {b_j, b_k} + {q, a} is 0.  So a frame whose row set equals p's sends
+each other hyperplane to one forced slot: each such frame gives exactly one
+stabilizer element (and, against a second table, one isomorphism).  The
+orbit is every row order of every frame's rows.  Scans are still charged
+(n+1)! against the budget, which bounds the (n+1)!/(n-d-1)! frames they
+visit.
 
-The scans carry every table entry as an integer pair (p, q) with q > 0 and
-gcd(p, q) = 1, built with one gcd.  Each rational has exactly one such
-pair, so two pairs are equal iff their rationals are: sets and dicts of
-rows hash and compare plain int tuples.  With positive denominators
-p/q < r/s iff p s < r q (multiply both sides by q s > 0), so the one sort
-of distinct rows and canon's row order compare by cross-multiplication.
-Only the distinct rows of the output become ``Fraction``s, once each.
+Stabilizer, iso, aut-order and the kernel exit early.  For each basis set,
+anchor and b_d they key the row of one other hyperplane q0 first.  Its
+entries are distinct, so each target row it could be fixes the head order,
+and only that frame has its other rows built.  Canon's first row is the
+least row of any frame: q's entries in increasing order, for some basis
+set, anchor, b_d and q.  Each q reaching it fixes one frame, and only those
+frames' tables are sorted.
+
+The scans key each table entry x = num/den, where num and den are products
+of two signed minors, as the integer floor(x 2^K) = (num << K) // den (``//``
+floors for either sign of den): no gcd and no float.  Let M be the largest
+|minor|, so |den| <= M^2.  Two distinct entries a/b and c/e differ by
+|a e - c b| / |b e| >= 1/M^4, which is at least 2^-K when 2^K >= M^4.  Then
+x < y gives x 2^K + 1 <= y 2^K, so floor(x 2^K) < floor(x 2^K) + 1 <=
+floor(y 2^K): the key is strictly increasing, so it is exact and injective
+and equal entries share it.  A target's values have denominators below 2^t,
+so an entry and a target value differ by more than 1/(M^2 2^t), and K also
+takes 2^K >= M^2 2^t.  Two target values are never compared: a key they
+shared would be no entry's.  Rows are tuples of int keys, which sets,
+dicts, ``sorted`` and ``min`` hash and compare in C in the rational order.
+``_frame_tables`` records one (num, den) per key, and only the output's
+distinct entries become ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -50,7 +67,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .arrangement import (
     StandardParameter,
@@ -216,64 +232,100 @@ def kernel_note(n: int, d: int) -> str | None:
     return None
 
 
-def _frame_tables(par: StandardParameter, minor_table):
-    """(frame, {hyperplane: row}) for every ordered frame (b_0, ..., b_d, a)
-    of par's canonical arrangement, with the row of every hyperplane outside
-    it read off the minor table (module docstring), each entry a normalized
-    (p, q) pair, built once per basis set, anchor and b_d."""
-    d, gcd, hyperplanes = par.d, math.gcd, range(par.n + 1)
-    for basis in itertools.combinations(hyperplanes, d + 1):
+def _key_shift(minor_table, target_rows=()) -> int:
+    """The shift K of the entry keys floor(x 2^K): 2^K >= M^4 for M the
+    largest |minor| and, against target rows with t-bit denominators, also
+    2^K >= M^2 2^t (module docstring)."""
+    m = max(map(abs, minor_table.values())).bit_length()
+    t = max((x.denominator.bit_length() for row in target_rows for x in row), default=0)
+    return max(4 * m, 2 * m + t)
+
+
+def _anchored(par: StandardParameter, minor_table):
+    """(head, last, a, ca, others) per basis set S, anchor a outside S and
+    last basis element b_d = last, with head = S - {last}: the coordinates
+    ca = {b: C[b][a]} of the anchor and the pairs (q, {b: C[b][q]}) of every
+    other hyperplane q outside S, read off the minor table (module
+    docstring) once per basis set."""
+    hyperplanes = range(par.n + 1)
+    for basis in itertools.combinations(hyperplanes, par.d + 1):
         coords = {q: {b: minor_table[tuple(sorted({*basis, q} - {b}))] * (-1 if b > q else 1)
                       for b in basis}
                   for q in hyperplanes if q not in basis}
         for a, ca in coords.items():
+            others = [(q, c) for q, c in coords.items() if q != a]
             for last in basis:
-                head = [b for b in basis if b != last]
-                entries = {}
-                for q, c in coords.items():
-                    if q != a:
-                        e = entries[q] = {}
-                        for b in head:
-                            num, den = c[b] * ca[last], ca[b] * c[last]
-                            g = gcd(num, den) if den > 0 else -gcd(num, den)
-                            e[b] = (num // g, den // g)
-                for order in itertools.permutations(head):
-                    yield order + (last, a), {q: tuple(map(e.__getitem__, order))
-                                              for q, e in entries.items()}
+                yield [b for b in basis if b != last], last, a, ca, others
 
 
-def _compare_rows(r, s) -> int:
-    """Sign of r - s in the lexicographic order of two pair rows or flat tables."""
-    for (a, b), (c, e) in zip(r, s):
-        x = a * e - c * b
-        if x:
-            return x
-    return 0
+def _keyed(c, ca, head, last, shift: int, pairs: dict) -> dict:
+    """{b: key} of the entries b in head of the row of q, with c = {b: C[b][q]}:
+    num/den = C[b][q] C[last][a] / (C[b][a] C[last][q]), num and den each a
+    product of two signed minors, keyed (num << shift) // den; pairs[key]
+    records (num, den)."""
+    e = {}
+    for b in head:
+        num, den = c[b] * ca[last], ca[b] * c[last]
+        key = e[b] = (num << shift) // den
+        pairs[key] = num, den
+    return e
 
 
-def _fraction_rows(pair_rows) -> tuple[tuple[Fraction, ...], ...]:
-    """Pair rows as Fraction rows, one Fraction per distinct pair."""
-    fractions = {pair: Fraction(*pair) for pair in set(itertools.chain.from_iterable(pair_rows))}
-    return tuple(tuple(map(fractions.__getitem__, row)) for row in pair_rows)
+def _frame_tables(par: StandardParameter, minor_table, shift: int, pairs: dict):
+    """(frame, {hyperplane: row}) for every ordered frame (b_0, ..., b_d, a)
+    of par's canonical arrangement, with the row of every hyperplane outside
+    it read off the minor table as keys, built once per basis set, anchor
+    and b_d; pairs records one (num, den) per key."""
+    for head, last, a, ca, others in _anchored(par, minor_table):
+        entries = {q: _keyed(c, ca, head, last, shift, pairs) for q, c in others}
+        for order in itertools.permutations(head):
+            yield order + (last, a), {q: tuple(map(e.__getitem__, order))
+                                      for q, e in entries.items()}
 
 
-def _carrying(par: StandardParameter, target: StandardParameter, minor_table):
-    """(rows, images) per frame of par: its {hyperplane: row} map, and the
-    one-line images of the permutation with that frame carrying par to
-    target, or None if the frame's rows are not target's.  Rows are
-    distinct, so matching every row fixes the slot of every hyperplane."""
-    slots = {tuple((x.numerator, x.denominator) for x in row): j
-             for j, row in enumerate(target.rows, start=par.d + 2)}
-    for frame, rows in _frame_tables(par, minor_table):
-        images = None
-        if all(row in slots for row in rows.values()):
-            images = [0] * (par.n + 1)
-            for j, h in enumerate(frame):
-                images[h] = j
-            for h, row in rows.items():
-                images[h] = slots[row]
-            images = tuple(images)
-        yield rows, images
+def _slots(target: StandardParameter, shift: int) -> dict:
+    """{key row: slot} of target's rows, slots d+2.. in row order."""
+    return {tuple((x.numerator << shift) // x.denominator for x in row): j
+            for j, row in enumerate(target.rows, start=target.d + 2)}
+
+
+def _one_line(frame, slotted: dict) -> tuple[int, ...]:
+    """One-line images of the permutation putting frame[j] in slot j and each
+    other hyperplane h in slot slotted[h]."""
+    images = [0] * (len(frame) + len(slotted))
+    for j, h in enumerate(frame):
+        images[h] = j
+    for h, j in slotted.items():
+        images[h] = j
+    return tuple(images)
+
+
+def _carriers(par: StandardParameter, target: StandardParameter, minor_table):
+    """The one-line images of every permutation carrying par to target.
+
+    Per basis set, anchor and b_d the row of the first other hyperplane is
+    keyed first.  Its entries are distinct, so each target row with the
+    same entries fixes one head order.  Only those frames have their other
+    rows built, and each row must be a target row, which fixes its
+    hyperplane's slot (module docstring)."""
+    shift, pairs = _key_shift(minor_table, target.rows), {}
+    slots, by_entries = _slots(target, shift), {}
+    for row in slots:
+        by_entries.setdefault(tuple(sorted(row)), []).append(row)
+    for head, last, a, ca, others in _anchored(par, minor_table):
+        if others:
+            first = {x: b for b, x in _keyed(others[0][1], ca, head, last, shift, pairs).items()}
+            orders = [[first[x] for x in row] for row in by_entries.get(tuple(sorted(first)), ())]
+        else:  # n = d+1: the empty table, fixed by every frame
+            orders = itertools.permutations(head)
+        for order in orders:
+            slotted = {}
+            for q, c in others:
+                j = slotted[q] = slots.get(tuple(_keyed(c, ca, order, last, shift, pairs).values()))
+                if j is None:
+                    break
+            else:
+                yield _one_line((*order, last, a), slotted)
 
 
 def _check_scan(par: StandardParameter, budget: int) -> dict:
@@ -293,35 +345,36 @@ def _check_scan(par: StandardParameter, budget: int) -> dict:
     return minor_table
 
 
-def _stabilizer_images(par: StandardParameter, budget: int) -> list[tuple[int, ...]]:
-    return sorted(images for _, images in _carrying(par, par, _check_scan(par, budget)) if images)
-
-
 def orbit_and_stabilizer(par: StandardParameter, budget: int = DEFAULT_BUDGET) -> OrbitReport:
     """Orbit and stabilizer by the frame scan; exact, budgeted at (n+1)!."""
+    minor_table, pairs = _check_scan(par, budget), {}
+    shift = _key_shift(minor_table, par.rows)
+    slots = _slots(par, shift)
     row_sets, stabilizer = set(), []
-    for rows, images in _carrying(par, par, _check_scan(par, budget)):
-        row_sets.add(frozenset(rows.values()))
-        if images:
-            stabilizer.append(images)
-    # sort tables as tuples of row ranks: rows are compared in one sort only
-    distinct = sorted(set().union(*row_sets), key=cmp_to_key(_compare_rows))
+    for frame, rows in _frame_tables(par, minor_table, shift, pairs):
+        row_set = frozenset(rows.values())
+        row_sets.add(row_set)
+        if row_set == slots.keys():
+            stabilizer.append(_one_line(frame, {h: slots[row] for h, row in rows.items()}))
+    # sort tables as tuples of row ranks: keys order rows as their values do
+    distinct = sorted(set().union(*row_sets))
     rank = {row: i for i, row in enumerate(distinct)}
     tables = sorted(t for row_set in row_sets
                     for t in itertools.permutations([rank[row] for row in row_set]))
-    rows = _fraction_rows(distinct)
+    fractions = {x: Fraction(*pairs[x]) for x in set(itertools.chain.from_iterable(distinct))}
+    rows = [tuple(map(fractions.__getitem__, row)) for row in distinct]
     return OrbitReport(
         par,
         tuple(StandardParameter._trusted(par.d, par.n, tuple(rows[i] for i in t))
               for t in tables),
-        tuple(Permutation(images) for images in sorted(stabilizer)),
+        tuple(map(Permutation, sorted(stabilizer))),
         kernel_note(par.n, par.d),
     )
 
 
 def stabilizer(par: StandardParameter, budget: int = DEFAULT_BUDGET) -> tuple[Permutation, ...]:
     """The stabilizer of ``orbit_and_stabilizer`` without the orbit."""
-    return tuple(Permutation(images) for images in _stabilizer_images(par, budget))
+    return tuple(map(Permutation, sorted(_carriers(par, par, _check_scan(par, budget)))))
 
 
 KLEIN_ONE_LINE = ((1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1))
@@ -363,7 +416,7 @@ def kernel_of_R(
                 break
             except ValueError:  # off X_{n,d}: draw again
                 pass
-        fixing = {images for _, images in _carrying(par, par, minor_table) if images}
+        fixing = set(_carriers(par, par, minor_table))
         candidates = fixing if candidates is None else candidates & fixing
         if len(candidates) == 1:
             break
@@ -397,11 +450,11 @@ def are_isomorphic(
         raise ValueError("parameters must share the same (n, d)")
     if not is_standard_parameter(second):
         raise ValueError("parameter is not in X_{n,d}")
-    scan = _carrying(first, second, _check_scan(first, budget))
+    scan = _carriers(first, second, _check_scan(first, budget))
     note = None
     if k is not None and (first.d, k, first.n) in EXCEPTIONAL_TYPES:
         note = "linear-category"
-    witness = min((images for _, images in scan if images), default=None)
+    witness = min(scan, default=None)
     if witness is None:
         return IsomorphismResult(False, None, note)
     return IsomorphismResult(True, Permutation(witness), note)
@@ -410,24 +463,26 @@ def are_isomorphic(
 def canonical_representative(par: StandardParameter, budget: int = DEFAULT_BUDGET) -> StandardParameter:
     """Lexicographically least orbit element (exact rational order on the
     flattened table); equal for two parameters iff they are orbit-equivalent.
-    It is the least over frames of the frame's rows in sorted order: the
-    least row of a frame comes first, so only the frames whose least row
-    ties the running minimum are sorted in full."""
+
+    It is the least over frames of the frame's rows in sorted order, so its
+    first row is the least row of any frame: over every basis set, anchor,
+    b_d and other hyperplane q, q's entries in increasing order.  Entries of
+    a row are distinct, so each q reaching that least row fixes the head
+    order of the one frame it is first in; only those frames' tables are
+    sorted in full."""
     minor_table = _check_scan(par, budget)
     if not par.rows:
         return par
+    shift, pairs = _key_shift(minor_table), {}
     least, ties = None, []
-    for _, rows in _frame_tables(par, minor_table):
-        rows = list(rows.values())
-        low = rows[0]
-        for row in rows[1:]:
-            if _compare_rows(row, low) < 0:
-                low = row
-        if least is None or _compare_rows(low, least) < 0:
-            least, ties = low, [rows]
-        elif low == least:
-            ties.append(rows)
-    by_row = cmp_to_key(_compare_rows)
-    least_table = min((sorted(rows, key=by_row) for rows in ties),
-                      key=lambda t: by_row(tuple(itertools.chain.from_iterable(t))))
-    return StandardParameter._trusted(par.d, par.n, _fraction_rows(least_table))
+    for head, last, a, ca, others in _anchored(par, minor_table):
+        rows = [_keyed(c, ca, head, last, shift, pairs) for _, c in others]
+        for e in rows:
+            low = sorted(e.values())
+            if least is None or low < least:
+                least, ties = low, []
+            if low == least:
+                order = sorted(head, key=e.__getitem__)
+                ties.append(sorted(tuple(map(f.__getitem__, order)) for f in rows))
+    return StandardParameter._trusted(
+        par.d, par.n, tuple(tuple(Fraction(*pairs[x]) for x in row) for row in min(ties)))

@@ -422,10 +422,12 @@ def scans(par: StandardParameter, targets=()):
 
 
 def frame_tables(par: StandardParameter):
-    """(frame, {hyperplane: row}) per ordered frame (b_0, ..., b_d, a), as
-    ``modaction._frame_tables`` yields them, from the coordinates
-    C[b][q] = (M q)_b with M = D B^{-1} for each basis set B: one
-    fraction-free inverse and one matrix-vector product per dual point."""
+    """(frame, {hyperplane: row}) per ordered frame (b_0, ..., b_d, a), in the
+    order ``modaction._frame_tables`` yields them, each entry the
+    ``Fraction`` C[b_j][q] C[b_d][a] / (C[b_j][a] C[b_d][q]) that the
+    library keys as an integer: from the coordinates C[b][q] = (M q)_b with
+    M = D B^{-1} for each basis set B, one fraction-free inverse and one
+    matrix-vector product per dual point, and no minor table."""
     d, points = par.d, _integer_duals(par)
     for basis in itertools.combinations(range(par.n + 1), d + 1):
         m = fraction_free_inverse(list(zip(*(points[i] for i in basis))))
@@ -434,14 +436,8 @@ def frame_tables(par: StandardParameter):
         for a, ca in coords.items():
             for last in basis:
                 head = [b for b in basis if b != last]
-                entries = {}
-                for q, c in coords.items():
-                    if q != a:
-                        entries[q] = {}
-                        for b in head:
-                            num, den = c[b] * ca[last], ca[b] * c[last]
-                            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-                            entries[q][b] = (num // g, den // g)
+                entries = {q: {b: Fraction(c[b] * ca[last], ca[b] * c[last]) for b in head}
+                           for q, c in coords.items() if q != a}
                 for order in itertools.permutations(head):
                     yield order + (last, a), {q: tuple(e[b] for b in order)
                                               for q, e in entries.items()}

@@ -15,9 +15,11 @@ from gfermat.errors import DEFAULT_BUDGET, BudgetExceeded, Inconclusive
 from gfermat.fermatgroup import automorphism_order
 from gfermat.modaction import (
     KLEIN_ONE_LINE,
+    IsomorphismResult,
     Permutation,
     _check_scan,
     _frame_tables,
+    _key_shift,
     act,
     act_sigma1,
     act_sigma2,
@@ -408,6 +410,19 @@ class TestFrameScansAgainstEnumeration:
             assert stab == oracles.scans(par)[1]
 
 
+def _decoded_frames(par):
+    """``_frame_tables`` with each key row decoded through its recorded
+    (num, den); each key is checked to be floor(num 2^shift / den)."""
+    minor_table, pairs = _check_scan(par, DEFAULT_BUDGET), {}
+    shift = _key_shift(minor_table)
+    frames = {}
+    for frame, rows in _frame_tables(par, minor_table, shift, pairs):
+        frames[frame] = {q: tuple(Fraction(*pairs[x]) for x in row) for q, row in rows.items()}
+        assert all(x == math.floor(Fraction(*pairs[x]) * 2**shift)
+                   for row in rows.values() for x in row)
+    return frames
+
+
 class TestMinorTableFrames:
     """Every ordered frame's rows read off the minor table against the
     fraction-free inverse per basis set that the table replaced."""
@@ -419,18 +434,17 @@ class TestMinorTableFrames:
         rng = random.Random(59 + 10 * d + n)
         for bound in (9, 9, 10**6):  # entries p/q, |p| <= bound, 1 <= q <= bound
             par = random_parameter(d, n, rng, bound)
-            got = dict(_frame_tables(par, _check_scan(par, DEFAULT_BUDGET)))
+            got = _decoded_frames(par)
             assert len(got) == math.perm(n + 1, d + 2)
             assert got == dict(oracles.frame_tables(par))
 
     def test_negative_entries_and_empty_table(self):
         for par in (par1(-3, Fraction(-1, 2)), par1(-1), StandardParameter(2, 5, (
                 (Fraction(-2), Fraction(3, 7)), (Fraction(5), Fraction(-4, 3))))):
-            assert dict(_frame_tables(par, _check_scan(par, DEFAULT_BUDGET))) == \
-                dict(oracles.frame_tables(par))
+            assert _decoded_frames(par) == dict(oracles.frame_tables(par))
         for d in (1, 2, 3):
             par = StandardParameter(d, d + 1, ())
-            frames = dict(_frame_tables(par, _check_scan(par, DEFAULT_BUDGET)))
+            frames = _decoded_frames(par)
             assert frames == dict(oracles.frame_tables(par))
             assert len(frames) == math.factorial(d + 2)
             assert all(rows == {} for rows in frames.values())
@@ -462,6 +476,97 @@ class TestMinorTableFrames:
                 monkeypatch.setattr(module, "fraction_free_inverse", refuse)
         rng.seed(67)
         assert run_scans() == expected
+
+
+@st.composite
+def _entry_pairs(draw):
+    """(M, x, y): a largest |minor| M of bit length m and two rationals with
+    denominators below 2^(2m), as every scan entry has (num and den are
+    products of two minors).  Half the time y is x's right Farey neighbour
+    at that bound, 1/(b e) above x."""
+    m = draw(st.integers(1, 64))
+    largest = draw(st.integers(2 ** (m - 1), 2**m - 1))
+    bound = 2 ** (2 * m) - 1
+    x = Fraction(draw(st.integers(-bound, bound)), draw(st.integers(1, bound)))
+    if draw(st.booleans()):
+        a, b = x.numerator, x.denominator
+        e = -pow(a, -1, b) % b
+        e += (bound - e) // b * b
+        return largest, x, Fraction((1 + a * e) // b, e)
+    return largest, x, Fraction(draw(st.integers(-bound, bound)), draw(st.integers(1, bound)))
+
+
+class TestEntryKeys:
+    """The integer key floor(x 2^K) of a scan entry, and the target term of
+    its shift."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_entry_pairs())
+    @example((2**20 - 1, Fraction(1, 2**40 - 1), Fraction(1, 2**40 - 2)))
+    @example((2**63, Fraction(-1, 2**128 - 2), Fraction(-1, 2**128 - 1)))
+    @example((1, Fraction(1, 3), Fraction(1, 2)))
+    def test_key_orders_and_equates_like_fraction(self, case):
+        largest, x, y = case
+        shift = _key_shift({(0,): largest})
+
+        def key(v):
+            return (v.numerator << shift) // v.denominator
+
+        assert (key(x) > key(y)) - (key(x) < key(y)) == (x > y) - (x < y)
+
+    @pytest.mark.parametrize("dn", [(1, 4), (2, 5), (3, 6)], ids=lambda dn: f"d{dn[0]}n{dn[1]}")
+    def test_iso_refuses_one_entry_off_by_less_than_the_bare_key_step(self, dn):
+        """The target is an orbit element with one entry x moved up by
+        2^-K0 / (6 b), b its denominator, K0 the shift without the target
+        term: floor(x 2^K0) keeps its value, so only the target term
+        separates the two entries."""
+        d, n = dn
+        rng = random.Random(71 + d)
+        par = random_parameter(d, n, rng)
+        moved = act(Permutation(tuple(rng.sample(range(n + 1), n + 1))), par)
+        bare = _key_shift(_check_scan(par, DEFAULT_BUDGET))
+        i, j = rng.randrange(n - d - 1), rng.randrange(d)
+        x = moved.rows[i][j]
+        y = x + Fraction(1, 6 * 2**bare * x.denominator)
+        assert math.floor(y * 2**bare) == math.floor(x * 2**bare)
+        rows = [list(row) for row in moved.rows]
+        rows[i][j] = y
+        target = StandardParameter(d, n, tuple(map(tuple, rows)))
+        assert is_standard_parameter(target)
+        assert are_isomorphic(par, moved).equivalent
+        assert are_isomorphic(par, target) == IsomorphismResult(False, None, None)
+        assert are_isomorphic(target, par) == IsomorphismResult(False, None, None)
+
+
+SMALL_VALUES = st.sampled_from([Fraction(v) for v in (-2, -1, 2, 3)]
+                               + [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2)])
+
+
+class TestEarlyExitAgainstEnumeration:
+    """Stabilizer, iso (true and false targets) and canon against one
+    renormalization per permutation, on tables of a few small values: these
+    have nontrivial stabilizers and rows sharing their entries, so many
+    frames pass the first-row test and fail on a later row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(d + 2, min(d + 3, 6)))), st.data())
+    def test_small_value_tables(self, dn, data):
+        d, n = dn
+        def draw_table():
+            return StandardParameter(d, n, data.draw(st.tuples(*[st.tuples(*[SMALL_VALUES] * d)] * (n - d - 1))))
+        par = draw_table()
+        assume(is_standard_parameter(par))
+        moved = act(Permutation(tuple(data.draw(st.permutations(range(n + 1))))), par)
+        other = draw_table()
+        targets = [moved.rows] + [other.rows] * is_standard_parameter(other)
+        tables, stab, witnesses = oracles.scans(par, targets)
+        assert _images(stabilizer(par)) == stab
+        assert canonical_representative(par).rows == tables[0]
+        for target in targets:
+            result = are_isomorphic(par, StandardParameter(d, n, target))
+            assert (result.witness and result.witness.images) == witnesses[target]
+            assert result.equivalent == (target in tables)
 
 
 def par2(*rows):
