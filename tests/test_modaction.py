@@ -542,6 +542,11 @@ SMALL_VALUES = st.sampled_from([Fraction(v) for v in (-2, -1, 2, 3)]
                                + [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2)])
 
 
+def _small_value_tables(d, n):
+    rows = st.tuples(*[st.tuples(*[SMALL_VALUES] * d)] * (n - d - 1))
+    return rows.map(lambda r: StandardParameter(d, n, r))
+
+
 class TestEarlyExitAgainstEnumeration:
     """Stabilizer, iso (true and false targets) and canon against one
     renormalization per permutation, on tables of a few small values: these
@@ -553,12 +558,10 @@ class TestEarlyExitAgainstEnumeration:
         lambda d: st.tuples(st.just(d), st.integers(d + 2, min(d + 3, 6)))), st.data())
     def test_small_value_tables(self, dn, data):
         d, n = dn
-        def draw_table():
-            return StandardParameter(d, n, data.draw(st.tuples(*[st.tuples(*[SMALL_VALUES] * d)] * (n - d - 1))))
-        par = draw_table()
+        par = data.draw(_small_value_tables(d, n))
         assume(is_standard_parameter(par))
         moved = act(Permutation(tuple(data.draw(st.permutations(range(n + 1))))), par)
-        other = draw_table()
+        other = data.draw(_small_value_tables(d, n))
         targets = [moved.rows] + [other.rows] * is_standard_parameter(other)
         tables, stab, witnesses = oracles.scans(par, targets)
         assert _images(stabilizer(par)) == stab
