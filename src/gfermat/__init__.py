@@ -27,7 +27,7 @@ _EXPORTS = {
                   "invariant_report kodaira_dimension plurigenus",
     "modaction": "Permutation act act_sigma1 act_sigma2 are_isomorphic "
                  "canonical_representative kernel_of_R orbit_and_stabilizer stabilizer",
-    "rational": "Rational projective_normalize",
+    "rational": "projective_normalize",
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_SUBMODULE)

@@ -1,21 +1,31 @@
 """Worked constructions: Kummer parameters, line restriction, tangent conics.
 
-All three constructions stay inside exact rational arithmetic:
+Each ends with n+1 points on P^1 and reports their parameter in X_{n,1}:
+``_coordinates`` sends the anchors (i, z, o) to infinity, 0 and 1 and every
+other point p to [p,z][o,i] / ([p,i][o,z]).  A bracket [p,q] is any function
+of two points fixed up to one common factor, which cancels.  Only the
+bracket differs.  Each point (and t below) appears once above and once
+below the line, so its scale cancels too: every bracket is taken on points
+cleared to integers, and each value is one ``Fraction`` of two integers.
 
 * the desingularized Kummer surface of the Jacobian of y^2 = (x-a_1)...(x-a_6)
   is the branched cover over six explicit lines, whose normal form is a
-  cross-ratio table in the a_i;
-* restricting a surface of type (2; k, n) to a line in general position with
-  the branch lines produces a curve of type (k, n) whose parameter is read
-  off from the n+1 intersection points;
+  table of cross-ratios of the a_i; the bracket is p - q;
+* a line rho in general position with the branch lines of a surface of type
+  (2; k, n) cuts out a curve of type (k, n) through the points rho x q; the
+  bracket of two of them is rho . (q x q');
 * the smooth conics tangent to the four canonical lines form a rational
   one-parameter family, and a line with dual point u is tangent iff
   u . adj(Q) . u = 0.  Q is symmetric, so the rows of adj(Q) are r1 x r2,
   r2 x r0, r0 x r1 for Q's rows r0, r1, r2, and det Q = r0 . (r1 x r2).
+  Four points of a conic have the cross-ratio of the chords joining them to
+  a fifth point c of it: the bracket is c . (p x q), and -t . p for the
+  chord from p to c itself, where t = Q c is the tangent at c.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +37,7 @@ from .arrangement import (
 )
 from .errors import NotInGeneralPosition, TangencyError
 from .exactfield import ExactMatrix
-from .rational import projective_normalize, rational_to_string
+from .rational import clear_denominators, projective_normalize, rational_to_string
 
 __all__ = [
     "Conic",
@@ -52,7 +62,7 @@ class Conic:
             raise ValueError("a conic needs six coefficients")
         object.__setattr__(self, "coefficients", coeffs)
         r0, r1, r2 = self.matrix().row_list()
-        if sum(a * b for a, b in zip(r0, _cross(r1, r2))) == 0:
+        if _dot(r0, _cross(r1, r2)) == 0:
             raise ValueError("the conic is singular")
 
     def matrix(self) -> ExactMatrix:
@@ -80,26 +90,38 @@ def _cross(u, v):
     )
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _coordinates(bracket, points, anchors):
+    """[p,z][o,i] / ([p,i][o,z]) for each point p but the anchors (0-based
+    indices i, z, o), in index order; each value is one ``Fraction``, and a
+    zero denominator raises ``ZeroDivisionError``."""
+    i, z, o = (points[a] for a in anchors)
+    oi, oz = bracket(o, i), bracket(o, z)
+    return [
+        Fraction(bracket(p, z) * oi, bracket(p, i) * oz)
+        for j, p in enumerate(points)
+        if j not in anchors
+    ]
+
+
 def kummer_parameters(alphas) -> StandardParameter:
     """Normal form in X_{5,2} of the six Kummer branch lines.
 
-    Each table entry is a cross-ratio of four of the six branch values, so
-    the output is invariant under affine rescaling a_i -> c a_i + e.
+    Row r sends a_{4+r}, a_4 and a_3 to infinity, 0 and 1 and keeps the
+    images of a_1 and a_2.  Each entry is a cross-ratio of four of the six
+    branch values, so the output is invariant under affine rescaling
+    a_i -> c a_i + e.
     """
     a = tuple(Fraction(x) for x in alphas)
     if len(a) != 6:
         raise ValueError("need six branch values")
     if len(set(a)) != 6:
         raise ValueError("branch values must be pairwise distinct")
-    a1, a2, a3, a4, a5, a6 = a
-
-    def ratio(top, tangent):
-        return ((top - a4) * (a3 - tangent)) / ((top - tangent) * (a3 - a4))
-
-    rows = (
-        (ratio(a1, a5), ratio(a2, a5)),
-        (ratio(a1, a6), ratio(a2, a6)),
-    )
+    ints = clear_denominators(a)[0]  # a scaling, which keeps every cross-ratio
+    rows = tuple(tuple(_coordinates(operator.sub, ints, (i, 3, 2))[:2]) for i in (4, 5))
     par = StandardParameter(2, 5, rows)
     if not is_standard_parameter(par):
         raise ValueError("branch values produce a degenerate line collection")
@@ -126,10 +148,11 @@ class LineRestriction:
 def restrict_to_line(par: StandardParameter, rho, *, allow_singular: bool = False) -> LineRestriction:
     """Parameter of the curve cut out over the line with dual point rho.
 
-    Requires the augmented collection (branch lines plus the new line) to be
-    in general position; with ``allow_singular`` the parameter is still
-    emitted, tagged, when the closed formulas stay finite (the fiber is then
-    a singular curve).
+    The line meets branch line q at rho x q; lines 1, 2 and 3 go to
+    infinity, 0 and 1.  Requires the augmented collection (branch lines
+    plus the new line) to be in general position; with ``allow_singular``
+    the parameter is still emitted, tagged, when no cross-ratio denominator
+    vanishes (the fiber is then a singular curve).
     """
     if par.d != 2:
         raise ValueError("line restriction starts from a surface parameter (d = 2)")
@@ -144,11 +167,9 @@ def restrict_to_line(par: StandardParameter, rho, *, allow_singular: bool = Fals
         raise NotInGeneralPosition(
             "the line is not in general position with the branch lines"
         )
-    r1, r2, r3 = rho
+    rho = clear_denominators(rho)[0]
     try:
-        values = [r2 * (r3 - r1) / (r1 * (r3 - r2))]
-        for lam, mu in par.rows:
-            values.append(r2 * (lam * r3 - r1) / (r1 * (mu * r3 - r2)))
+        values = _coordinates(lambda q, r: _dot(rho, _cross(q, r)), duals, (0, 1, 2))
     except ZeroDivisionError as exc:
         raise NotInGeneralPosition(
             "restriction formulas degenerate for this line"
@@ -173,10 +194,6 @@ def tangent_conic(a) -> Conic:
     ))
 
 
-def _bracket(p, q):
-    return p[0] * q[1] - p[1] * q[0]
-
-
 @dataclass(frozen=True)
 class ConicCurveResult:
     eta: StandardParameter
@@ -199,9 +216,11 @@ def conic_curve_parameters(a, par: StandardParameter, anchors=(1, 2, 3)) -> Coni
 
     The n+1 tangency points are the poles adj(Q) . u of the line duals u
     (all rational).  The conic is identified with the projective line by the
-    pencil through the first anchor point; the three anchor points go to
+    chords through the first anchor point; the three anchor points go to
     infinity, 0 and 1 and the remaining n-2 cross-ratio values are returned
-    in index order.
+    in index order.  No denominator vanishes: three distinct points of a
+    smooth conic are never collinear, and its tangent at the first anchor
+    meets it only there.
     """
     if par.d != 2:
         raise ValueError("conic restriction starts from a surface parameter (d = 2)")
@@ -210,46 +229,24 @@ def conic_curve_parameters(a, par: StandardParameter, anchors=(1, 2, 3)) -> Coni
     conic = tangent_conic(a)
     adj = conic.dual_matrix()
     duals = _integer_duals(par)  # every use below is invariant under scaling a dual
+    poles = []
     for j, q in enumerate(duals, start=1):
-        if sum(a * b for a, b in zip(q, adj.matvec(q))):
+        pole = adj.matvec(q)
+        if _dot(q, pole):
             raise TangencyError(j)
-    poles = [projective_normalize(adj.matvec(q)) for q in duals]
+        poles.append(projective_normalize(pole))
     if len(set(poles)) != len(poles):
         raise ValueError("tangency points are not distinct")
     anchors = tuple(int(i) for i in anchors)
     if len(set(anchors)) != 3 or not all(1 <= i <= par.n + 1 for i in anchors):
         raise ValueError("anchors must be three distinct 1-based indices")
-    center = poles[anchors[0] - 1]
-    qmatrix = conic.matrix()
+    points = [clear_denominators(p)[0] for p in poles]
+    c = points[anchors[0] - 1]
+    t = clear_denominators(conic.matrix().matvec(c))[0]  # the tangent at c
 
-    def pencil_line(point):
-        if point == center:
-            return qmatrix.matvec(center)  # tangent line at the center
-        return _cross(center, point)
+    def bracket(p, q):
+        return -_dot(t, p) if q == c else _dot(c, _cross(p, q))
 
-    # Lines u through the center satisfy u . center = 0; dropping the pivot
-    # coordinate (the first nonzero one of the center) is a linear
-    # isomorphism of that plane onto P^1.
-    pivot = next(i for i, c in enumerate(center) if c != 0)
-    others = [i for i in range(3) if i != pivot]
-
-    def pencil_coords(line):
-        return (line[others[0]], line[others[1]])
-
-    coords = [pencil_coords(pencil_line(p)) for p in poles]
-    z_inf = coords[anchors[0] - 1]
-    z_zero = coords[anchors[1] - 1]
-    z_one = coords[anchors[2] - 1]
-
-    def moebius(z):
-        num = _bracket(z, z_zero) * _bracket(z_one, z_inf)
-        den = _bracket(z, z_inf) * _bracket(z_one, z_zero)
-        return num / den
-
-    values = [
-        moebius(coords[j])
-        for j in range(par.n + 1)
-        if (j + 1) not in anchors
-    ]
+    values = _coordinates(bracket, points, tuple(i - 1 for i in anchors))
     eta = StandardParameter(1, par.n, tuple((v,) for v in values))
     return ConicCurveResult(eta, tuple(poles), anchors)

@@ -15,10 +15,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "rational_from_string",
     "rational_to_string",
     "projective_normalize",

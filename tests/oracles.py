@@ -29,9 +29,16 @@ on the level-set fixed locus, ``induced_hyperplane_permutation``, the
 plurigenus ``leading_coefficient``, the conic references ``is_tangent``
 (with the cofactor adjugate) and ``conic_contains``, the canonical
 ``arrangement_of`` a parameter, and ``random_parameter``, the rejection
-sampler whose draws ``kernel_of_R`` repeats."""
+sampler whose draws ``kernel_of_R`` repeats.  The three curve constructions
+as they were before one cross-ratio helper replaced their derivations:
+Kummer's per-entry ``ratio`` (``kummer_by_ratio``), the line restriction's
+closed forms in rho and each table row (``restrict_by_closed_forms``), and
+the conic's pencil projection with a Moebius map
+(``conic_by_pencil_projection``); ``outcome`` compares two of them with
+errors included."""
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +52,8 @@ from gfermat.arrangement import (
     _integer_duals,
     is_standard_parameter,
 )
-from gfermat.errors import BudgetExceeded, Inconclusive
+from gfermat.constructions import ConicCurveResult, LineRestriction, _cross, tangent_conic
+from gfermat.errors import BudgetExceeded, Inconclusive, NotInGeneralPosition, TangencyError
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix, _zero_like, cyclotomic_polynomial
 from gfermat.fermatgroup import (
     FixedComponent,
@@ -56,7 +64,7 @@ from gfermat.fermatgroup import (
     equations,
 )
 from gfermat.modaction import Permutation
-from gfermat.rational import fraction_free_inverse, rational_to_string
+from gfermat.rational import fraction_free_inverse, projective_normalize, rational_to_string
 
 
 def _divide(x, y):
@@ -305,6 +313,118 @@ def is_tangent(rho, conic) -> bool:
     if not any(rho):
         raise ValueError("the zero vector is not a line")
     return _quadratic_form(adjugate_cofactor(conic.matrix()), rho) == 0
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's report JSON and value, or the type and text of what it
+    raised, so two implementations compare errors included."""
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:  # any exception is an outcome to compare
+        return ("raised", type(exc), str(exc))
+    return ("value", json.dumps(result.to_json()), result)
+
+
+def kummer_by_ratio(alphas) -> StandardParameter:
+    """``kummer_parameters`` with each entry from a local ratio of branch
+    values, as before the one cross-ratio helper replaced it."""
+    a = tuple(Fraction(x) for x in alphas)
+    if len(a) != 6:
+        raise ValueError("need six branch values")
+    if len(set(a)) != 6:
+        raise ValueError("branch values must be pairwise distinct")
+    a1, a2, a3, a4, a5, a6 = a
+
+    def ratio(top, tangent):
+        return ((top - a4) * (a3 - tangent)) / ((top - tangent) * (a3 - a4))
+
+    rows = (
+        (ratio(a1, a5), ratio(a2, a5)),
+        (ratio(a1, a6), ratio(a2, a6)),
+    )
+    par = StandardParameter(2, 5, rows)
+    if not is_standard_parameter(par):
+        raise ValueError("branch values produce a degenerate line collection")
+    return par
+
+
+def restrict_by_closed_forms(par: StandardParameter, rho, *, allow_singular: bool = False):
+    """``restrict_to_line`` with the curve parameter from closed forms in
+    rho = (r1, r2, r3) and each row (lambda, mu), as before the one
+    cross-ratio helper replaced them."""
+    if par.d != 2:
+        raise ValueError("line restriction starts from a surface parameter (d = 2)")
+    if not is_standard_parameter(par):
+        raise ValueError("parameter is not in X_{n,2}")
+    rho = projective_normalize(tuple(Fraction(c) for c in rho))
+    if len(rho) != 3:
+        raise ValueError("the line needs a dual point in P^2")
+    duals = _integer_duals(par)
+    general = is_general_position(duals + [rho], 2)
+    if not general and not allow_singular:
+        raise NotInGeneralPosition(
+            "the line is not in general position with the branch lines"
+        )
+    r1, r2, r3 = rho
+    try:
+        values = [r2 * (r3 - r1) / (r1 * (r3 - r2))]
+        for lam, mu in par.rows:
+            values.append(r2 * (lam * r3 - r1) / (r1 * (mu * r3 - r2)))
+    except ZeroDivisionError as exc:
+        raise NotInGeneralPosition(
+            "restriction formulas degenerate for this line"
+        ) from exc
+    eta = StandardParameter(1, par.n, tuple((v,) for v in values))
+    points = tuple(projective_normalize(_cross(rho, q)) for q in duals)
+    return LineRestriction(eta, points, not general)
+
+
+def conic_by_pencil_projection(a, par: StandardParameter, anchors=(1, 2, 3)):
+    """``conic_curve_parameters`` with the conic identified with P^1 by the
+    pencil of lines through the first anchor point, each line projected to
+    two coordinates by dropping the center's pivot, and a Moebius map of
+    2x2 brackets, as before the one cross-ratio helper replaced it."""
+    if par.d != 2:
+        raise ValueError("conic restriction starts from a surface parameter (d = 2)")
+    if not is_standard_parameter(par):
+        raise ValueError("parameter is not in X_{n,2}")
+    conic = tangent_conic(a)
+    adj = conic.dual_matrix()
+    duals = _integer_duals(par)
+    for j, q in enumerate(duals, start=1):
+        if sum(a * b for a, b in zip(q, adj.matvec(q))):
+            raise TangencyError(j)
+    poles = [projective_normalize(adj.matvec(q)) for q in duals]
+    if len(set(poles)) != len(poles):
+        raise ValueError("tangency points are not distinct")
+    anchors = tuple(int(i) for i in anchors)
+    if len(set(anchors)) != 3 or not all(1 <= i <= par.n + 1 for i in anchors):
+        raise ValueError("anchors must be three distinct 1-based indices")
+    center = poles[anchors[0] - 1]
+    qmatrix = conic.matrix()
+
+    def pencil_line(point):
+        if point == center:
+            return qmatrix.matvec(center)  # tangent line at the center
+        return _cross(center, point)
+
+    pivot = next(i for i, c in enumerate(center) if c != 0)
+    others = [i for i in range(3) if i != pivot]
+
+    def bracket(p, q):
+        return p[0] * q[1] - p[1] * q[0]
+
+    coords = [tuple(pencil_line(p)[i] for i in others) for p in poles]
+    z_inf, z_zero, z_one = (coords[i - 1] for i in anchors)
+
+    def moebius(z):
+        num = bracket(z, z_zero) * bracket(z_one, z_inf)
+        den = bracket(z, z_inf) * bracket(z_one, z_zero)
+        return num / den
+
+    values = [moebius(coords[j]) for j in range(par.n + 1) if (j + 1) not in anchors]
+    eta = StandardParameter(1, par.n, tuple((v,) for v in values))
+    return ConicCurveResult(eta, tuple(poles), anchors)
 
 
 def inverse(matrix: ExactMatrix) -> ExactMatrix:

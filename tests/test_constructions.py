@@ -1,6 +1,9 @@
 """Tests for the Kummer, line-restriction and tangent-conic constructions."""
 
+import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -60,6 +63,20 @@ class TestKummer:
         generic = orbit_and_stabilizer(kummer_parameters([0, 1, 3, 7, 12, 20]))
         assert generic.stabilizer_order == 1
 
+    def test_matches_ratio_reference(self):
+        """Outcomes, errors included, equal the per-entry ratio reference on
+        seeded 6-tuples of small values, many with a repeated value."""
+        rng = random.Random(20261019)
+        kinds = Counter()
+        for _ in range(1500):
+            alphas = [rng.choice((0, 1, -1, 2)) if rng.random() < 0.1 else rand_fraction(rng, 5)
+                      for _ in range(6)]
+            got = oracles.outcome(kummer_parameters, alphas)
+            assert got == oracles.outcome(oracles.kummer_by_ratio, alphas)
+            kinds[got[0] if got[0] == "value" else got[2]] += 1
+        assert kinds["value"] >= 500
+        assert kinds["branch values must be pairwise distinct"] >= 100
+
     def test_affine_invariance(self):
         """Every entry is a cross-ratio, so a -> c a + e leaves it fixed."""
         rng = random.Random(6)
@@ -108,6 +125,36 @@ class TestRestrictToLine:
             assert is_standard_parameter(result.eta)
             assert not result.singular
             done += 1
+
+    def test_matches_closed_form_reference(self):
+        """Outcomes, errors included, equal the closed-form reference, with
+        and without ``allow_singular``: small tables for n = 3..7 (some off
+        X_{n,2}) against lines with small integer duals, which often pass
+        through a crossing of branch lines or are one of them."""
+        rng = random.Random(20261020)
+        kinds = Counter()
+        for _ in range(150):
+            n = rng.randint(3, 7)
+            if rng.random() < 0.7:
+                par = random_parameter(2, n, rng, bound=3)
+            else:
+                par = StandardParameter(2, n, tuple(
+                    (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
+                    for _ in range(n - 3)))
+            for _ in range(6):
+                rho = [rng.randint(-2, 2) for _ in range(3)]
+                for allow in (False, True):
+                    got = oracles.outcome(restrict_to_line, par, rho, allow_singular=allow)
+                    want = oracles.outcome(oracles.restrict_by_closed_forms, par, rho,
+                                           allow_singular=allow)
+                    assert got == want
+                    kinds[("singular" if got[2].singular else "clean") if got[0] == "value"
+                          else got[2]] += 1
+        assert kinds["clean"] >= 100 and kinds["singular"] >= 50
+        assert kinds["parameter is not in X_{n,2}"] >= 50
+        assert kinds["restriction formulas degenerate for this line"] >= 50
+        assert kinds["the line is not in general position with the branch lines"] >= 100
+        assert kinds["cannot normalize the zero vector"] >= 1
 
     def test_points_lie_on_line_and_branch_lines(self):
         rng = random.Random(14)
@@ -300,6 +347,40 @@ class TestConicCurveParameters:
         for anchors in [(2, 3, 1), (1, 2, 4), (3, 5, 2)]:
             other = conic_curve_parameters(1, par, anchors=anchors).eta
             assert are_isomorphic(base, other).equivalent
+
+    def test_matches_pencil_projection_reference(self):
+        """Outcomes, errors included, equal the pencil-projection reference
+        on tables of lines tangent to one conic for n = 3..6, each with every
+        ordered anchor triple, and on a non-tangent table and bad anchors."""
+        rng = random.Random(20261021)
+        tables = []
+        while len(tables) < 8:
+            a = rand_fraction(rng, 4)
+            n = 3 + len(tables) // 2
+            if a in (0, 2):
+                continue
+            try:
+                lines = [fifth_tangent_line(a, rand_fraction(rng, 5)) for _ in range(n - 3)]
+            except (ValueError, ZeroDivisionError):
+                continue
+            if any(u[2] == 0 for u in lines):
+                continue
+            par = StandardParameter(2, n, tuple((u[0] / u[2], u[1] / u[2]) for u in lines))
+            if is_standard_parameter(par):
+                tables.append((a, par))
+        calls = [(a, par, anchors) for a, par in tables
+                 for anchors in itertools.permutations(range(1, par.n + 2), 3)]
+        a, par = tables[-1]
+        bad = [(1, 1, 2), (0, 1, 2), (1, 2, par.n + 2), (1, 2), ("x", 1, 2)]
+        calls += [(a, par, anchors) for anchors in bad]
+        calls += [(0, par, (1, 2, 3)), (a, kummer_parameters([0, 1, 2, 3, 4, 5]), (1, 2, 3))]
+        kinds = Counter()
+        for a, par, anchors in calls:
+            got = oracles.outcome(conic_curve_parameters, a, par, anchors)
+            assert got == oracles.outcome(oracles.conic_by_pencil_projection, a, par, anchors)
+            kinds[got[0] if got[0] == "value" else got[1]] += 1
+        assert kinds["value"] == sum(math.perm(par.n + 1, 3) for _, par in tables)
+        assert kinds[ValueError] == 6 and kinds[TangencyError] == 1
 
     def test_tangency_points_lie_on_conic_and_lines(self):
         par = StandardParameter(2, 3, ())

@@ -13,7 +13,7 @@ import gfermat
 EXPORTS = [
     "Arrangement", "BudgetExceeded", "Conic", "CyclotomicScalar", "EquationSystem",
     "ExactMatrix", "GfmType", "GroupElement", "Hyperplane", "Inconclusive",
-    "NotInGeneralPosition", "Permutation", "Rational", "StandardParameter",
+    "NotInGeneralPosition", "Permutation", "StandardParameter",
     "TangencyError", "act", "act_sigma1", "act_sigma2", "are_isomorphic",
     "automorphism_order", "bound_feasible", "canonical_degree", "canonical_representative",
     "classify", "classify_low_n", "conic_curve_parameters", "cyclotomic_polynomial",
