@@ -18,7 +18,7 @@ _EXPORTS = {
                    "is_standard_parameter normalize",
     "constructions": "Conic conic_curve_parameters kummer_parameters restrict_to_line "
                      "tangent_conic",
-    "errors": "BudgetExceeded Inconclusive NotInGeneralPosition TangencyError",
+    "errors": "BudgetExceeded NotInGeneralPosition TangencyError",
     "exactfield": "CyclotomicScalar ExactMatrix cyclotomic_polynomial",
     "fermatgroup": "EquationSystem GfmType GroupElement automorphism_order bound_feasible "
                    "classify_low_n equations fixed_locus is_linear_automorphism "

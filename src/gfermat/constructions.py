@@ -220,7 +220,8 @@ def conic_curve_parameters(a, par: StandardParameter, anchors=(1, 2, 3)) -> Coni
     infinity, 0 and 1 and the remaining n-2 cross-ratio values are returned
     in index order.  No denominator vanishes: three distinct points of a
     smooth conic are never collinear, and its tangent at the first anchor
-    meets it only there.
+    meets it only there.  ``anchors`` are three distinct 1-based indices of
+    type ``int``; any other anchor is refused, not truncated.
     """
     if par.d != 2:
         raise ValueError("conic restriction starts from a surface parameter (d = 2)")
@@ -237,8 +238,8 @@ def conic_curve_parameters(a, par: StandardParameter, anchors=(1, 2, 3)) -> Coni
         poles.append(projective_normalize(pole))
     if len(set(poles)) != len(poles):
         raise ValueError("tangency points are not distinct")
-    anchors = tuple(int(i) for i in anchors)
-    if len(set(anchors)) != 3 or not all(1 <= i <= par.n + 1 for i in anchors):
+    anchors = tuple(anchors)
+    if len(set(anchors)) != 3 or not all(type(i) is int and 1 <= i <= par.n + 1 for i in anchors):
         raise ValueError("anchors must be three distinct 1-based indices")
     points = [clear_denominators(p)[0] for p in poles]
     c = points[anchors[0] - 1]

@@ -16,10 +16,6 @@ class ValidationError(ValueError):
     """Malformed payload (bad JSON, bad schema, unparseable scalar)."""
 
 
-class Inconclusive(RuntimeError):
-    """A sampled search ended with more than one candidate left."""
-
-
 class NotInGeneralPosition(ValueError):
     """A hyperplane collection violates the general-position requirement."""
 

@@ -465,6 +465,13 @@ class AutomorphismOrder:
 def automorphism_order(
     par: StandardParameter, k: int, budget: int = DEFAULT_BUDGET
 ) -> AutomorphismOrder:
+    """|Aut| = |G_0| k^n, with G_0 the stabilizer of par in S_{n+1}.
+
+    ``kernel_order`` is the order of the kernel of the S_{n+1}-action on
+    X_{n,d}: (n+1)! for n = d+1, where X_{n,d} is the empty table alone; 4
+    for (n, d) = (3, 1), the Klein four-group; and 1 otherwise, by the
+    normal-subgroup proof in ``modaction.kernel_of_R``.
+    """
     from .modaction import EXCEPTIONAL_TYPES, stabilizer
 
     stab = len(stabilizer(par, budget=budget))

@@ -32,10 +32,6 @@ __all__ = [
     "invariant_report",
 ]
 
-K3_TUPLES = frozenset({(4, 3), (2, 5)})
-RATIONAL_TUPLES = frozenset({(2, 3), (3, 3), (2, 4)})
-
-
 def h0_twist(gfm_type: GfmType, r: int) -> int:
     """Dimension of the space of degree-r twisted global sections."""
     return 0 if r < 0 else hilbert_series_coefficient(gfm_type, r)
@@ -78,18 +74,17 @@ def kodaira_dimension(gfm_type: GfmType):
 
 
 def classify(gfm_type: GfmType) -> str:
-    """Coarse classification label.
+    """Coarse classification label, read off r1.
 
-    The rational and K3 labels are asserted only for the surface tuples the
-    classification names explicitly; any other negative-Kodaira type is
+    For surfaces (d = 2, so n >= 3) r1 = (n-2)k - n - 1 is 0 exactly for
+    (k, n) = (4, 3) and (2, 5), the K3 surfaces, since k = 1 + 3/(n-2); it
+    is negative exactly for (2, 3), (3, 3) and (2, 4), the rational ones,
+    since k >= 2 needs n <= 4.  In other dimensions a negative r1 is
     labelled plainly, without extrapolating rationality.
     """
-    d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
-    if d == 2 and (k, n) in K3_TUPLES:
-        return "K3"
-    if d == 2 and (k, n) in RATIONAL_TUPLES:
-        return "rational"
     r1 = canonical_degree(gfm_type)
+    if gfm_type.d == 2 and r1 <= 0:
+        return "K3" if r1 == 0 else "rational"
     if r1 == 0:
         return "Calabi-Yau"
     if r1 > 0:

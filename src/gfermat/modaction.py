@@ -36,13 +36,13 @@ orbit is every row order of every frame's rows.  Scans are still charged
 (n+1)! against the budget, which bounds the (n+1)!/(n-d-1)! frames they
 visit.
 
-Stabilizer, iso, aut-order and the kernel exit early.  For each basis set,
-anchor and b_d they key the row of one other hyperplane q0 first.  Its
-entries are distinct, so each target row it could be fixes the head order,
-and only that frame has its other rows built.  Canon's first row is the
-least row of any frame: q's entries in increasing order, for some basis
-set, anchor, b_d and q.  Each q reaching it fixes one frame, and only those
-frames' tables are sorted.
+Stabilizer, iso and aut-order exit early.  For each basis set, anchor and
+b_d they key the row of one other hyperplane q0 first.  Its entries are
+distinct, so each target row it could be fixes the head order, and only
+that frame has its other rows built.  Canon's first row is the least row
+of any frame: q's entries in increasing order, for some basis set, anchor,
+b_d and q.  Each q reaching it fixes one frame, and only those frames'
+tables are sorted.
 
 The scans key each table entry x = num/den, where num and den are products
 of two signed minors, as the integer floor(x 2^K) = (num << K) // den (``//``
@@ -74,7 +74,7 @@ from .arrangement import (
     _integer_duals,
     is_standard_parameter,
 )
-from .errors import DEFAULT_BUDGET, BudgetExceeded, Inconclusive
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .rational import minors
 
 __all__ = [
@@ -383,47 +383,41 @@ KLEIN_ONE_LINE = ((1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1))
 def kernel_of_R(
     n: int,
     d: int,
-    samples: int = 12,
     rng: random.Random | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[Permutation, ...]:
-    """Permutations acting trivially on every parameter.
+    """Permutations acting trivially on every parameter, for 1 <= d <= n-2.
 
     For (n, d) = (3, 1) the kernel is the Klein four-group (a proved fact,
-    returned directly).  Otherwise each of up to ``samples`` random
-    parameters removes the candidates that move it, so a lone survivor (the
-    identity) is exact; if more than one survives, Inconclusive is raised.
-    A sample's entries are num/den with num in -9..9 and den in 1..9, drawn
-    row by row; a draw off X_{n,d} is drawn again, and the scan reads the
-    minor table that tested the draw, so each sample is swept once.
+    returned directly).  Otherwise n >= 4, since n = d+2 = 3 only for d = 1.
+    The kernel is normal in S_{n+1}, and for n+1 >= 5 the normal subgroups
+    of S_{n+1} are 1, A_{n+1} and S_{n+1}: a normal N meets the simple
+    A_{n+1} in 1 or in A_{n+1}, and if it meets it in 1 then |N| <= 2, so N
+    is central, while the centre of S_{n+1} is trivial.  A_{n+1} and S_{n+1}
+    both contain the 3-cycle (1 2 3), so one parameter that (1 2 3) moves
+    proves the kernel trivial.
+
+    Parameters are drawn row by row with entries num/den, num in -9..9 and
+    den in 1..9, until one lies in X_{n,d} and is moved.  Each draw is
+    charged its C(n+1, d+1) membership sweep against the budget before it
+    is drawn.
     """
-    if n < d + 2 and (n, d) != (3, 1):
-        raise ValueError("kernel identification needs n >= d+2")
+    if d < 1 or n < d + 2:
+        raise ValueError("kernel identification needs d >= 1 and n >= d+2")
     if (n, d) == (3, 1):
         return tuple(Permutation.from_one_line(p) for p in KLEIN_ONE_LINE)
-    size = math.factorial(n + 1)
-    if size * max(samples, 1) > budget:
-        raise BudgetExceeded(size * max(samples, 1), budget)
     rng = rng or random.Random(0)
-    candidates = None  # all of S_{n+1}
-    for _ in range(samples):
-        while True:
-            rows = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d))
-                         for _ in range(n - d - 1))
-            par = StandardParameter._trusted(d, n, rows)
-            try:
-                minor_table = _check_scan(par, budget)
-                break
-            except ValueError:  # off X_{n,d}: draw again
-                pass
-        fixing = set(_carriers(par, par, minor_table))
-        candidates = fixing if candidates is None else candidates & fixing
-        if len(candidates) == 1:
-            break
-    count = size if candidates is None else len(candidates)
-    if count > 1:
-        raise Inconclusive(f"{count} permutations fix all {samples} samples")
-    return (Permutation(candidates.pop()),)
+    cycle = Permutation((1, 2, 0, *range(3, n + 1)))
+    sweep, spent = math.comb(n + 1, d + 1), 0
+    while True:
+        spent += sweep
+        if spent > budget:
+            raise BudgetExceeded(spent, budget)
+        rows = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d))
+                     for _ in range(n - d - 1))
+        par = StandardParameter._trusted(d, n, rows)
+        if is_standard_parameter(par) and act(cycle, par, validate=False) != par:
+            return (Permutation(tuple(range(n + 1))),)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,9 @@ on the level-set fixed locus, ``induced_hyperplane_permutation``, the
 plurigenus ``leading_coefficient``, the conic references ``is_tangent``
 (with the cofactor adjugate) and ``conic_contains``, the canonical
 ``arrangement_of`` a parameter, and ``random_parameter``, the rejection
-sampler whose draws ``kernel_of_R`` repeats.  The three curve constructions
+sampler whose draws ``kernel_of_R`` repeats.  The action kernel as the
+stabilizer intersection over sampled parameters (``kernel_of_R``) that the
+normal-subgroup proof replaced.  The three curve constructions
 as they were before one cross-ratio helper replaced their derivations:
 Kummer's per-entry ``ratio`` (``kummer_by_ratio``), the line restriction's
 closed forms in rho and each table row (``restrict_by_closed_forms``), and
@@ -53,7 +55,7 @@ from gfermat.arrangement import (
     is_standard_parameter,
 )
 from gfermat.constructions import ConicCurveResult, LineRestriction, _cross, tangent_conic
-from gfermat.errors import BudgetExceeded, Inconclusive, NotInGeneralPosition, TangencyError
+from gfermat.errors import BudgetExceeded, NotInGeneralPosition, TangencyError
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix, _zero_like, cyclotomic_polynomial
 from gfermat.fermatgroup import (
     FixedComponent,
@@ -397,8 +399,8 @@ def conic_by_pencil_projection(a, par: StandardParameter, anchors=(1, 2, 3)):
     poles = [projective_normalize(adj.matvec(q)) for q in duals]
     if len(set(poles)) != len(poles):
         raise ValueError("tangency points are not distinct")
-    anchors = tuple(int(i) for i in anchors)
-    if len(set(anchors)) != 3 or not all(1 <= i <= par.n + 1 for i in anchors):
+    anchors = tuple(anchors)
+    if len(set(anchors)) != 3 or not all(type(i) is int and 1 <= i <= par.n + 1 for i in anchors):
         raise ValueError("anchors must be three distinct 1-based indices")
     center = poles[anchors[0] - 1]
     qmatrix = conic.matrix()
@@ -586,16 +588,16 @@ def random_parameter(d: int, n: int, rng, bound: int = 9) -> StandardParameter:
 
 
 def kernel_of_R(n: int, d: int, samples: int, rng):
-    """The surviving candidates' images after filtering all of S_{n+1} by up to
-    ``samples`` random parameters (Inconclusive if more than one survives)."""
+    """The images of the permutations left after filtering all of S_{n+1} by
+    the stabilizers of up to ``samples`` random parameters, stopping once one
+    is left: the sampled search that the normal-subgroup proof replaced.  It
+    concludes only when exactly one candidate survives."""
     candidates = list(itertools.permutations(range(n + 1)))
     for _ in range(samples):
         par = random_parameter(d, n, rng)
         candidates = [images for images, rows in act_rows(par, candidates) if rows == par.rows]
         if len(candidates) == 1:
             break
-    if len(candidates) > 1:
-        raise Inconclusive(f"{len(candidates)} permutations fix all {samples} samples")
     return candidates
 
 

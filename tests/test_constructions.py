@@ -348,6 +348,19 @@ class TestConicCurveParameters:
             other = conic_curve_parameters(1, par, anchors=anchors).eta
             assert are_isomorphic(base, other).equivalent
 
+    @pytest.mark.parametrize("bad", [1.9, 1.0, Fraction(1), "1", True])
+    def test_non_int_anchor_refused(self, bad):
+        """An anchor that is not an ``int`` is refused, not truncated; the
+        tangency check still comes first."""
+        u = fifth_tangent_line(1, 3)
+        par = StandardParameter(2, 4, ((u[0] / u[2], u[1] / u[2]),))
+        for anchors in [(bad, 2, 3), (2, 3, bad)]:
+            with pytest.raises(ValueError, match="anchors must be three distinct 1-based indices"):
+                conic_curve_parameters(1, par, anchors=anchors)
+        with pytest.raises(TangencyError):
+            conic_curve_parameters(1, StandardParameter(2, 4, ((Fraction(2), Fraction(3)),)),
+                                   anchors=(bad, 2, 3))
+
     def test_matches_pencil_projection_reference(self):
         """Outcomes, errors included, equal the pencil-projection reference
         on tables of lines tangent to one conic for n = 3..6, each with every

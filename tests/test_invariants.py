@@ -138,6 +138,25 @@ class TestKodairaAndClassification:
         assert classify(GfmType(3, 2, 7)) == "Calabi-Yau"
         assert classify(GfmType(3, 2, 5)) == "negative-kodaira"
 
+    def test_labels_match_named_surface_tuples(self):
+        """The labels read off r1 equal those of the named tuples they
+        replaced, for d 1..6, k 2..60 and n d+1..d+40."""
+        k3, rational = {(4, 3), (2, 5)}, {(2, 3), (3, 3), (2, 4)}
+
+        def named(t):
+            r1 = canonical_degree(t)
+            if t.d == 2 and (t.k, t.n) in k3:
+                return "K3"
+            if t.d == 2 and (t.k, t.n) in rational:
+                return "rational"
+            return "Calabi-Yau" if r1 == 0 else "general-type" if r1 > 0 else "negative-kodaira"
+
+        for d in range(1, 7):
+            for k in range(2, 61):
+                for n in range(d + 1, d + 41):
+                    t = GfmType(d, k, n)
+                    assert classify(t) == named(t), t
+
     def test_no_rational_label_outside_dimension_two(self):
         assert classify(GfmType(3, 2, 4)) == "negative-kodaira"
         assert classify(GfmType(1, 2, 2)) == "negative-kodaira"

@@ -12,7 +12,7 @@ import gfermat
 
 EXPORTS = [
     "Arrangement", "BudgetExceeded", "Conic", "CyclotomicScalar", "EquationSystem",
-    "ExactMatrix", "GfmType", "GroupElement", "Hyperplane", "Inconclusive",
+    "ExactMatrix", "GfmType", "GroupElement", "Hyperplane",
     "NotInGeneralPosition", "Permutation", "StandardParameter",
     "TangencyError", "act", "act_sigma1", "act_sigma2", "are_isomorphic",
     "automorphism_order", "bound_feasible", "canonical_degree", "canonical_representative",

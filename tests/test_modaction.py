@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gfermat.arrangement import StandardParameter, is_standard_parameter
-from gfermat.errors import DEFAULT_BUDGET, BudgetExceeded, Inconclusive
+from gfermat.errors import DEFAULT_BUDGET, BudgetExceeded
 from gfermat.fermatgroup import automorphism_order
 from gfermat.modaction import (
     KLEIN_ONE_LINE,
@@ -225,11 +225,21 @@ class TestKernel:
             candidates = stab if candidates is None else candidates & stab
         assert candidates == {p.one_line() for p in kernel_of_R(3, 1)}
 
-    @pytest.mark.parametrize("n,d", [(4, 1), (5, 2), (4, 2)])
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(4, 10) for d in range(1, n - 1)])
     def test_trivial_kernels(self, n, d):
-        kernel = kernel_of_R(n, d, samples=10, rng=random.Random(5))
-        assert len(kernel) == 1
-        assert kernel[0].is_identity()
+        for seed in range(20):
+            kernel = kernel_of_R(n, d, rng=random.Random(seed))
+            assert len(kernel) == 1
+            assert kernel[0].is_identity()
+
+    @pytest.mark.parametrize("n,d", [(n, d) for d in (1, 2, 3) for n in range(d + 2, 7)])
+    def test_aut_order_kernel_is_the_kernel(self, n, d):
+        """The closed-form kernel order of ``automorphism_order`` is the order
+        of the kernel that ``kernel_of_R`` proves."""
+        rng = random.Random(71 + 10 * n + d)
+        for k in (2, 3, 5):
+            par = random_parameter(d, n, rng)
+            assert automorphism_order(par, k).kernel_order == len(kernel_of_R(n, d, rng=rng))
 
     @pytest.mark.parametrize("n,d", [(4, 1), (4, 2), (5, 2), (6, 3)])
     def test_each_sample_is_swept_once(self, n, d, monkeypatch):
@@ -251,10 +261,42 @@ class TestKernel:
         kernel_of_R(n, d, rng=rng)
         assert sweeps == [n + 1] * (len(draws) // (2 * d * (n - d - 1)))
 
-    @pytest.mark.parametrize("n,d", [(4, 1), (5, 2)])
-    def test_unsampled_kernel_is_inconclusive(self, n, d):
-        with pytest.raises(Inconclusive):
-            kernel_of_R(n, d, samples=0)
+    def test_identity_needs_a_parameter_the_3_cycle_moves(self, monkeypatch):
+        """With every draw fixed, nothing proves the kernel trivial: draws
+        go on until the budget refuses, and each is tested against (1 2 3)."""
+        from gfermat import modaction
+
+        etas = []
+        monkeypatch.setattr(modaction, "act", lambda eta, par, validate=True: etas.append(eta) or par)
+        with pytest.raises(BudgetExceeded):
+            kernel_of_R(4, 1, rng=random.Random(3), budget=40 * math.comb(5, 2))
+        assert etas and {eta.one_line() for eta in etas} == {(2, 3, 1, 4, 5)}
+
+    @pytest.mark.parametrize("n,d", [(4, 0), (2, 0), (3, 2), (2, 1), (5, 4), (0, 1), (4, -1)])
+    def test_refuses_d_zero_and_small_n(self, n, d):
+        with pytest.raises(ValueError, match="needs d >= 1 and n >= d"):
+            kernel_of_R(n, d)
+
+    @pytest.mark.parametrize("n,d", [(4, 1), (4, 2), (5, 2), (6, 3), (9, 4)])
+    def test_each_draw_is_charged_one_sweep(self, n, d, monkeypatch):
+        """Each draw is charged C(n+1, d+1) before it is drawn: a budget of
+        one sweep fewer than the draws need is refused, one exactly that
+        large is not, and a budget below one sweep draws nothing."""
+        sweep, per_draw = math.comb(n + 1, d + 1), 2 * d * (n - d - 1)
+        for seed in range(6):
+            rng = random.Random(seed)
+            randint, calls = rng.randint, []
+            monkeypatch.setattr(rng, "randint", lambda a, b: calls.append(a) or randint(a, b))
+            kernel_of_R(n, d, rng=rng)
+            draws = len(calls) // per_draw
+            assert kernel_of_R(n, d, rng=random.Random(seed), budget=draws * sweep)[0].is_identity()
+            with pytest.raises(BudgetExceeded) as exc:
+                kernel_of_R(n, d, rng=random.Random(seed), budget=draws * sweep - 1)
+            assert (exc.value.needed, exc.value.budget) == (draws * sweep, draws * sweep - 1)
+        calls.clear()
+        with pytest.raises(BudgetExceeded):
+            kernel_of_R(n, d, rng=rng, budget=sweep - 1)
+        assert calls == []
 
 
 class TestIsomorphism:
@@ -362,24 +404,19 @@ class TestFrameScansAgainstEnumeration:
     @settings(max_examples=12, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), st.integers(d + 2, d + 4)))
            .filter(lambda dn: math.factorial(dn[1] + 1) <= ENUMERABLE),
-           st.integers(0, 3), st.integers(0, 2**16))
-    @example((1, 4), 0, 0)
-    @example((1, 4), 12, 5)
-    @example((2, 4), 12, 6)
-    @example((2, 5), 12, 7)
-    @example((3, 6), 12, 8)
-    def test_kernel_matches_filtering(self, dn, samples, seed):
+           st.integers(0, 2**16))
+    @example((1, 4), 5)
+    @example((2, 4), 6)
+    @example((2, 5), 7)
+    @example((3, 6), 8)
+    def test_kernel_matches_filtering(self, dn, seed):
+        """The proved kernel equals the sampled stabilizer intersection
+        wherever that search concludes (one survivor)."""
         d, n = dn
         assume((n, d) != (3, 1))
-
-        def outcome(kernel):
-            try:
-                return [getattr(p, "images", p) for p in kernel(random.Random(seed))]
-            except Inconclusive as exc:
-                return str(exc)
-
-        assert outcome(lambda rng: kernel_of_R(n, d, samples=samples, rng=rng)) == \
-            outcome(lambda rng: oracles.kernel_of_R(n, d, samples, rng))
+        survivors = oracles.kernel_of_R(n, d, 12, random.Random(seed))
+        assume(len(survivors) == 1)
+        assert [p.images for p in kernel_of_R(n, d, rng=random.Random(seed))] == survivors
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_empty_table_is_fixed_by_everything(self, d):
@@ -450,8 +487,8 @@ class TestMinorTableFrames:
             assert all(rows == {} for rows in frames.values())
 
     def test_scans_invert_no_matrix(self, monkeypatch):
-        """Orbit, stabilizer, iso, canon, aut-order and the kernel run on the
-        minor table alone: every binding of the inverse raises."""
+        """Orbit, stabilizer, iso, canon and aut-order run on the minor table
+        alone: every binding of the inverse raises."""
         rng = random.Random(61)
         cases = [random_parameter(1, 4, rng), random_parameter(2, 5, rng), HARMONIC]
 
@@ -462,8 +499,7 @@ class TestMinorTableFrames:
                 out += [orbit_and_stabilizer(par), stabilizer(par), canonical_representative(par),
                         are_isomorphic(par, other), are_isomorphic(par, canonical_representative(par)),
                         automorphism_order(par, 3)]
-            return out + [kernel_of_R(4, 1, rng=random.Random(5)),
-                          kernel_of_R(5, 2, rng=random.Random(5))]
+            return out
 
         rng.seed(67)
         expected = run_scans()
