@@ -20,10 +20,10 @@ _EXPORTS = {
                      "tangent_conic",
     "errors": "BudgetExceeded NotInGeneralPosition TangencyError",
     "exactfield": "CyclotomicScalar ExactMatrix cyclotomic_polynomial",
-    "fermatgroup": "EquationSystem GfmType GroupElement automorphism_order bound_feasible "
+    "fermatgroup": "EquationSystem GroupElement automorphism_order bound_feasible "
                    "classify_low_n equations fixed_locus is_linear_automorphism "
                    "smoothness_certificate subgroup_acts_freely",
-    "invariants": "canonical_degree classify h0_twist hilbert_series_coefficient "
+    "invariants": "GfmType canonical_degree classify h0_twist hilbert_series_coefficient "
                   "invariant_report kodaira_dimension plurigenus",
     "modaction": "Permutation act act_sigma1 act_sigma2 are_isomorphic "
                  "canonical_representative kernel_of_R orbit_and_stabilizer stabilizer",

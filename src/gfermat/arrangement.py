@@ -25,10 +25,9 @@ alike, so only the scale of a survives in T; the table entries
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInGeneralPosition, ValidationError
+from .errors import Frozen, NotInGeneralPosition, ValidationError
 from .rational import (
     clear_denominators,
     fraction_free_inverse,
@@ -48,42 +47,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(Frozen):
     """A hyperplane of P^d given by its dual point in canonical form."""
 
-    dual_point: tuple[Fraction, ...]
+    __slots__ = ("dual_point",)
 
-    def __post_init__(self):
-        normalized = projective_normalize(
-            tuple(Fraction(c) for c in self.dual_point)
-        )
-        object.__setattr__(self, "dual_point", normalized)
+    def __init__(self, dual_point: tuple[Fraction, ...]):
+        [set_dual_point] = self._setters
+        set_dual_point(self, projective_normalize(tuple(Fraction(c) for c in dual_point)))
 
     @property
     def dimension(self) -> int:
         return len(self.dual_point) - 1
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(Frozen):
     """An ordered tuple of n+1 hyperplanes of P^d, n >= d+1."""
 
-    d: int
-    hyperplanes: tuple[Hyperplane, ...]
+    __slots__ = ("d", "hyperplanes")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, hyperplanes: tuple[Hyperplane, ...]):
+        if d < 1:
             raise ValueError("ambient dimension must be >= 1")
         planes = tuple(
             h if isinstance(h, Hyperplane) else Hyperplane(tuple(h))
-            for h in self.hyperplanes
+            for h in hyperplanes
         )
-        if any(h.dimension != self.d for h in planes):
+        if any(h.dimension != d for h in planes):
             raise ValueError("hyperplane dual points must have length d+1")
-        if len(planes) < self.d + 2:
+        if len(planes) < d + 2:
             raise ValueError("an arrangement needs at least d+2 hyperplanes")
-        object.__setattr__(self, "hyperplanes", planes)
+        set_d, set_hyperplanes = self._setters
+        set_d(self, d)
+        set_hyperplanes(self, planes)
 
     @property
     def n(self) -> int:
@@ -111,8 +107,7 @@ class Arrangement:
             raise ValidationError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class StandardParameter:
+class StandardParameter(Frozen):
     """A point of the normal-form parameter set X_{n,d}.
 
     ``rows`` holds the (n-d-1) x d table; row i is the affine part of the
@@ -122,28 +117,32 @@ class StandardParameter:
     generator actions.
     """
 
-    d: int
-    n: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("d", "n", "rows")
 
-    def __post_init__(self):
-        if self.d < 1 or self.n < self.d + 1:
+    def __init__(self, d: int, n: int, rows: tuple[tuple[Fraction, ...], ...]):
+        if d < 1 or n < d + 1:
             raise ValueError("need d >= 1 and n >= d+1")
         rows = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in self.rows
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
         )
-        if len(rows) != self.n - self.d - 1:
+        if len(rows) != n - d - 1:
             raise ValueError("parameter table must have n-d-1 rows")
-        if any(len(row) != self.d for row in rows):
+        if any(len(row) != d for row in rows):
             raise ValueError("parameter table rows must have d entries")
-        object.__setattr__(self, "rows", rows)
+        set_d, set_n, set_rows = self._setters
+        set_d(self, d)
+        set_n(self, n)
+        set_rows(self, rows)
 
     @classmethod
     def _trusted(cls, d: int, n: int, rows) -> StandardParameter:
-        """A parameter built without ``__post_init__``: ``rows`` must
-        already be a tuple of n-d-1 tuples of d ``Fraction``s."""
+        """A parameter built without the checks of ``__init__``: ``rows``
+        must already be a tuple of n-d-1 tuples of d ``Fraction``s."""
         par = object.__new__(cls)
-        par.__dict__.update(d=d, n=n, rows=rows)
+        set_d, set_n, set_rows = cls._setters
+        set_d(par, d)
+        set_n(par, n)
+        set_rows(par, rows)
         return par
 
     @property

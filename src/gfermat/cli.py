@@ -25,7 +25,8 @@ TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .arrangement import StandardParameter
     from .exactfield import ExactMatrix
-    from .fermatgroup import GfmType, GroupElement
+    from .fermatgroup import GroupElement
+    from .invariants import GfmType
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -348,7 +349,7 @@ def _cmd_classify_low_n(args, budget):
 
 
 def _parse_type(args) -> GfmType:
-    from .fermatgroup import GfmType
+    from .invariants import GfmType
 
     # domain violations (n <= d, k < 2) are mathematical preconditions
     return GfmType(args.d, args.k, args.n)
@@ -406,15 +407,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only the named verb's subparser when argv
+    starts with a verb, else all of them, so that an unknown or missing
+    verb is refused with the full list of choices."""
     common = _Parser()
     common.add_argument("--budget")
     common.add_argument("--pretty", action="store_true")
     parser = _Parser()
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (_, arguments) in VERBS.items():
+    for verb in [argv[0]] if argv and argv[0] in VERBS else VERBS:
         verb_parser = sub.add_parser(verb, parents=[common])
-        for name, keywords in arguments.items():
+        for name, keywords in VERBS[verb][1].items():
             verb_parser.add_argument(name, **keywords)
     return parser
 
@@ -452,7 +456,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     pretty = "--pretty" in argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         pretty = args.pretty
         report = VERBS[args.verb][0](args, _parse_budget(args.budget))
     except ValidationError as exc:

@@ -26,7 +26,6 @@ cleared to integers, and each value is one ``Fraction`` of two integers.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import (
@@ -35,7 +34,7 @@ from .arrangement import (
     is_general_position,
     is_standard_parameter,
 )
-from .errors import NotInGeneralPosition, TangencyError
+from .errors import Frozen, NotInGeneralPosition, TangencyError
 from .exactfield import ExactMatrix
 from .rational import clear_denominators, projective_normalize, rational_to_string
 
@@ -50,17 +49,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Conic:
+class Conic(Frozen):
     """A smooth conic a1 t1^2 + a2 t2^2 + a3 t3^2 + a4 t1 t2 + a5 t1 t3 + a6 t2 t3."""
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+    def __init__(self, coefficients: tuple[Fraction, ...]):
+        coeffs = tuple(Fraction(c) for c in coefficients)
         if len(coeffs) != 6:
             raise ValueError("a conic needs six coefficients")
-        object.__setattr__(self, "coefficients", coeffs)
+        [set_coefficients] = self._setters
+        set_coefficients(self, coeffs)
         r0, r1, r2 = self.matrix().row_list()
         if _dot(r0, _cross(r1, r2)) == 0:
             raise ValueError("the conic is singular")
@@ -128,14 +127,18 @@ def kummer_parameters(alphas) -> StandardParameter:
     return par
 
 
-@dataclass(frozen=True)
-class LineRestriction:
+class LineRestriction(Frozen):
     """Restriction of a surface to a line: curve parameter plus the n+1
     intersection points of the line with the branch lines (in P^2)."""
 
-    eta: StandardParameter
-    points: tuple[tuple[Fraction, ...], ...]
-    singular: bool
+    __slots__ = ("eta", "points", "singular")
+
+    def __init__(self, eta: StandardParameter, points: tuple[tuple[Fraction, ...], ...],
+                 singular: bool):
+        set_eta, set_points, set_singular = self._setters
+        set_eta(self, eta)
+        set_points(self, points)
+        set_singular(self, singular)
 
     def to_json(self):
         return {
@@ -194,11 +197,15 @@ def tangent_conic(a) -> Conic:
     ))
 
 
-@dataclass(frozen=True)
-class ConicCurveResult:
-    eta: StandardParameter
-    tangency_points: tuple[tuple[Fraction, ...], ...]
-    anchors: tuple[int, int, int]
+class ConicCurveResult(Frozen):
+    __slots__ = ("eta", "tangency_points", "anchors")
+
+    def __init__(self, eta: StandardParameter,
+                 tangency_points: tuple[tuple[Fraction, ...], ...], anchors: tuple[int, int, int]):
+        set_eta, set_tangency_points, set_anchors = self._setters
+        set_eta(self, eta)
+        set_tangency_points(self, tangency_points)
+        set_anchors(self, anchors)
 
     def to_json(self):
         return {

@@ -1,6 +1,53 @@
-"""Exception types and the enumeration budget shared across the package."""
+"""Exception types, the enumeration budget and the immutable value base
+shared across the package."""
+
+from operator import attrgetter
 
 DEFAULT_BUDGET = 10**6
+
+
+class Frozen:
+    """Base of the package's immutable values.
+
+    A subclass names its fields in ``__slots__`` and sets them in its own
+    ``__init__`` through ``_setters``, each field's slot setter in slot
+    order: they write past ``__setattr__`` without the name lookup of
+    ``object.__setattr__``.  Assigning or deleting a field raises
+    ``AttributeError``; two values are equal, and hash alike, when they are
+    of the same class and their fields are equal; the repr is
+    ``Name(field=value, ...)``.  ``copy`` and ``pickle`` rebuild a value
+    through its constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+        get = attrgetter(*cls.__slots__)
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda v: (get(v),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({fields})"
 
 
 class BudgetExceeded(RuntimeError):

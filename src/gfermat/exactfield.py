@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import Frozen
 from .rational import clear_denominators, rational_to_string
 
 __all__ = ["cyclotomic_polynomial", "CyclotomicScalar", "ExactMatrix"]
@@ -81,8 +81,7 @@ def _reduce(k: int, poly: list, den: int) -> CyclotomicScalar:
     return CyclotomicScalar(k, tuple(nums), den)
 
 
-@dataclass(frozen=True)
-class CyclotomicScalar:
+class CyclotomicScalar(Frozen):
     """The element nums(zeta_k) / den of Q(zeta_k).
 
     ``nums`` holds the deg(Phi_k) integer coefficients of a residue modulo
@@ -90,9 +89,13 @@ class CyclotomicScalar:
     has exactly one representation.  Phi_k(zeta) = 0 and zeta^k = 1 exactly.
     """
 
-    order: int
-    nums: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("order", "nums", "den")
+
+    def __init__(self, order: int, nums: tuple[int, ...], den: int = 1):
+        set_order, set_nums, set_den = self._setters
+        set_order(self, order)
+        set_nums(self, nums)
+        set_den(self, den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -236,17 +239,18 @@ class CyclotomicScalar:
 # Dense exact matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Frozen):
     """Immutable dense matrix with row-major entries over an exact field."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match matrix shape")
+        set_rows, set_cols, set_entries = self._setters
+        set_rows(self, rows)
+        set_cols(self, cols)
+        set_entries(self, entries)
 
     @classmethod
     def from_rows(cls, rows) -> ExactMatrix:

@@ -29,11 +29,11 @@ sets the high bit of exactly the nonzero digits, again without a carry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arrangement import StandardParameter, is_standard_parameter
-from .errors import DEFAULT_BUDGET, BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded, Frozen
+from .invariants import GfmType
 from .rational import rational_to_string
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -41,7 +41,6 @@ if TYPE_CHECKING:
     from .exactfield import ExactMatrix
 
 __all__ = [
-    "GfmType",
     "GroupElement",
     "EquationSystem",
     "FixedComponent",
@@ -60,25 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GfmType:
-    """A type triple (d; k, n): dimension, branch order, n+1 hyperplanes."""
-
-    d: int
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension d must be >= 1")
-        if self.k < 2:
-            raise ValueError("branch order k must be >= 2")
-        if self.n < self.d + 1:
-            raise ValueError("need n >= d+1 (see classify_low_n for 2 <= n <= d)")
-
-
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Frozen):
     """Element of the deck group as an exponent vector mod k.
 
     Raw vectors (m_1, ..., m_{n+1}) and (m_1 + c, ..., m_{n+1} + c) name the
@@ -86,18 +67,18 @@ class GroupElement:
     equality and hashing use it.
     """
 
-    k: int
-    exponents: tuple[int, ...]
+    __slots__ = ("k", "exponents")
 
-    def __post_init__(self):
-        if self.k < 2:
+    def __init__(self, k: int, exponents: tuple[int, ...]):
+        if k < 2:
             raise ValueError("modulus k must be >= 2")
-        exps = tuple(int(m) % self.k for m in self.exponents)
+        exps = tuple(int(m) % k for m in exponents)
         if len(exps) < 2:
             raise ValueError("need at least two exponents")
         shift = exps[-1]
-        exps = tuple((m - shift) % self.k for m in exps)
-        object.__setattr__(self, "exponents", exps)
+        set_k, set_exponents = self._setters
+        set_k(self, k)
+        set_exponents(self, tuple((m - shift) % k for m in exps))
 
     @property
     def n(self) -> int:
@@ -111,8 +92,7 @@ class GroupElement:
 # Equations and smoothness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquationSystem:
+class EquationSystem(Frozen):
     """The n-d degree-k forms cutting out the variety in P^n.
 
     Form 0 is x_1^k + ... + x_{d+2}^k; form i (i >= 1) is
@@ -120,11 +100,16 @@ class EquationSystem:
     ``coefficient_matrix`` collects the coefficients of x_1^k, ..., x_{n+1}^k.
     """
 
-    d: int
-    n: int
-    k: int
-    table: tuple[tuple[Fraction, ...], ...]
-    coefficient_matrix: ExactMatrix
+    __slots__ = ("d", "n", "k", "table", "coefficient_matrix")
+
+    def __init__(self, d: int, n: int, k: int, table: tuple[tuple[Fraction, ...], ...],
+                 coefficient_matrix: ExactMatrix):
+        set_d, set_n, set_k, set_table, set_coefficient_matrix = self._setters
+        set_d(self, d)
+        set_n(self, n)
+        set_k(self, k)
+        set_table(self, table)
+        set_coefficient_matrix(self, coefficient_matrix)
 
     @classmethod
     def from_table(cls, d: int, n: int, k: int, table) -> EquationSystem:
@@ -204,8 +189,7 @@ def smoothness_certificate(system: EquationSystem) -> bool:
 # Fixed loci and free actions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FixedComponent:
+class FixedComponent(Frozen):
     """One connected component of a fixed locus.
 
     The component over level l keeps the coordinates indexed by that level
@@ -213,12 +197,18 @@ class FixedComponent:
     n' = #L_l - 1; when d' = 0 it is a set of k^{n'} points.
     """
 
-    level: int
-    indices: tuple[int, ...]
-    dimension: int
-    subtype_d: int
-    subtype_n: int
-    point_count: int | None
+    __slots__ = ("level", "indices", "dimension", "subtype_d", "subtype_n", "point_count")
+
+    def __init__(self, level: int, indices: tuple[int, ...], dimension: int, subtype_d: int,
+                 subtype_n: int, point_count: int | None):
+        (set_level, set_indices, set_dimension, set_subtype_d, set_subtype_n,
+         set_point_count) = self._setters
+        set_level(self, level)
+        set_indices(self, indices)
+        set_dimension(self, dimension)
+        set_subtype_d(self, subtype_d)
+        set_subtype_n(self, subtype_n)
+        set_point_count(self, point_count)
 
     def to_json(self):
         return {
@@ -230,11 +220,15 @@ class FixedComponent:
         }
 
 
-@dataclass(frozen=True)
-class FixedLocusReport:
-    element: GroupElement
-    gfm_type: GfmType
-    components: tuple[FixedComponent, ...]
+class FixedLocusReport(Frozen):
+    __slots__ = ("element", "gfm_type", "components")
+
+    def __init__(self, element: GroupElement, gfm_type: GfmType,
+                 components: tuple[FixedComponent, ...]):
+        set_element, set_gfm_type, set_components = self._setters
+        set_element(self, element)
+        set_gfm_type(self, gfm_type)
+        set_components(self, components)
 
     def to_json(self):
         return {
@@ -272,11 +266,14 @@ def fixed_locus(element: GroupElement, gfm_type: GfmType) -> FixedLocusReport:
     return FixedLocusReport(element, gfm_type, tuple(components))
 
 
-@dataclass(frozen=True)
-class FreeActionResult:
-    free: bool
-    offending: GroupElement | None
-    subgroup_order: int
+class FreeActionResult(Frozen):
+    __slots__ = ("free", "offending", "subgroup_order")
+
+    def __init__(self, free: bool, offending: GroupElement | None, subgroup_order: int):
+        set_free, set_offending, set_subgroup_order = self._setters
+        set_free(self, free)
+        set_offending(self, offending)
+        set_subgroup_order(self, subgroup_order)
 
 
 def _packing(k: int, n: int) -> tuple[int, int]:
@@ -414,7 +411,10 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
         raise ValueError("matrix must be square of size n+1")
     support = _monomial_support(matrix)
     if support is None:
-        if not replace(matrix, entries=tuple(_common_field(matrix.entries))).det():
+        from .exactfield import ExactMatrix
+
+        lifted = ExactMatrix(matrix.rows, matrix.cols, tuple(_common_field(matrix.entries)))
+        if not lifted.det():
             raise ValueError("matrix is singular")
         return False
     coeff = equations(par, k).coefficient_matrix
@@ -434,8 +434,7 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
 # Automorphism order and low-n classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AutomorphismOrder:
+class AutomorphismOrder(Frozen):
     """|Aut| = |G_0| k^n, with G_0 the stabilizer of the branch divisor.
 
     ``stabilizer_order`` counts the permutations fixing the parameter (the
@@ -444,12 +443,19 @@ class AutomorphismOrder:
     exceptional triples the order refers to the linear automorphism group.
     """
 
-    order: int
-    stabilizer_order: int
-    stabilizer_image_order: int
-    kernel_order: int
-    deck_order: int
-    category: str
+    __slots__ = ("order", "stabilizer_order", "stabilizer_image_order", "kernel_order",
+                 "deck_order", "category")
+
+    def __init__(self, order: int, stabilizer_order: int, stabilizer_image_order: int,
+                 kernel_order: int, deck_order: int, category: str):
+        (set_order, set_stabilizer_order, set_stabilizer_image_order, set_kernel_order,
+         set_deck_order, set_category) = self._setters
+        set_order(self, order)
+        set_stabilizer_order(self, stabilizer_order)
+        set_stabilizer_image_order(self, stabilizer_image_order)
+        set_kernel_order(self, kernel_order)
+        set_deck_order(self, deck_order)
+        set_category(self, category)
 
     def to_json(self):
         return {
@@ -491,12 +497,15 @@ def automorphism_order(
     return AutomorphismOrder(stab * deck, stab, stab // kernel, kernel, deck, category)
 
 
-@dataclass(frozen=True)
-class LowNClassification:
-    d: int
-    n: int
-    case: str
-    description: str
+class LowNClassification(Frozen):
+    __slots__ = ("d", "n", "case", "description")
+
+    def __init__(self, d: int, n: int, case: str, description: str):
+        set_d, set_n, set_case, set_description = self._setters
+        set_d(self, d)
+        set_n(self, n)
+        set_case(self, case)
+        set_description(self, description)
 
     def to_json(self):
         return {"d": self.d, "n": self.n, "case": self.case,

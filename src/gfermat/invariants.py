@@ -10,18 +10,18 @@ Its Hilbert series is (1 - t^k)^{n-d} (1 - t)^{-(n+1)}, so
 
 which takes O(n-d) binomials.  The canonical twist is r1 = (n-d)k - n - 1;
 its sign determines the Kodaira dimension, and plurigenera are P_m = h0(m r1).
+The type triple ``GfmType`` is defined here: the invariants read nothing
+else, so they load no parameter space and no rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    from .fermatgroup import GfmType
+from .errors import Frozen
 
 __all__ = [
+    "GfmType",
     "h0_twist",
     "hilbert_series_coefficient",
     "canonical_degree",
@@ -31,6 +31,25 @@ __all__ = [
     "InvariantReport",
     "invariant_report",
 ]
+
+
+class GfmType(Frozen):
+    """A type triple (d; k, n): dimension, branch order, n+1 hyperplanes."""
+
+    __slots__ = ("d", "k", "n")
+
+    def __init__(self, d: int, k: int, n: int):
+        if d < 1:
+            raise ValueError("dimension d must be >= 1")
+        if k < 2:
+            raise ValueError("branch order k must be >= 2")
+        if n < d + 1:
+            raise ValueError("need n >= d+1 (see classify_low_n for 2 <= n <= d)")
+        set_d, set_k, set_n = self._setters
+        set_d(self, d)
+        set_k(self, k)
+        set_n(self, n)
+
 
 def h0_twist(gfm_type: GfmType, r: int) -> int:
     """Dimension of the space of degree-r twisted global sections."""
@@ -92,15 +111,21 @@ def classify(gfm_type: GfmType) -> str:
     return "negative-kodaira"
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    gfm_type: GfmType
-    r1: int
-    kodaira: int | str
-    pa_pg: int
-    plurigenera: dict[int, int]
-    label: str
-    intermediate_vanishing_note: str
+class InvariantReport(Frozen):
+    __slots__ = ("gfm_type", "r1", "kodaira", "pa_pg", "plurigenera", "label",
+                 "intermediate_vanishing_note")
+
+    def __init__(self, gfm_type: GfmType, r1: int, kodaira: int | str, pa_pg: int,
+                 plurigenera: dict[int, int], label: str, intermediate_vanishing_note: str):
+        (set_gfm_type, set_r1, set_kodaira, set_pa_pg, set_plurigenera, set_label,
+         set_intermediate_vanishing_note) = self._setters
+        set_gfm_type(self, gfm_type)
+        set_r1(self, r1)
+        set_kodaira(self, kodaira)
+        set_pa_pg(self, pa_pg)
+        set_plurigenera(self, plurigenera)
+        set_label(self, label)
+        set_intermediate_vanishing_note(self, intermediate_vanishing_note)
 
     def to_json(self):
         return {

@@ -65,7 +65,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import (
@@ -74,7 +73,7 @@ from .arrangement import (
     _integer_duals,
     is_standard_parameter,
 )
-from .errors import DEFAULT_BUDGET, BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded, Frozen
 from .rational import minors
 
 __all__ = [
@@ -99,17 +98,17 @@ __all__ = [
 EXCEPTIONAL_TYPES = frozenset({(2, 2, 5), (2, 4, 3)})
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A permutation of {0, ..., m-1} stored in one-line notation."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        images = tuple(int(i) for i in self.images)
+    def __init__(self, images: tuple[int, ...]):
+        images = tuple(int(i) for i in images)
         if sorted(images) != list(range(len(images))):
             raise ValueError("images must be a bijection of 0..m-1")
-        object.__setattr__(self, "images", images)
+        [set_images] = self._setters
+        set_images(self, images)
 
     @classmethod
     def transposition(cls, m: int, i: int, j: int) -> Permutation:
@@ -200,8 +199,7 @@ def act_sigma2(par: StandardParameter) -> StandardParameter:
     return StandardParameter(d, n, tuple(new_rows))
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(Frozen):
     """Orbit and stabilizer of a parameter under the reorder action.
 
     The stabilizer is reported as a subgroup of the full symmetric group on
@@ -210,10 +208,15 @@ class OrbitReport:
     (3, 1) case whose kernel is the Klein four-group.
     """
 
-    base: StandardParameter
-    elements: tuple[StandardParameter, ...]
-    stabilizer: tuple[Permutation, ...]
-    kernel_note: str | None
+    __slots__ = ("base", "elements", "stabilizer", "kernel_note")
+
+    def __init__(self, base: StandardParameter, elements: tuple[StandardParameter, ...],
+                 stabilizer: tuple[Permutation, ...], kernel_note: str | None):
+        set_base, set_elements, set_stabilizer, set_kernel_note = self._setters
+        set_base(self, base)
+        set_elements(self, elements)
+        set_stabilizer(self, stabilizer)
+        set_kernel_note(self, kernel_note)
 
     @property
     def orbit_size(self) -> int:
@@ -420,11 +423,14 @@ def kernel_of_R(
             return (Permutation(tuple(range(n + 1))),)
 
 
-@dataclass(frozen=True)
-class IsomorphismResult:
-    equivalent: bool
-    witness: Permutation | None
-    note: str | None
+class IsomorphismResult(Frozen):
+    __slots__ = ("equivalent", "witness", "note")
+
+    def __init__(self, equivalent: bool, witness: Permutation | None, note: str | None):
+        set_equivalent, set_witness, set_note = self._setters
+        set_equivalent(self, equivalent)
+        set_witness(self, witness)
+        set_note(self, note)
 
 
 def are_isomorphic(

@@ -15,7 +15,6 @@ from gfermat.constructions import kummer_parameters
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix
 from gfermat.fermatgroup import (
     EquationSystem,
-    GfmType,
     GroupElement,
     automorphism_order,
     equations,
@@ -25,6 +24,7 @@ from gfermat.fermatgroup import (
     subgroup_acts_freely,
 )
 from gfermat.invariants import (
+    GfmType,
     canonical_degree,
     classify,
     h0_twist,

@@ -28,8 +28,8 @@ from gfermat.arrangement import Arrangement, StandardParameter
 from gfermat.constructions import kummer_parameters, tangent_conic
 from gfermat.errors import ValidationError
 from gfermat.exactfield import CyclotomicScalar
-from gfermat.fermatgroup import EquationSystem, GfmType, smoothness_certificate
-from gfermat.invariants import canonical_degree, hilbert_series_coefficient
+from gfermat.fermatgroup import EquationSystem, smoothness_certificate
+from gfermat.invariants import GfmType, canonical_degree, hilbert_series_coefficient
 from gfermat.rational import rational_from_string
 from tests.conftest import tables
 

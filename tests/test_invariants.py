@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfermat.fermatgroup import GfmType
 from gfermat.invariants import (
+    GfmType,
     canonical_degree,
     classify,
     h0_twist,

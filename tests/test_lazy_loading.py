@@ -1,6 +1,7 @@
 """The package resolves its public names on first access, and a CLI verb
 loads only the submodules it uses."""
 
+import functools
 import json
 import os
 import subprocess
@@ -43,22 +44,40 @@ def test_unknown_attribute_raises():
         gfermat.no_such_name
 
 
+HARNESS = (
+    "import contextlib, io, json, sys\n"
+    "{load}"
+    "print(json.dumps(sorted(sys.modules)))\n"
+)
+
+
+def _modules(load):
+    """Every module in sys.modules after the harness ran ``load`` in a
+    fresh interpreter."""
+    path = os.pathsep.join([SRC, *filter(None, [os.environ.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-c", HARNESS.format(load=load)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60, check=True)
+    return set(json.loads(done.stdout))
+
+
+@functools.lru_cache(maxsize=None)
+def _baseline():
+    return _modules("")
+
+
 def loaded_after(*argv):
-    """gfermat submodules in sys.modules after ``import gfermat.cli`` and,
-    given an argv, one ``main`` call, in a fresh interpreter."""
-    code = (
-        "import contextlib, io, json, sys\n"
+    """The modules that ``import gfermat.cli`` and, given an argv, one
+    ``main`` call add in a fresh interpreter, against the same harness run
+    without gfermat."""
+    load = (
         "from gfermat.cli import main\n"
         f"argv = {list(argv)!r}\n"
         "if argv:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('gfermat.'))))\n"
     )
-    path = os.pathsep.join([SRC, *filter(None, [os.environ.get("PYTHONPATH")])])
-    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=60, check=True)
-    return set(json.loads(done.stdout))
+    return _modules(load) - _baseline()
 
 
 PAR_24 = '{"d":2,"n":4,"lambda":[["2","3"]]}'
@@ -73,18 +92,17 @@ FIELD_VERBS = {"normalize", "equations", "verify-matrix", "kummer", "restrict-li
     ((), {"arrangement", "constructions", "exactfield", "fermatgroup", "invariants",
           "modaction", "rational"}),
     (("kummer", "0", "1", "2", "3", "4", "5"), {"fermatgroup", "invariants", "modaction"}),
-    (("invariants", "2", "4", "3"), {"constructions", "modaction"}),
-    (("equations", PAR_24, "4"), {"constructions", "invariants", "modaction"}),
+    (("invariants", "2", "4", "3"), {"arrangement", "constructions", "fermatgroup", "modaction",
+                                     "rational"}),
+    (("equations", PAR_24, "4"), {"constructions", "modaction"}),
     (("orbit", PAR_24), {"constructions", "fermatgroup", "invariants"}),
     (("stabilizer", PAR_24), {"constructions", "fermatgroup", "invariants"}),
     (("iso", PAR_24, PAR_24), {"constructions", "fermatgroup", "invariants"}),
     (("canon", PAR_24), {"constructions", "fermatgroup", "invariants"}),
-    (("aut-order", PAR_24, "3"), {"constructions", "invariants"}),
-    (("fixed-locus", "2", "3", "4", "[1,1,2,0,0]"),
-     {"constructions", "invariants", "modaction"}),
-    (("free", "2", "3", "4", "[[1,1,2,0,0]]"),
-     {"constructions", "invariants", "modaction"}),
-    (("classify-low-n", "3", "3"), {"constructions", "invariants", "modaction"}),
+    (("aut-order", PAR_24, "3"), {"constructions"}),
+    (("fixed-locus", "2", "3", "4", "[1,1,2,0,0]"), {"constructions", "modaction"}),
+    (("free", "2", "3", "4", "[[1,1,2,0,0]]"), {"constructions", "modaction"}),
+    (("classify-low-n", "3", "3"), {"constructions", "modaction"}),
     (("normalize", '{"d":1,"points":[["1","0"],["0","1"],["1","1"],["2","3"]]}'),
      {"constructions", "fermatgroup", "invariants", "modaction"}),
 ])
@@ -93,3 +111,10 @@ def test_verbs_load_only_what_they_use(argv, unused):
     assert "gfermat.cli" in loaded
     assert loaded.isdisjoint(f"gfermat.{name}" for name in unused), loaded
     assert ("gfermat.exactfield" in loaded) == (bool(argv) and argv[0] in FIELD_VERBS), loaded
+    # the value types are __slots__ classes: no verb pays for dataclasses
+    assert loaded.isdisjoint({"dataclasses", "inspect"}), loaded
+
+
+def test_invariants_skip_the_rationals():
+    """``invariants`` reads a type triple only: no rational arithmetic."""
+    assert "fractions" not in loaded_after("invariants", "2", "4", "3")
