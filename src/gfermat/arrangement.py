@@ -53,8 +53,7 @@ class Hyperplane(Frozen):
     __slots__ = ("dual_point",)
 
     def __init__(self, dual_point: tuple[Fraction, ...]):
-        [set_dual_point] = self._setters
-        set_dual_point(self, projective_normalize(tuple(Fraction(c) for c in dual_point)))
+        super().__init__(projective_normalize(tuple(Fraction(c) for c in dual_point)))
 
     @property
     def dimension(self) -> int:
@@ -77,9 +76,7 @@ class Arrangement(Frozen):
             raise ValueError("hyperplane dual points must have length d+1")
         if len(planes) < d + 2:
             raise ValueError("an arrangement needs at least d+2 hyperplanes")
-        set_d, set_hyperplanes = self._setters
-        set_d(self, d)
-        set_hyperplanes(self, planes)
+        super().__init__(d, planes)
 
     @property
     def n(self) -> int:
@@ -129,10 +126,7 @@ class StandardParameter(Frozen):
             raise ValueError("parameter table must have n-d-1 rows")
         if any(len(row) != d for row in rows):
             raise ValueError("parameter table rows must have d entries")
-        set_d, set_n, set_rows = self._setters
-        set_d(self, d)
-        set_n(self, n)
-        set_rows(self, rows)
+        super().__init__(d, n, rows)
 
     @classmethod
     def _trusted(cls, d: int, n: int, rows) -> StandardParameter:

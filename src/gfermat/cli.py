@@ -138,7 +138,7 @@ def _parse_degree(value) -> int:
 
 
 def _permutations_json(perms):
-    return [list(p.one_line()) for p in sorted(perms, key=lambda p: p.images)]
+    return [list(p.one_line()) for p in perms]
 
 
 # ---------------------------------------------------------------------------

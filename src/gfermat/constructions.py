@@ -58,8 +58,7 @@ class Conic(Frozen):
         coeffs = tuple(Fraction(c) for c in coefficients)
         if len(coeffs) != 6:
             raise ValueError("a conic needs six coefficients")
-        [set_coefficients] = self._setters
-        set_coefficients(self, coeffs)
+        super().__init__(coeffs)
         r0, r1, r2 = self.matrix().row_list()
         if _dot(r0, _cross(r1, r2)) == 0:
             raise ValueError("the conic is singular")
@@ -133,13 +132,6 @@ class LineRestriction(Frozen):
 
     __slots__ = ("eta", "points", "singular")
 
-    def __init__(self, eta: StandardParameter, points: tuple[tuple[Fraction, ...], ...],
-                 singular: bool):
-        set_eta, set_points, set_singular = self._setters
-        set_eta(self, eta)
-        set_points(self, points)
-        set_singular(self, singular)
-
     def to_json(self):
         return {
             "eta": self.eta.to_json(),
@@ -199,13 +191,6 @@ def tangent_conic(a) -> Conic:
 
 class ConicCurveResult(Frozen):
     __slots__ = ("eta", "tangency_points", "anchors")
-
-    def __init__(self, eta: StandardParameter,
-                 tangency_points: tuple[tuple[Fraction, ...], ...], anchors: tuple[int, int, int]):
-        set_eta, set_tangency_points, set_anchors = self._setters
-        set_eta(self, eta)
-        set_tangency_points(self, tangency_points)
-        set_anchors(self, anchors)
 
     def to_json(self):
         return {

@@ -247,10 +247,7 @@ class ExactMatrix(Frozen):
     def __init__(self, rows: int, cols: int, entries: tuple):
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match matrix shape")
-        set_rows, set_cols, set_entries = self._setters
-        set_rows(self, rows)
-        set_cols(self, cols)
-        set_entries(self, entries)
+        super().__init__(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows) -> ExactMatrix:

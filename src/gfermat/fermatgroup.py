@@ -76,9 +76,7 @@ class GroupElement(Frozen):
         if len(exps) < 2:
             raise ValueError("need at least two exponents")
         shift = exps[-1]
-        set_k, set_exponents = self._setters
-        set_k(self, k)
-        set_exponents(self, tuple((m - shift) % k for m in exps))
+        super().__init__(k, tuple((m - shift) % k for m in exps))
 
     @property
     def n(self) -> int:
@@ -101,15 +99,6 @@ class EquationSystem(Frozen):
     """
 
     __slots__ = ("d", "n", "k", "table", "coefficient_matrix")
-
-    def __init__(self, d: int, n: int, k: int, table: tuple[tuple[Fraction, ...], ...],
-                 coefficient_matrix: ExactMatrix):
-        set_d, set_n, set_k, set_table, set_coefficient_matrix = self._setters
-        set_d(self, d)
-        set_n(self, n)
-        set_k(self, k)
-        set_table(self, table)
-        set_coefficient_matrix(self, coefficient_matrix)
 
     @classmethod
     def from_table(cls, d: int, n: int, k: int, table) -> EquationSystem:
@@ -268,12 +257,6 @@ def fixed_locus(element: GroupElement, gfm_type: GfmType) -> FixedLocusReport:
 
 class FreeActionResult(Frozen):
     __slots__ = ("free", "offending", "subgroup_order")
-
-    def __init__(self, free: bool, offending: GroupElement | None, subgroup_order: int):
-        set_free, set_offending, set_subgroup_order = self._setters
-        set_free(self, free)
-        set_offending(self, offending)
-        set_subgroup_order(self, subgroup_order)
 
 
 def _packing(k: int, n: int) -> tuple[int, int]:
@@ -446,17 +429,6 @@ class AutomorphismOrder(Frozen):
     __slots__ = ("order", "stabilizer_order", "stabilizer_image_order", "kernel_order",
                  "deck_order", "category")
 
-    def __init__(self, order: int, stabilizer_order: int, stabilizer_image_order: int,
-                 kernel_order: int, deck_order: int, category: str):
-        (set_order, set_stabilizer_order, set_stabilizer_image_order, set_kernel_order,
-         set_deck_order, set_category) = self._setters
-        set_order(self, order)
-        set_stabilizer_order(self, stabilizer_order)
-        set_stabilizer_image_order(self, stabilizer_image_order)
-        set_kernel_order(self, kernel_order)
-        set_deck_order(self, deck_order)
-        set_category(self, category)
-
     def to_json(self):
         return {
             "order": self.order,
@@ -499,13 +471,6 @@ def automorphism_order(
 
 class LowNClassification(Frozen):
     __slots__ = ("d", "n", "case", "description")
-
-    def __init__(self, d: int, n: int, case: str, description: str):
-        set_d, set_n, set_case, set_description = self._setters
-        set_d(self, d)
-        set_n(self, n)
-        set_case(self, case)
-        set_description(self, description)
 
     def to_json(self):
         return {"d": self.d, "n": self.n, "case": self.case,

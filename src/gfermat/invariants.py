@@ -45,10 +45,7 @@ class GfmType(Frozen):
             raise ValueError("branch order k must be >= 2")
         if n < d + 1:
             raise ValueError("need n >= d+1 (see classify_low_n for 2 <= n <= d)")
-        set_d, set_k, set_n = self._setters
-        set_d(self, d)
-        set_k(self, k)
-        set_n(self, n)
+        super().__init__(d, k, n)
 
 
 def h0_twist(gfm_type: GfmType, r: int) -> int:
@@ -114,18 +111,6 @@ def classify(gfm_type: GfmType) -> str:
 class InvariantReport(Frozen):
     __slots__ = ("gfm_type", "r1", "kodaira", "pa_pg", "plurigenera", "label",
                  "intermediate_vanishing_note")
-
-    def __init__(self, gfm_type: GfmType, r1: int, kodaira: int | str, pa_pg: int,
-                 plurigenera: dict[int, int], label: str, intermediate_vanishing_note: str):
-        (set_gfm_type, set_r1, set_kodaira, set_pa_pg, set_plurigenera, set_label,
-         set_intermediate_vanishing_note) = self._setters
-        set_gfm_type(self, gfm_type)
-        set_r1(self, r1)
-        set_kodaira(self, kodaira)
-        set_pa_pg(self, pa_pg)
-        set_plurigenera(self, plurigenera)
-        set_label(self, label)
-        set_intermediate_vanishing_note(self, intermediate_vanishing_note)
 
     def to_json(self):
         return {

@@ -107,8 +107,7 @@ class Permutation(Frozen):
         images = tuple(int(i) for i in images)
         if sorted(images) != list(range(len(images))):
             raise ValueError("images must be a bijection of 0..m-1")
-        [set_images] = self._setters
-        set_images(self, images)
+        super().__init__(images)
 
     @classmethod
     def transposition(cls, m: int, i: int, j: int) -> Permutation:
@@ -209,14 +208,6 @@ class OrbitReport(Frozen):
     """
 
     __slots__ = ("base", "elements", "stabilizer", "kernel_note")
-
-    def __init__(self, base: StandardParameter, elements: tuple[StandardParameter, ...],
-                 stabilizer: tuple[Permutation, ...], kernel_note: str | None):
-        set_base, set_elements, set_stabilizer, set_kernel_note = self._setters
-        set_base(self, base)
-        set_elements(self, elements)
-        set_stabilizer(self, stabilizer)
-        set_kernel_note(self, kernel_note)
 
     @property
     def orbit_size(self) -> int:
@@ -425,12 +416,6 @@ def kernel_of_R(
 
 class IsomorphismResult(Frozen):
     __slots__ = ("equivalent", "witness", "note")
-
-    def __init__(self, equivalent: bool, witness: Permutation | None, note: str | None):
-        set_equivalent, set_witness, set_note = self._setters
-        set_equivalent(self, equivalent)
-        set_witness(self, witness)
-        set_note(self, note)
 
 
 def are_isomorphic(

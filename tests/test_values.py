@@ -124,6 +124,14 @@ def test_copy_and_pickle_rebuild_an_equal_value(cls):
         assert type(clone) is cls and clone == value
 
 
+@CLASSES
+def test_constructors_take_one_value_per_field(cls):
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(*SAMPLES[cls], None)
+
+
 def test_values_with_different_fields_differ():
     assert GfmType(2, 3, 4) != GfmType(2, 3, 5)
     assert Permutation((1, 0, 2)) != Permutation((0, 1, 2))
