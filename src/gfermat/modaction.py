@@ -23,8 +23,9 @@ factor depending on b alone, on q alone or on S cancels.  By Cramer's rule
 C[b][q] is the maximal minor of S with q in b's place.  Let D(T) be the
 minor of T's points in increasing order and i_x count the elements of S
 below x: putting q in its own place is a sign (-1)^(i_b + i_q + 1), times
--1 when b > q.  So C[b][q] = D(S - b + q), negated when b > q: the table of
-every D(T), built once to decide general position, gives every frame's rows.
+-1 when b > q.  So C[b][q] = D(S - b + q), negated when b > q
+(``_coordinate``): the table of every D(T), keyed by T's bitmask and built
+once to decide general position, gives every frame's rows.
 
 A permutation fixes p iff its frame's rows are p's rows in p's order.  In
 general position the rows of a table are distinct, and so are the entries
@@ -36,13 +37,23 @@ orbit is every row order of every frame's rows.  Scans are still charged
 (n+1)! against the budget, which bounds the (n+1)!/(n-d-1)! frames they
 visit.
 
-Stabilizer, iso and aut-order exit early.  For each basis set, anchor and
-b_d they key the row of one other hyperplane q0 first.  Its entries are
-distinct, so each target row it could be fixes the head order, and only
-that frame has its other rows built.  Canon's first row is the least row
-of any frame: q's entries in increasing order, for some basis set, anchor,
-b_d and q.  Each q reaching it fixes one frame, and only those frames'
-tables are sorted.
+Each entry is a cross-ratio.  Let R = S - {b_j, b_d} (empty for d = 1) and
+[x y] = D(R + x + y), negated when x > y: up to a sign for x and one for y,
+the determinant of x and y in the pencil of hyperplanes through R.  The
+signs of the four C's and of the four brackets cancel, so the entry of q's
+row at b = b_j in the frame (S, a, b_d) is [b_d q][b a] / ([b_d a][b q]),
+the cross-ratio of (b, b_d; a, q) on that pencil.  It depends only on R
+and on the ordered 4-tuple (b, b_d, a, q).  So the entries of all frames
+fall into C(n+1, d-1) C(n+2-d, 4) classes, one per R and 4-subset W of the
+other hyperplanes.  A cross-ratio lambda keeps its value under the Klein
+four-group of double swaps, so W's 24 orderings give six values: lambda,
+1-lambda, 1/lambda, (lambda-1)/lambda, 1/(1-lambda) and lambda/(lambda-1),
+four orderings each (``_ORDERINGS``).  Canon's first row starts with the
+least entry of any frame, the least key of any class, and only the
+orderings with that value have their frames' rows built.  Stabilizer, iso
+and aut-order keep the classes that hold the target's first entry: each
+ordering with it fixes b_0, b_d, a and the hyperplane in slot d+2, whose
+row fixes the head order, and every other row must be a target row.
 
 The scans key each table entry x = num/den, where num and den are products
 of two signed minors, as the integer floor(x 2^K) = (num << K) // den (``//``
@@ -54,10 +65,12 @@ floor(y 2^K): the key is strictly increasing, so it is exact and injective
 and equal entries share it.  A target's values have denominators below 2^t,
 so an entry and a target value differ by more than 1/(M^2 2^t), and K also
 takes 2^K >= M^2 2^t.  Two target values are never compared: a key they
-shared would be no entry's.  Rows are tuples of int keys, which sets,
-dicts, ``sorted`` and ``min`` hash and compare in C in the rational order.
-``_frame_tables`` records one (num, den) per key, and only the output's
-distinct entries become ``Fraction``s.
+shared would be no entry's.  A class's six values are entries of its other
+orderings, so their keys are exact too; floor((1-x) 2^K) = 2^K - ceil(x 2^K)
+comes from the remainder of x's division.  Rows are tuples of int keys,
+which sets, dicts, ``sorted`` and ``min`` hash and compare in C in the
+rational order.  ``_keyed`` records one (num, den) per key, and only the
+output's distinct entries become ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -155,9 +168,10 @@ def act(eta: Permutation, par: StandardParameter, *, validate: bool = True) -> S
         raise ValueError("permutation degree must be n+1")
     if validate and not is_standard_parameter(par):
         raise ValueError("parameter is not in X_{n,d}")
-    points = _integer_duals(par)
-    slots = eta.inverse().images
-    rows = _frame_normal_form([points[i] for i in slots], par.d)[2]
+    points, slotted = _integer_duals(par), [None] * (par.n + 1)
+    for j, point in zip(eta.images, points):
+        slotted[j] = point
+    rows = _frame_normal_form(slotted, par.d)[2]
     return StandardParameter._trusted(par.d, par.n, rows)
 
 
@@ -235,17 +249,27 @@ def _key_shift(minor_table, target_rows=()) -> int:
     return max(4 * m, 2 * m + t)
 
 
+def _coordinate(minor_table, basis: int, b: int, q: int) -> int:
+    """C[b][q] in the basis set with bitmask ``basis``: D(S - b + q), negated
+    when b > q (module docstring)."""
+    minor = minor_table[basis - (1 << b) + (1 << q)]
+    return -minor if b > q else minor
+
+
+def _columns(minor_table, basis, mask: int, hyperplanes) -> dict:
+    """{q: {b: C[b][q]}} for each q in hyperplanes and b in basis (bitmask mask)."""
+    return {q: {b: _coordinate(minor_table, mask, b, q) for b in basis} for q in hyperplanes}
+
+
 def _anchored(par: StandardParameter, minor_table):
     """(head, last, a, ca, others) per basis set S, anchor a outside S and
     last basis element b_d = last, with head = S - {last}: the coordinates
     ca = {b: C[b][a]} of the anchor and the pairs (q, {b: C[b][q]}) of every
-    other hyperplane q outside S, read off the minor table (module
-    docstring) once per basis set."""
+    other hyperplane q outside S, read once per basis set."""
     hyperplanes = range(par.n + 1)
     for basis in itertools.combinations(hyperplanes, par.d + 1):
-        coords = {q: {b: minor_table[tuple(sorted({*basis, q} - {b}))] * (-1 if b > q else 1)
-                      for b in basis}
-                  for q in hyperplanes if q not in basis}
+        mask = sum(1 << b for b in basis)
+        coords = _columns(minor_table, basis, mask, [q for q in hyperplanes if not mask >> q & 1])
         for a, ca in coords.items():
             others = [(q, c) for q, c in coords.items() if q != a]
             for last in basis:
@@ -294,46 +318,94 @@ def _one_line(frame, slotted: dict) -> tuple[int, ...]:
     return tuple(images)
 
 
+# Positions in a 4-subset W = (w0, w1, w2, w3) of the orderings (b, b_d, a, q)
+# whose entry is, in turn, lambda, 1-lambda, 1/lambda, (lambda-1)/lambda,
+# 1/(1-lambda) and lambda/(lambda-1), for lambda the entry of W in its own
+# order; each set of four is closed under the double swaps (module docstring).
+_ORDERINGS = tuple(tuple(tuple(p[i] for i in v) for v in ((0, 1, 2, 3), (1, 0, 3, 2),
+                                                          (2, 3, 0, 1), (3, 2, 1, 0)))
+                   for p in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2),
+                             (0, 3, 1, 2), (0, 2, 3, 1), (0, 3, 2, 1)))
+
+
+def _classes(par: StandardParameter, minor_table, shift: int):
+    """(R, W, keys) per (d-1)-subset R and 4-subset W of the other
+    hyperplanes, with the six keys of W's class in the order of
+    ``_ORDERINGS``: three divisions, lambda, 1/lambda and 1/(1-lambda), each
+    also giving the key of 1 minus its value, 2^K - ceil(x 2^K)."""
+    hyperplanes, one = range(par.n + 1), 1 << shift
+    for rest in itertools.combinations(hyperplanes, par.d - 1):
+        mask = sum(1 << r for r in rest)
+        for w in itertools.combinations([h for h in hyperplanes if not mask >> h & 1], 4):
+            b, last, a, q = w
+            basis = mask | 1 << b | 1 << last
+            num = _coordinate(minor_table, basis, b, q) * _coordinate(minor_table, basis, last, a)
+            den = _coordinate(minor_table, basis, b, a) * _coordinate(minor_table, basis, last, q)
+            lam, lam_rem = divmod(num << shift, den)
+            inv, inv_rem = divmod(den << shift, num)
+            co, co_rem = divmod(den << shift, den - num)
+            yield rest, w, (lam, one - lam - (lam_rem != 0), inv, one - inv - (inv_rem != 0),
+                            co, one - co - (co_rem != 0))
+
+
+def _frames_with(par: StandardParameter, minor_table, classes, key: int):
+    """``_anchored``'s (head, last, a, ca, others) for the frame of each
+    ordering (b, last, a, q) of a class whose entry has the given key: basis
+    set R + {b, last}, b_d = last and anchor a.  q comes first in others, and
+    its row holds that entry at b."""
+    for rest, w, keys in classes:
+        for k, orderings in zip(keys, _ORDERINGS) if key in keys else ():
+            if k == key:
+                for b, last, a, q in (map(w.__getitem__, p) for p in orderings):
+                    head = [*rest, b]
+                    mask = sum(1 << h for h in head) | 1 << last
+                    coords = _columns(minor_table, (*head, last), mask, [q, a] + [
+                        h for h in range(par.n + 1) if not mask >> h & 1 and h not in (a, q)])
+                    ca = coords.pop(a)
+                    yield head, last, a, ca, list(coords.items())
+
+
 def _carriers(par: StandardParameter, target: StandardParameter, minor_table):
     """The one-line images of every permutation carrying par to target.
 
-    Per basis set, anchor and b_d the row of the first other hyperplane is
-    keyed first.  Its entries are distinct, so each target row with the
-    same entries fixes one head order.  Only those frames have their other
-    rows built, and each row must be a target row, which fixes its
-    hyperplane's slot (module docstring)."""
+    Only the frames whose slot d+2 holds the target's first entry are built
+    (``_frames_with``).  That hyperplane's row must be the target's first
+    row, which fixes the head order, and each other row must be a target
+    row, which fixes its hyperplane's slot (module docstring)."""
+    if not target.rows:  # n = d+1: the empty table, fixed by every frame
+        yield from itertools.permutations(range(par.n + 1))
+        return
     shift, pairs = _key_shift(minor_table, target.rows), {}
-    slots, by_entries = _slots(target, shift), {}
-    for row in slots:
-        by_entries.setdefault(tuple(sorted(row)), []).append(row)
-    for head, last, a, ca, others in _anchored(par, minor_table):
-        if others:
-            first = {x: b for b, x in _keyed(others[0][1], ca, head, last, shift, pairs).items()}
-            orders = [[first[x] for x in row] for row in by_entries.get(tuple(sorted(first)), ())]
-        else:  # n = d+1: the empty table, fixed by every frame
-            orders = itertools.permutations(head)
-        for order in orders:
-            slotted = {}
-            for q, c in others:
-                j = slotted[q] = slots.get(tuple(_keyed(c, ca, order, last, shift, pairs).values()))
-                if j is None:
-                    break
-            else:
-                yield _one_line((*order, last, a), slotted)
+    slots = _slots(target, shift)
+    first = next(iter(slots))  # the key row of slot d+2
+    for head, last, a, ca, others in _frames_with(
+            par, minor_table, _classes(par, minor_table, shift), first[0]):
+        (q, cq), *others = others
+        e = {x: b for b, x in _keyed(cq, ca, head, last, shift, pairs).items()}
+        order = [e.get(x) for x in first]
+        if None in order:
+            continue
+        slotted = {q: par.d + 2}
+        for h, c in others:
+            j = slotted[h] = slots.get(tuple(_keyed(c, ca, order, last, shift, pairs).values()))
+            if j is None:
+                break
+        else:
+            yield _one_line((*order, last, a), slotted)
 
 
 def _check_scan(par: StandardParameter, budget: int) -> dict:
-    """The table {sorted (d+1)-subset: signed minor} of par's dual points;
-    refuse a parameter off X_{n,d} (a zero minor), then charge (n+1)!.  A
-    scan past the budget builds no table: it is refused after the lazy
-    membership sweep, which stops at the first zero minor."""
+    """The table {bitmask of a (d+1)-subset: signed minor} of par's dual
+    points; refuse a parameter off X_{n,d} (a zero minor), then charge
+    (n+1)!.  A scan past the budget builds no table: it is refused after the
+    lazy membership sweep, which stops at the first zero minor."""
     size = math.factorial(par.n + 1)
     if size > budget:
         if not is_standard_parameter(par):
             raise ValueError("parameter is not in X_{n,d}")
         raise BudgetExceeded(size, budget)
-    subsets = itertools.combinations(range(par.n + 1), par.d + 1)
-    minor_table = dict(zip(subsets, minors(_integer_duals(par))))
+    subsets = itertools.combinations([1 << h for h in range(par.n + 1)], par.d + 1)
+    minor_table = dict(zip(map(sum, subsets), minors(_integer_duals(par))))
     if not all(minor_table.values()):
         raise ValueError("parameter is not in X_{n,d}")
     return minor_table
@@ -450,24 +522,24 @@ def canonical_representative(par: StandardParameter, budget: int = DEFAULT_BUDGE
     flattened table); equal for two parameters iff they are orbit-equivalent.
 
     It is the least over frames of the frame's rows in sorted order, so its
-    first row is the least row of any frame: over every basis set, anchor,
-    b_d and other hyperplane q, q's entries in increasing order.  Entries of
-    a row are distinct, so each q reaching that least row fixes the head
-    order of the one frame it is first in; only those frames' tables are
-    sorted in full."""
+    first row starts with the least entry of any frame, the least key of any
+    class.  Only the frames with that entry are built (``_frames_with``).
+    Entries of a row are distinct, so each least row holding it fixes the
+    head order of its frame; only those frames' tables are sorted in full."""
     minor_table = _check_scan(par, budget)
     if not par.rows:
         return par
     shift, pairs = _key_shift(minor_table), {}
+    classes = list(_classes(par, minor_table, shift))
     least, ties = None, []
-    for head, last, a, ca, others in _anchored(par, minor_table):
+    for head, last, a, ca, others in _frames_with(
+            par, minor_table, classes, min(min(keys) for *_, keys in classes)):
         rows = [_keyed(c, ca, head, last, shift, pairs) for _, c in others]
-        for e in rows:
-            low = sorted(e.values())
-            if least is None or low < least:
-                least, ties = low, []
-            if low == least:
-                order = sorted(head, key=e.__getitem__)
-                ties.append(sorted(tuple(map(f.__getitem__, order)) for f in rows))
+        low = sorted(rows[0].values())
+        if least is None or low < least:
+            least, ties = low, []
+        if low == least:
+            order = sorted(head, key=rows[0].__getitem__)
+            ties.append(sorted(tuple(map(f.__getitem__, order)) for f in rows))
     return StandardParameter._trusted(
         par.d, par.n, tuple(tuple(Fraction(*pairs[x]) for x in row) for row in min(ties)))

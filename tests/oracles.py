@@ -7,7 +7,10 @@ per-subset Bareiss minors that the depth-first sweep replaced, Phi_k by
 division of x^k - 1 that the radical formula replaced, the full
 S_{n+1} enumeration that the frame scans replaced, the frame tables as
 they were read off one fraction-free inverse per basis set before the
-minor table replaced it, the subgroup closure
+minor table replaced it (and their entries grouped into cross-ratio
+classes, ``class_values``), the carriers and canon by frame steps
+(``carriers_by_frames``, ``canon_by_frames``) that the class scans
+replaced, the subgroup closure
 over validated group elements and the freeness scan over its sorted
 elements that the coset enumeration replaced, the lattice-box convolution
 that the closed-form section count replaced, and the automorphism verifier
@@ -55,7 +58,7 @@ from gfermat.arrangement import (
     is_standard_parameter,
 )
 from gfermat.constructions import ConicCurveResult, LineRestriction, _cross, tangent_conic
-from gfermat.errors import BudgetExceeded, NotInGeneralPosition, TangencyError
+from gfermat.errors import DEFAULT_BUDGET, BudgetExceeded, NotInGeneralPosition, TangencyError
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix, _zero_like, cyclotomic_polynomial
 from gfermat.fermatgroup import (
     FixedComponent,
@@ -65,7 +68,15 @@ from gfermat.fermatgroup import (
     _monomial_support,
     equations,
 )
-from gfermat.modaction import Permutation
+from gfermat.modaction import (
+    Permutation,
+    _anchored,
+    _check_scan,
+    _key_shift,
+    _keyed,
+    _one_line,
+    _slots,
+)
 from gfermat.rational import fraction_free_inverse, projective_normalize, rational_to_string
 
 
@@ -563,6 +574,69 @@ def frame_tables(par: StandardParameter):
                 for order in itertools.permutations(head):
                     yield order + (last, a), {q: tuple(e[b] for b in order)
                                               for q, e in entries.items()}
+
+
+def carriers_by_frames(par: StandardParameter, target: StandardParameter):
+    """The sorted one-line images of every permutation carrying par to
+    target, by the early exit that the cross-ratio classes replaced: per
+    basis set, anchor and b_d the row of the first other hyperplane is keyed
+    first, each target row with the same entries fixes one head order, and
+    only those frames have their other rows built."""
+    minor_table = _check_scan(par, DEFAULT_BUDGET)
+    shift, pairs = _key_shift(minor_table, target.rows), {}
+    slots, by_entries, found = _slots(target, shift), {}, []
+    for row in slots:
+        by_entries.setdefault(tuple(sorted(row)), []).append(row)
+    for head, last, a, ca, others in _anchored(par, minor_table):
+        if others:
+            first = {x: b for b, x in _keyed(others[0][1], ca, head, last, shift, pairs).items()}
+            orders = [[first[x] for x in row] for row in by_entries.get(tuple(sorted(first)), ())]
+        else:  # n = d+1: the empty table, fixed by every frame
+            orders = itertools.permutations(head)
+        for order in orders:
+            slotted = {}
+            for q, c in others:
+                j = slotted[q] = slots.get(tuple(_keyed(c, ca, order, last, shift, pairs).values()))
+                if j is None:
+                    break
+            else:
+                found.append(_one_line((*order, last, a), slotted))
+    return sorted(found)
+
+
+def canon_by_frames(par: StandardParameter):
+    """The rows of the least orbit element by the per-(basis set, anchor,
+    b_d) loop that the cross-ratio classes replaced: every other
+    hyperplane's row is keyed, and each q reaching the least sorted row
+    fixes the head order of the one frame whose table is sorted in full."""
+    minor_table = _check_scan(par, DEFAULT_BUDGET)
+    if not par.rows:
+        return par.rows
+    shift, pairs = _key_shift(minor_table), {}
+    least, ties = None, []
+    for head, last, a, ca, others in _anchored(par, minor_table):
+        rows = [_keyed(c, ca, head, last, shift, pairs) for _, c in others]
+        for e in rows:
+            low = sorted(e.values())
+            if least is None or low < least:
+                least, ties = low, []
+            if low == least:
+                order = sorted(head, key=e.__getitem__)
+                ties.append(sorted(tuple(map(f.__getitem__, order)) for f in rows))
+    return tuple(tuple(Fraction(*pairs[x]) for x in row) for row in min(ties))
+
+
+def class_values(par: StandardParameter):
+    """{(R, W): {ordering (b, b_d, a, q) of W: entry}} over every frame of
+    ``frame_tables``, R = S - {b, b_d} for the frame's basis set S."""
+    classes = {}
+    for frame, rows in frame_tables(par):
+        *head, last, a = frame
+        for q, row in rows.items():
+            for b, x in zip(head, row):
+                rest = tuple(sorted(set(frame[:-1]) - {b, last}))
+                classes.setdefault((rest, tuple(sorted((b, last, a, q)))), {})[b, last, a, q] = x
+    return classes
 
 
 def arrangement_of(par: StandardParameter) -> Arrangement:

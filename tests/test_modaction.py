@@ -17,7 +17,9 @@ from gfermat.modaction import (
     KLEIN_ONE_LINE,
     IsomorphismResult,
     Permutation,
+    _ORDERINGS,
     _check_scan,
+    _classes,
     _frame_tables,
     _key_shift,
     act,
@@ -574,8 +576,9 @@ class TestEntryKeys:
         assert are_isomorphic(target, par) == IsomorphismResult(False, None, None)
 
 
-SMALL_VALUES = st.sampled_from([Fraction(v) for v in (-2, -1, 2, 3)]
-                               + [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2)])
+SMALL_FRACTIONS = [Fraction(v) for v in (-2, -1, 2, 3)] + [
+    Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2)]
+SMALL_VALUES = st.sampled_from(SMALL_FRACTIONS)
 
 
 def _small_value_tables(d, n):
@@ -653,3 +656,95 @@ class TestScanOutput:
             assert all(type(x) is Fraction for row in element.rows for x in row)
         assert len(set(report.elements)) == report.orbit_size
 
+
+
+
+def _small_value_parameter(d, n, rng):
+    """A member of X_{n,d} with entries from ``SMALL_FRACTIONS``, or None
+    after 500 draws."""
+    for _ in range(500):
+        par = StandardParameter(d, n, tuple(tuple(rng.choice(SMALL_FRACTIONS) for _ in range(d))
+                                            for _ in range(n - d - 1)))
+        if is_standard_parameter(par):
+            return par
+    return None
+
+
+def _class_keys(par, target=None):
+    """Every key of every class of par, with the shift a scan against
+    target (or against no target) uses."""
+    minor_table = _check_scan(par, DEFAULT_BUDGET)
+    shift = _key_shift(minor_table, target.rows if target else ())
+    return shift, {key for *_, keys in _classes(par, minor_table, shift) for key in keys}
+
+
+def _off_every_class(par, moved, rng):
+    """moved with its first entry replaced by a value in no class of par,
+    still a member of X_{n,d}."""
+    while True:
+        rows = [list(row) for row in moved.rows]
+        rows[0][0] = Fraction(rng.randint(10**6, 10**7), rng.randint(1, 10**3))
+        target = StandardParameter(par.d, par.n, tuple(map(tuple, rows)))
+        shift, keys = _class_keys(par, target)
+        x = rows[0][0]
+        if is_standard_parameter(target) and (x.numerator << shift) // x.denominator not in keys:
+            return target
+
+
+# (d, n) with d 1..4 and n <= 8: the frame-step oracle at n = 8 takes about
+# C(9, d+1)(8-d)(d+1) steps per call.
+CLASS_CASES = [(1, 4), (1, 6), (1, 8), (2, 5), (2, 7), (2, 8), (3, 6), (3, 8), (4, 7), (4, 8)]
+
+
+class TestClassScans:
+    """The cross-ratio classes: their values against the Fraction frame
+    tables, and stabilizer, iso, aut-order and canon against the frame-step
+    scans they replaced."""
+
+    @pytest.mark.parametrize("dn", [(1, 3), (1, 5), (2, 4), (2, 5), (3, 5), (3, 6)],
+                             ids=lambda dn: f"d{dn[0]}n{dn[1]}")
+    def test_orderings_give_the_six_values(self, dn):
+        """Every (R, W) has all 24 orderings of W among the frame entries;
+        the orderings of each ``_ORDERINGS`` group give lambda, 1-lambda,
+        1/lambda, (lambda-1)/lambda, 1/(1-lambda) and lambda/(lambda-1) in
+        turn, and ``_classes`` keys exactly those values."""
+        d, n = dn
+        rng = random.Random(83 + 10 * d + n)
+        for par in (random_parameter(d, n, rng), random_parameter(d, n, rng, 10**6)):
+            values = oracles.class_values(par)
+            minor_table = _check_scan(par, DEFAULT_BUDGET)
+            shift = _key_shift(minor_table)
+            classes = list(_classes(par, minor_table, shift))
+            assert len(classes) == len(values) == math.comb(n + 1, d - 1) * math.comb(n + 2 - d, 4)
+            for rest, w, keys in classes:
+                by_ordering = values[rest, w]
+                assert len(by_ordering) == 24
+                lam = by_ordering[w]
+                six = [lam, 1 - lam, 1 / lam, (lam - 1) / lam, 1 / (1 - lam), lam / (lam - 1)]
+                for value, key, group in zip(six, keys, _ORDERINGS):
+                    assert key == math.floor(value * 2**shift)
+                    assert {by_ordering[tuple(w[i] for i in p)] for p in group} == {value}
+
+    @pytest.mark.parametrize("dn", CLASS_CASES, ids=lambda dn: f"d{dn[0]}n{dn[1]}")
+    def test_scans_match_frame_steps(self, dn):
+        """Three random and three small-value (tied) tables, each against
+        three iso targets: a moved table, an unrelated one, and one whose
+        first entry lies in no class (never isomorphic)."""
+        d, n = dn
+        rng = random.Random(89 + 10 * d + n)
+        pars = [random_parameter(d, n, rng) for _ in range(3)]
+        pars += filter(None, (_small_value_parameter(d, n, rng) for _ in range(3)))
+        for par in pars:
+            stab = oracles.carriers_by_frames(par, par)
+            assert _images(stabilizer(par)) == tuple(stab)
+            assert automorphism_order(par, 3).stabilizer_order == len(stab)
+            assert canonical_representative(par).rows == oracles.canon_by_frames(par)
+            moved = act(Permutation(tuple(rng.sample(range(n + 1), n + 1))), par)
+            verdicts = []
+            for target in (moved, random_parameter(d, n, rng), _off_every_class(par, moved, rng)):
+                expected = min(oracles.carriers_by_frames(par, target), default=None)
+                result = are_isomorphic(par, target)
+                assert (result.witness and result.witness.images) == expected
+                assert result.equivalent == (expected is not None)
+                verdicts.append(result.equivalent)
+            assert verdicts[0] and not verdicts[2]
