@@ -670,23 +670,16 @@ def _small_value_parameter(d, n, rng):
     return None
 
 
-def _class_keys(par, target=None):
-    """Every key of every class of par, with the shift a scan against
-    target (or against no target) uses."""
-    minor_table = _check_scan(par, DEFAULT_BUDGET)
-    shift = _key_shift(minor_table, target.rows if target else ())
-    return shift, {key for *_, keys in _classes(par, minor_table, shift) for key in keys}
-
-
 def _off_every_class(par, moved, rng):
     """moved with its first entry replaced by a value in no class of par,
     still a member of X_{n,d}."""
+    minor_table = _check_scan(par, DEFAULT_BUDGET)
     while True:
         rows = [list(row) for row in moved.rows]
-        rows[0][0] = Fraction(rng.randint(10**6, 10**7), rng.randint(1, 10**3))
+        x = rows[0][0] = Fraction(rng.randint(10**6, 10**7), rng.randint(1, 10**3))
         target = StandardParameter(par.d, par.n, tuple(map(tuple, rows)))
-        shift, keys = _class_keys(par, target)
-        x = rows[0][0]
+        shift = _key_shift(minor_table, target.rows)
+        keys = {key for *_, keys in _classes(par, minor_table, shift) for key in keys}
         if is_standard_parameter(target) and (x.numerator << shift) // x.denominator not in keys:
             return target
 
