@@ -15,11 +15,12 @@ clearing a point's denominators scales each minor through it by a nonzero
 integer, which cannot turn the minor zero or nonzero.
 
 Normal forms are computed on integers.  Dual points are cleared to integer
-vectors; fraction-free Gauss-Jordan gives M = D B^{-1} (D = +-det B) for the
-frame B of the first d+1 points as columns, and T_ij = M_ij / (M a)_i for the
-(d+2)-nd point a.  Scaling a frame point, or D, scales rows of M and of M a
-alike, so only the scale of a survives in T; the table entries
-(M q)_j (M a)_d / ((M a)_j (M q)_d) are invariant under every scaling.
+vectors, and one fraction-free Gauss-Jordan elimination of the frame B (the
+first d+1 points as columns) against the others gives M c, M = D B^{-1}
+(D = +-det B), whose entries are signed minors (Cramer).  The table entries
+(M q)_j (M a)_d / ((M a)_j (M q)_d), a the (d+2)-nd point, do not change
+when any point, or D, is scaled.  ``normalize`` also eliminates the identity
+to read T_ij = M_ij / (M a)_i, in which only the scale of a survives.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from .errors import Frozen, NotInGeneralPosition, ValidationError
 from .rational import (
     clear_denominators,
-    fraction_free_inverse,
+    fraction_free_solve,
     minors,
     projective_normalize,
     rational_from_string,
@@ -221,21 +222,23 @@ def normalize(arr: Arrangement, *, check: bool = True):
     points, dens = zip(*(clear_denominators(q) for q in arr.duals))
     if check and not all(minors(points)):
         raise NotInGeneralPosition("arrangement is not in general position")
-    m, anchor, rows = _frame_normal_form(points, d)
+    identity = [tuple(int(i == j) for i in range(d + 1)) for j in range(d + 1)]
+    m, anchor, rows = _frame_normal_form(points, d, identity)
     transform = ExactMatrix.from_rows(
         [[Fraction(x * dens[d + 1], a) for x in row] for row, a in zip(m, anchor)])
     return transform, StandardParameter(d, arr.n, rows)
 
 
-def _frame_normal_form(points, d: int):
-    """(M, M a, table rows) for integer dual points (module docstring)."""
-    m = fraction_free_inverse(list(zip(*points[: d + 1])))
-    anchor, *images = [[sum(x * y for x, y in zip(row, q)) for row in m] for q in points[d + 1:]]
+def _frame_normal_form(points, d: int, head):
+    """(rows of M H, M a, table rows) for integer dual points and the
+    columns H, from one elimination of [B | H | a | Q] (module docstring)."""
+    solved = fraction_free_solve(points[: d + 1], [*head, *points[d + 1:]])
+    anchor, *images = list(zip(*solved))[len(head):]
     if not all(anchor):
         raise ZeroDivisionError("the (d+2)-nd dual point lies on a frame hyperplane")
     rows = tuple(tuple(Fraction(b[j] * anchor[d], anchor[j] * b[d]) for j in range(d))
                  for b in images)
-    return m, anchor, rows
+    return [row[: len(head)] for row in solved], anchor, rows
 
 
 def _integer_duals(par: StandardParameter) -> list[tuple[int, ...]]:

@@ -148,12 +148,6 @@ class Permutation(Frozen):
         """Apply self, then other."""
         return Permutation(tuple(other.images[i] for i in self.images))
 
-    def inverse(self) -> Permutation:
-        images = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            images[j] = i
-        return Permutation(tuple(images))
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
@@ -171,7 +165,7 @@ def act(eta: Permutation, par: StandardParameter, *, validate: bool = True) -> S
     points, slotted = _integer_duals(par), [None] * (par.n + 1)
     for j, point in zip(eta.images, points):
         slotted[j] = point
-    rows = _frame_normal_form(slotted, par.d)[2]
+    rows = _frame_normal_form(slotted, par.d, ())[2]
     return StandardParameter._trusted(par.d, par.n, rows)
 
 

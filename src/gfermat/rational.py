@@ -1,9 +1,9 @@
 """Rationals (``Fraction``, serialized as ``"p/q"`` or ``"p"``) and the
-integer exact core: projective scaling, clearing denominators, the
-fraction-free (Bareiss) inverse of one frame and the signed minor engine.
-The engine sweeps subsets depth first on an explicit stack: subsets with a
-common prefix share its elimination steps, and r is not bounded by the
-recursion limit."""
+integer exact core: projective scaling, clearing denominators and the two
+fraction-free (Bareiss) eliminations, D B^{-1} C for one frame B and the
+signed minor engine.  The engine sweeps subsets depth first on an explicit
+stack: subsets with a common prefix share its elimination steps, and r is
+not bounded by the recursion limit."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ __all__ = [
     "rational_to_string",
     "projective_normalize",
     "clear_denominators",
-    "fraction_free_inverse",
+    "fraction_free_solve",
     "minors",
 ]
 
@@ -70,23 +70,25 @@ def clear_denominators(vec) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (den // x.denominator) for x in vec), den
 
 
-def fraction_free_inverse(rows) -> list[list[int]]:
-    """D B^{-1}, D = +-det B, for a square integer matrix B by fraction-free
-    Gauss-Jordan elimination on [B | I] (Bareiss 1968): entries stay minors
-    of [B | I], so each ``//`` is exact.  Raises ValueError if B is singular."""
-    n = len(rows)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+def fraction_free_solve(frame, columns) -> list[list[int]]:
+    """The rows of D B^{-1} C, D = +-det B, for integer B and C given by
+    their columns, by fraction-free Gauss-Jordan elimination on [B | C]
+    (Bareiss 1968): entries stay minors of [B | C], so each ``//`` is exact.
+    A step drops its pivot column, as the left block ends as D I.  Raises
+    ValueError if B is singular."""
+    a = [list(row) for row in zip(*frame, *columns)]
     prev = 1
-    for k in range(n):
-        swap = next((r for r in range(k, n) if a[r][k]), None)
+    for k in range(len(frame)):
+        swap = next((r for r in range(k, len(a)) if a[r][0]), None)
         if swap is None:
             raise ValueError("matrix is singular")
         a[k], a[swap] = a[swap], a[k]
         p = a[k]
-        a = [row if row is p else [(p[k] * x - row[k] * y) // prev for x, y in zip(row, p)]
+        pk, tail = p[0], p[1:]
+        a = [tail if row is p else [(pk * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
              for row in a]
-        prev = p[k]
-    return [row[n:] for row in a]
+        prev = pk
+    return a
 
 
 def minors(columns):

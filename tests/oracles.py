@@ -1,14 +1,18 @@
 """Independent reference implementations the fast library paths are
 compared against: cofactor determinants, the cofactor adjugate that the
 closed-form dual conic replaced, a Fraction Gauss-Jordan inverse,
-the Fraction normal form that the integer frame kernel replaced, the
-Fraction minor scans that the integer minor engine replaced, the
-per-subset Bareiss minors that the depth-first sweep replaced, Phi_k by
-division of x^k - 1 that the radical formula replaced, the full
-S_{n+1} enumeration that the frame scans replaced, the frame tables as
-they were read off one fraction-free inverse per basis set before the
-minor table replaced it (and their entries grouped into cross-ratio
-classes, ``class_values``), the carriers and canon by frame steps
+the Fraction normal form that the integer frame kernel replaced (its
+``act`` reorders by ``permutation_inverse``, which the library no longer
+needs), the Fraction minor scans that the integer minor engine replaced,
+the per-subset Bareiss minors that the depth-first sweep replaced, Phi_k
+by division of x^k - 1 that the radical formula replaced, the full S_{n+1}
+enumeration that the frame scans replaced, on the integer normal form as
+the fraction-free inverse of the frame multiplied out against each other
+point (``fraction_free_inverse``, ``frame_normal_form``) before one
+elimination of the frame against those points replaced it, the frame
+tables as they were read off one fraction-free inverse per basis set
+before the minor table replaced it (and their entries grouped into
+cross-ratio classes, ``class_values``), the carriers and canon by frame steps
 (``carriers_by_frames``, ``canon_by_frames``) that the class scans
 replaced, the subgroup closure
 over validated group elements and the freeness scan over its sorted
@@ -53,7 +57,6 @@ from gfermat.arrangement import (
     Arrangement,
     Hyperplane,
     StandardParameter,
-    _frame_normal_form,
     _integer_duals,
     is_standard_parameter,
 )
@@ -77,7 +80,7 @@ from gfermat.modaction import (
     _one_line,
     _slots,
 )
-from gfermat.rational import fraction_free_inverse, projective_normalize, rational_to_string
+from gfermat.rational import projective_normalize, rational_to_string
 
 
 def _divide(x, y):
@@ -479,6 +482,15 @@ def normalize(arr: Arrangement):
     return transform, StandardParameter(d, arr.n, tuple(rows))
 
 
+def permutation_inverse(eta: Permutation) -> Permutation:
+    """The inverse permutation (``Permutation.inverse`` before the library
+    stopped using it)."""
+    images = [0] * len(eta.images)
+    for i, j in enumerate(eta.images):
+        images[j] = i
+    return Permutation(tuple(images))
+
+
 def act(eta, par: StandardParameter) -> StandardParameter:
     """Reorder the canonical arrangement of par by eta (hyperplane i to
     slot eta(i)) and renormalize with the Fraction reference."""
@@ -486,7 +498,7 @@ def act(eta, par: StandardParameter) -> StandardParameter:
     duals = [tuple(Fraction(int(i == j)) for i in range(d + 1)) for j in range(d + 1)]
     duals.append((Fraction(1),) * (d + 1))
     duals.extend(tuple(row) + (Fraction(1),) for row in par.rows)
-    inv = eta.inverse()
+    inv = permutation_inverse(eta)
     reordered = tuple(duals[inv.images[j]] for j in range(par.n + 1))
     return normalize(Arrangement(d, reordered))[1]
 
@@ -530,14 +542,47 @@ def smoothness_by_minors(system) -> bool:
     return all_maximal_minors_nonzero(matrix, matrix.rows)
 
 
+def fraction_free_inverse(rows) -> list[list[int]]:
+    """D B^{-1}, D = +-det B, for a square integer matrix B by fraction-free
+    Gauss-Jordan elimination on [B | I] (Bareiss 1968): entries stay minors
+    of [B | I], so each ``//`` is exact.  Raises ValueError if B is singular."""
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        swap = next((r for r in range(k, n) if a[r][k]), None)
+        if swap is None:
+            raise ValueError("matrix is singular")
+        a[k], a[swap] = a[swap], a[k]
+        p = a[k]
+        a = [row if row is p else [(p[k] * x - row[k] * y) // prev for x, y in zip(row, p)]
+             for row in a]
+        prev = p[k]
+    return [row[n:] for row in a]
+
+
+def frame_normal_form(points, d: int):
+    """(M, M a, table rows) for integer dual points, M = D B^{-1} for the
+    frame B and a the anchor: the frame inverted, then multiplied out
+    against each other point, as before one elimination of the frame
+    against the other points replaced it."""
+    m = fraction_free_inverse(list(zip(*points[: d + 1])))
+    anchor, *images = [[sum(x * y for x, y in zip(row, q)) for row in m] for q in points[d + 1:]]
+    if not all(anchor):
+        raise ZeroDivisionError("the (d+2)-nd dual point lies on a frame hyperplane")
+    rows = tuple(tuple(Fraction(b[j] * anchor[d], anchor[j] * b[d]) for j in range(d))
+                 for b in images)
+    return m, anchor, rows
+
+
 def act_rows(par: StandardParameter, orders=None):
     """(images, act rows) per one-line tuple (hyperplane i to slot images[i]),
     over all of S_{n+1} in itertools order unless ``orders`` is given: one
-    integer normal form per permutation."""
+    reference ``frame_normal_form`` per permutation."""
     points = _integer_duals(par)
     for images in itertools.permutations(range(par.n + 1)) if orders is None else orders:
         slots = sorted(range(len(images)), key=images.__getitem__)
-        yield images, _frame_normal_form([points[i] for i in slots], par.d)[2]
+        yield images, frame_normal_form([points[i] for i in slots], par.d)[2]
 
 
 def scans(par: StandardParameter, targets=()):

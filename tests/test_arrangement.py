@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gfermat import arrangement as arrangement_module
@@ -13,6 +13,7 @@ from gfermat.arrangement import (
     Arrangement,
     Hyperplane,
     StandardParameter,
+    _frame_normal_form,
     is_general_position,
     is_standard_parameter,
     normalize,
@@ -290,6 +291,54 @@ class TestNormalizeAgainstFractionReference:
             normalize(arrangement((1, 0), (2, 0), (1, 1), (2, 1)), check=False)
         with pytest.raises(ZeroDivisionError):  # zero anchor coordinate
             normalize(arrangement((1, 0), (0, 1), (1, 0), (2, 1)), check=False)
+
+
+def _reduced(fn, *args):
+    """fn(*args) with every tuple made a list, or the exception type raised."""
+    try:
+        return [list(part) for part in fn(*args)]
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+_frame_entries = st.one_of(st.sampled_from([0, 1, -1, 2]), st.integers(-10**20, 10**20))
+
+
+@st.composite
+def _integer_frames(draw):
+    """(d, points): d+2 to d+5 integer vectors of length d+1, d in 1..4,
+    often with a singular frame or a zero anchor coordinate."""
+    d = draw(st.integers(1, 4))
+    count = draw(st.integers(d + 2, d + 5))
+    point = st.lists(_frame_entries, min_size=d + 1, max_size=d + 1).map(tuple)
+    return d, draw(st.lists(point, min_size=count, max_size=count))
+
+
+class TestFrameNormalFormAgainstInverse:
+    """The one elimination of the frame against [H | a | Q] against the frame
+    inverse multiplied out per point (``oracles.frame_normal_form``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_integer_frames())
+    @example((1, [(1, 0), (2, 0), (1, 1), (2, 1)]))  # singular frame
+    @example((1, [(1, 0), (0, 1), (1, 0), (2, 1)]))  # zero anchor coordinate
+    @example((2, [(0, 1, 0), (0, 0, 1), (1, 0, 0), (1, 1, 1), (2, 3, 1)]))  # pivot swap
+    def test_matches_reference(self, case):
+        d, points = case
+        identity = [tuple(int(i == j) for i in range(d + 1)) for j in range(d + 1)]
+        expected = _reduced(oracles.frame_normal_form, points, d)
+        assert _reduced(_frame_normal_form, points, d, identity) == expected
+        act_path = _reduced(_frame_normal_form, points, d, ())
+        if isinstance(expected, type):
+            assert act_path == expected
+        else:
+            assert act_path == [[[]] * (d + 1), *expected[1:]]
+
+    def test_error_types(self):
+        with pytest.raises(ValueError):
+            _frame_normal_form([(1, 0), (2, 0), (1, 1), (2, 1)], 1, ())
+        with pytest.raises(ZeroDivisionError):
+            _frame_normal_form([(1, 0), (0, 1), (1, 0), (2, 1)], 1, ())
 
 
 class TestStandardParameter:

@@ -17,7 +17,7 @@ import gfermat
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix, cyclotomic_polynomial
 from gfermat.rational import (
     clear_denominators,
-    fraction_free_inverse,
+    fraction_free_solve,
     minors,
     projective_normalize,
     rational_from_string,
@@ -362,13 +362,14 @@ class TestDeterminants:
             assert eye.entries == oracles.identity(size).entries
 
 
+int_entries = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-BIG, BIG))
 square_int_matrices = st.integers(1, 5).flatmap(
-    lambda n: st.lists(
-        st.lists(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-BIG, BIG)),
-                 min_size=n, max_size=n),
-        min_size=n, max_size=n,
-    )
+    lambda n: st.lists(st.lists(int_entries, min_size=n, max_size=n), min_size=n, max_size=n)
 )
+# (B as rows, the columns of C): zero to four columns of B's height
+int_systems = square_int_matrices.flatmap(lambda rows: st.tuples(
+    st.just(rows),
+    st.lists(st.lists(int_entries, min_size=len(rows), max_size=len(rows)), max_size=4)))
 
 
 class TestIntegerKernels:
@@ -383,28 +384,38 @@ class TestIntegerKernels:
         assert all(type(x) is int for x in ints)
         assert tuple(Fraction(x, den) for x in ints) == tuple(vec)
 
-    @settings(max_examples=200)
-    @given(square_int_matrices)
-    def test_fraction_free_inverse_is_scaled_inverse(self, rows):
-        """M B = D I with D = +-det B; singular B raises ValueError."""
-        n = len(rows)
-        det = ExactMatrix.from_rows([[Fraction(x) for x in row] for row in rows]).det()
+    @settings(max_examples=300)
+    @given(int_systems)
+    @example(([[1, 2], [2, 4]], [[1, 0]]))  # singular
+    @example(([[0]], []))
+    @example(([[0, 2, 1], [3, 0, 0], [0, 0, 5]], [[7, -1, 2], [0, 0, 0]]))  # pivot swap
+    def test_fraction_free_solve_is_scaled_solution(self, system):
+        """B X = D C with D = +-det B for the rows X returned, all ints; a
+        singular B raises ValueError."""
+        rows, columns = system
+        n, frame = len(rows), list(zip(*rows))
+        det = oracles.det_cofactor(ExactMatrix.from_rows(rows))
         if det == 0:
             with pytest.raises(ValueError):
-                fraction_free_inverse(rows)
+                fraction_free_solve(frame, columns)
             return
-        m = fraction_free_inverse(rows)
-        assert all(type(x) is int for row in m for x in row)
-        product = [[sum(m[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+        x = fraction_free_solve(frame, columns)
+        assert [len(row) for row in x] == [len(columns)] * n
+        assert all(type(e) is int for row in x for e in row)
+        product = [[sum(rows[i][k] * x[k][j] for k in range(n)) for j in range(len(columns))]
                    for i in range(n)]
-        scale = product[0][0]
-        assert scale in (det, -det)
-        assert product == [[scale * (i == j) for j in range(n)] for i in range(n)]
+        assert any(product == [[scale * c[i] for c in columns] for i in range(n)]
+                   for scale in (det, -det))
+        # with C = I the same pivots give D B^{-1}, which the old inverse returned
+        identity = [[int(i == j) for i in range(n)] for j in range(n)]
+        assert fraction_free_solve(frame, identity) == oracles.fraction_free_inverse(rows)
 
-    def test_fraction_free_inverse_pivot_swap(self):
+    def test_fraction_free_solve_pivot_swap(self):
         # det = -30; the swap of the first two rows makes D = 30
         rows = [[0, 2, 1], [3, 0, 0], [0, 0, 5]]
-        assert fraction_free_inverse(rows) == [[0, 10, 0], [15, 0, -3], [0, 0, 6]]
+        identity = [[int(i == j) for i in range(3)] for j in range(3)]
+        assert fraction_free_solve(list(zip(*rows)), identity) == [
+            [0, 10, 0], [15, 0, -3], [0, 0, 6]]
 
 
 class TestMaximalMinors:
