@@ -131,13 +131,12 @@ def report_corpus():
         argvs.append(["equations", _par(d, n, _table(rng, d, n)), str(k)])
     # verify-matrix: rational and cyclotomic cells, accepted and rejected
     par24 = _par(2, 4, _table(rng, 2, 4))
-    identity5 = _diagonal(["1"] * 5)
     argvs += [
         ["verify-matrix", fermat23, "2", _diagonal(["1", "-1", "1", "-1"])],
         ["verify-matrix", fermat23, "2", _diagonal(["2", "1", "1", "1"])],
         ["verify-matrix", fermat23, "3", _matrix([["0", "1", "0", "0"], ["1", "0", "0", "0"],
                                                   ["0", "0", "0", "-1"], ["0", "0", "1", "0"]])],
-        ["verify-matrix", par24, "3", identity5],
+        ["verify-matrix", par24, "3", _diagonal(["1"] * 5)],
         ["verify-matrix", par24, "3", _diagonal([_zeta(1), _zeta(2), "1", _zeta(1), "1"])],
         ["verify-matrix", par24, "3", _diagonal([_zeta(1, 6), "1", "1", "1", "1"])],
         ["verify-matrix", fermat23, "4", _diagonal([_zeta(1), _zeta(3), "1", _zeta(2)])],
