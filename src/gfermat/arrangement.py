@@ -26,6 +26,7 @@ to read T_ij = M_ij / (M a)_i, in which only the scale of a survives.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import Frozen, NotInGeneralPosition, ValidationError
@@ -242,10 +243,13 @@ def _frame_normal_form(points, d: int, head):
 
 
 def _integer_duals(par: StandardParameter) -> list[tuple[int, ...]]:
-    """Dual points of par's canonical arrangement, each cleared to integers."""
+    """Dual points of par's canonical arrangement, each row cleared by its denominators' lcm."""
     d = par.d
-    frame = [tuple(int(i == j) for i in range(d + 1)) for j in range(d + 1)] + [(1,) * (d + 1)]
-    return frame + [clear_denominators(row + (1,))[0] for row in par.rows]
+    points = [(0,) * j + (1,) + (0,) * (d - j) for j in range(d + 1)] + [(1,) * (d + 1)]
+    for row in par.rows:
+        den = math.lcm(*[x.denominator for x in row])
+        points.append(tuple([x.numerator * (den // x.denominator) for x in row] + [den]))
+    return points
 
 
 def is_standard_parameter(par: StandardParameter) -> bool:

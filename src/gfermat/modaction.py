@@ -33,7 +33,11 @@ of a row: entries j and k of q's row are equal iff the minor of
 S - {b_j, b_k} + {q, a} is 0.  So a frame whose row set equals p's sends
 each other hyperplane to one forced slot: each such frame gives exactly one
 stabilizer element (and, against a second table, one isomorphism).  The
-orbit is every row order of every frame's rows.  Scans are still charged
+orbit is built per basis set S, anchor a and b_d: each head hyperplane b
+gets one column, the keys of its entries over the other hyperplanes, and
+each order of the head zips its columns into one frame's rows.  The
+distinct rows are ranked once, and the orbit is every permutation of every
+frame's row ranks, sorted in one pass.  Scans are still charged
 (n+1)! against the budget, which bounds the (n+1)!/(n-d-1)! frames they
 visit.
 
@@ -69,8 +73,8 @@ shared would be no entry's.  A class's six values are entries of its other
 orderings, so their keys are exact too; floor((1-x) 2^K) = 2^K - ceil(x 2^K)
 comes from the remainder of x's division.  Rows are tuples of int keys,
 which sets, dicts, ``sorted`` and ``min`` hash and compare in C in the
-rational order.  ``_keyed`` records one (num, den) per key, and only the
-output's distinct entries become ``Fraction``s.
+rational order.  ``_keyed`` and the orbit's columns record one (num, den)
+per key, and only the output's distinct entries become ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -255,21 +259,6 @@ def _columns(minor_table, basis, mask: int, hyperplanes) -> dict:
     return {q: {b: _coordinate(minor_table, mask, b, q) for b in basis} for q in hyperplanes}
 
 
-def _anchored(par: StandardParameter, minor_table):
-    """(head, last, a, ca, others) per basis set S, anchor a outside S and
-    last basis element b_d = last, with head = S - {last}: the coordinates
-    ca = {b: C[b][a]} of the anchor and the pairs (q, {b: C[b][q]}) of every
-    other hyperplane q outside S, read once per basis set."""
-    hyperplanes = range(par.n + 1)
-    for basis in itertools.combinations(hyperplanes, par.d + 1):
-        mask = sum(1 << b for b in basis)
-        coords = _columns(minor_table, basis, mask, [q for q in hyperplanes if not mask >> q & 1])
-        for a, ca in coords.items():
-            others = [(q, c) for q, c in coords.items() if q != a]
-            for last in basis:
-                yield [b for b in basis if b != last], last, a, ca, others
-
-
 def _keyed(c, ca, head, last, shift: int, pairs: dict) -> dict:
     """{b: key} of the entries b in head of the row of q, with c = {b: C[b][q]}:
     num/den = C[b][q] C[last][a] / (C[b][a] C[last][q]), num and den each a
@@ -281,18 +270,6 @@ def _keyed(c, ca, head, last, shift: int, pairs: dict) -> dict:
         key = e[b] = (num << shift) // den
         pairs[key] = num, den
     return e
-
-
-def _frame_tables(par: StandardParameter, minor_table, shift: int, pairs: dict):
-    """(frame, {hyperplane: row}) for every ordered frame (b_0, ..., b_d, a)
-    of par's canonical arrangement, with the row of every hyperplane outside
-    it read off the minor table as keys, built once per basis set, anchor
-    and b_d; pairs records one (num, den) per key."""
-    for head, last, a, ca, others in _anchored(par, minor_table):
-        entries = {q: _keyed(c, ca, head, last, shift, pairs) for q, c in others}
-        for order in itertools.permutations(head):
-            yield order + (last, a), {q: tuple(map(e.__getitem__, order))
-                                      for q, e in entries.items()}
 
 
 def _slots(target: StandardParameter, shift: int) -> dict:
@@ -343,10 +320,11 @@ def _classes(par: StandardParameter, minor_table, shift: int):
 
 
 def _frames_with(par: StandardParameter, minor_table, classes, key: int):
-    """``_anchored``'s (head, last, a, ca, others) for the frame of each
-    ordering (b, last, a, q) of a class whose entry has the given key: basis
-    set R + {b, last}, b_d = last and anchor a.  q comes first in others, and
-    its row holds that entry at b."""
+    """(head, last, a, ca, others) for the frame of each ordering
+    (b, last, a, q) of a class whose entry has the given key: basis set
+    S = R + {b, last}, head = S - {last}, b_d = last, anchor a, ca = {b: C[b][a]}
+    and the pairs (h, {b: C[b][h]}) of the other hyperplanes h outside S.
+    q comes first in others, and its row holds that entry at b."""
     for rest, w, keys in classes:
         for k, orderings in zip(keys, _ORDERINGS) if key in keys else ():
             if k == key:
@@ -406,27 +384,45 @@ def _check_scan(par: StandardParameter, budget: int) -> dict:
 
 
 def orbit_and_stabilizer(par: StandardParameter, budget: int = DEFAULT_BUDGET) -> OrbitReport:
-    """Orbit and stabilizer by the frame scan; exact, budgeted at (n+1)!."""
+    """Orbit and stabilizer by the frame scan of zipped key columns (module
+    docstring); exact, budgeted at (n+1)!."""
     minor_table, pairs = _check_scan(par, budget), {}
     shift = _key_shift(minor_table, par.rows)
-    slots = _slots(par, shift)
+    slots, hyperplanes = _slots(par, shift), range(par.n + 1)
     row_sets, stabilizer = set(), []
-    for frame, rows in _frame_tables(par, minor_table, shift, pairs):
-        row_set = frozenset(rows.values())
-        row_sets.add(row_set)
-        if row_set == slots.keys():
-            stabilizer.append(_one_line(frame, {h: slots[row] for h, row in rows.items()}))
+    for basis in itertools.combinations(hyperplanes, par.d + 1):
+        mask = sum(1 << b for b in basis)
+        coords = _columns(minor_table, basis, mask, [q for q in hyperplanes if not mask >> q & 1])
+        for a, ca in coords.items():
+            others = [q for q in coords if q != a]
+            cs = [coords[q] for q in others]
+            for last in basis:
+                head, columns = [b for b in basis if b != last], []
+                for b in head:
+                    columns.append(column := [])
+                    for c in cs:
+                        num, den = c[b] * ca[last], ca[b] * c[last]
+                        key = (num << shift) // den
+                        pairs.setdefault(key, (num, den))
+                        column.append(key)
+                for order, cols in zip(itertools.permutations(head), itertools.permutations(columns)):
+                    row_set = frozenset(zip(*cols))
+                    row_sets.add(row_set)
+                    if row_set == slots.keys():
+                        stabilizer.append(_one_line((*order, last, a), dict(
+                            zip(others, map(slots.__getitem__, zip(*cols))))))
     # sort tables as tuples of row ranks: keys order rows as their values do
     distinct = sorted(set().union(*row_sets))
     rank = {row: i for i, row in enumerate(distinct)}
     tables = sorted(t for row_set in row_sets
-                    for t in itertools.permutations([rank[row] for row in row_set]))
-    fractions = {x: Fraction(*pairs[x]) for x in set(itertools.chain.from_iterable(distinct))}
-    rows = [tuple(map(fractions.__getitem__, row)) for row in distinct]
+                    for t in itertools.permutations(sorted(map(rank.__getitem__, row_set))))
+    fractions = {x: Fraction(num, den) for x, (num, den) in pairs.items()}  # every entry
+    entries = map(fractions.__getitem__, itertools.chain.from_iterable(distinct))
+    rows = list(zip(*[entries] * par.d))  # the distinct rows, d entries at a time
     return OrbitReport(
         par,
-        tuple(StandardParameter._trusted(par.d, par.n, tuple(rows[i] for i in t))
-              for t in tables),
+        tuple([StandardParameter._trusted(par.d, par.n, tuple(map(rows.__getitem__, t)))
+               for t in tables]),
         tuple(map(Permutation, sorted(stabilizer))),
         kernel_note(par.n, par.d),
     )

@@ -14,7 +14,11 @@ tables as they were read off one fraction-free inverse per basis set
 before the minor table replaced it (and their entries grouped into
 cross-ratio classes, ``class_values``), the carriers and canon by frame steps
 (``carriers_by_frames``, ``canon_by_frames``) that the class scans
-replaced, the subgroup closure
+replaced, the keyed frame loop per basis set, anchor and b_d
+(``anchored``, ``keyed_frame_tables``) that the orbit's zipped key columns
+replaced, the integer dual points cleared through ``clear_denominators``
+(``integer_duals``) before they were read straight off the ``Fraction``
+rows, the subgroup closure
 over validated group elements and the freeness scan over its sorted
 elements that the coset enumeration replaced, the lattice-box convolution
 that the closed-form section count replaced, and the automorphism verifier
@@ -73,14 +77,14 @@ from gfermat.fermatgroup import (
 )
 from gfermat.modaction import (
     Permutation,
-    _anchored,
     _check_scan,
+    _columns,
     _key_shift,
     _keyed,
     _one_line,
     _slots,
 )
-from gfermat.rational import projective_normalize, rational_to_string
+from gfermat.rational import clear_denominators, projective_normalize, rational_to_string
 
 
 def _divide(x, y):
@@ -599,9 +603,36 @@ def scans(par: StandardParameter, targets=()):
     return sorted(seen), tuple(stabilizer), witnesses
 
 
+def anchored(par: StandardParameter, minor_table):
+    """(head, last, a, ca, others) per basis set S, anchor a outside S and
+    last basis element b_d = last, with head = S - {last}: the coordinates
+    ca = {b: C[b][a]} of the anchor and the pairs (q, {b: C[b][q]}) of every
+    other hyperplane q outside S, read once per basis set."""
+    hyperplanes = range(par.n + 1)
+    for basis in itertools.combinations(hyperplanes, par.d + 1):
+        mask = sum(1 << b for b in basis)
+        coords = _columns(minor_table, basis, mask, [q for q in hyperplanes if not mask >> q & 1])
+        for a, ca in coords.items():
+            others = [(q, c) for q, c in coords.items() if q != a]
+            for last in basis:
+                yield [b for b in basis if b != last], last, a, ca, others
+
+
+def keyed_frame_tables(par: StandardParameter, minor_table, shift: int, pairs: dict):
+    """(frame, {hyperplane: row}) for every ordered frame (b_0, ..., b_d, a)
+    of par's canonical arrangement, with the row of every hyperplane outside
+    it read off the minor table as keys, built once per basis set, anchor
+    and b_d; pairs records one (num, den) per key."""
+    for head, last, a, ca, others in anchored(par, minor_table):
+        entries = {q: _keyed(c, ca, head, last, shift, pairs) for q, c in others}
+        for order in itertools.permutations(head):
+            yield order + (last, a), {q: tuple(map(e.__getitem__, order))
+                                      for q, e in entries.items()}
+
+
 def frame_tables(par: StandardParameter):
     """(frame, {hyperplane: row}) per ordered frame (b_0, ..., b_d, a), in the
-    order ``modaction._frame_tables`` yields them, each entry the
+    order ``keyed_frame_tables`` yields them, each entry the
     ``Fraction`` C[b_j][q] C[b_d][a] / (C[b_j][a] C[b_d][q]) that the
     library keys as an integer: from the coordinates C[b][q] = (M q)_b with
     M = D B^{-1} for each basis set B, one fraction-free inverse and one
@@ -632,7 +663,7 @@ def carriers_by_frames(par: StandardParameter, target: StandardParameter):
     slots, by_entries, found = _slots(target, shift), {}, []
     for row in slots:
         by_entries.setdefault(tuple(sorted(row)), []).append(row)
-    for head, last, a, ca, others in _anchored(par, minor_table):
+    for head, last, a, ca, others in anchored(par, minor_table):
         if others:
             first = {x: b for b, x in _keyed(others[0][1], ca, head, last, shift, pairs).items()}
             orders = [[first[x] for x in row] for row in by_entries.get(tuple(sorted(first)), ())]
@@ -659,7 +690,7 @@ def canon_by_frames(par: StandardParameter):
         return par.rows
     shift, pairs = _key_shift(minor_table), {}
     least, ties = None, []
-    for head, last, a, ca, others in _anchored(par, minor_table):
+    for head, last, a, ca, others in anchored(par, minor_table):
         rows = [_keyed(c, ca, head, last, shift, pairs) for _, c in others]
         for e in rows:
             low = sorted(e.values())
@@ -682,6 +713,13 @@ def class_values(par: StandardParameter):
                 rest = tuple(sorted(set(frame[:-1]) - {b, last}))
                 classes.setdefault((rest, tuple(sorted((b, last, a, q)))), {})[b, last, a, q] = x
     return classes
+
+
+def integer_duals(par: StandardParameter) -> list[tuple[int, ...]]:
+    """Dual points of par's canonical arrangement, each cleared to integers."""
+    d = par.d
+    frame = [tuple(int(i == j) for i in range(d + 1)) for j in range(d + 1)] + [(1,) * (d + 1)]
+    return frame + [clear_denominators(row + (1,))[0] for row in par.rows]
 
 
 def arrangement_of(par: StandardParameter) -> Arrangement:

@@ -14,6 +14,7 @@ from gfermat.arrangement import (
     Hyperplane,
     StandardParameter,
     _frame_normal_form,
+    _integer_duals,
     is_general_position,
     is_standard_parameter,
     normalize,
@@ -369,3 +370,19 @@ class TestStandardParameter:
     def test_json_round_trip(self, rng):
         par = random_parameter(2, 5, rng)
         assert StandardParameter.from_json(par.to_json()) == par
+
+
+class TestIntegerDuals:
+    """The integer dual points read straight off the ``Fraction`` rows
+    against ``clear_denominators`` of each row with a trailing 1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    @example((1, 2, ()))
+    @example((3, 5, ((Fraction(0), Fraction(-1, 10**30), Fraction(7, 3)),)))
+    def test_matches_clear_denominators(self, table):
+        """Entries zero, of small and of 10^30 height; tables on and off X_{n,d}."""
+        par = StandardParameter(*table)
+        duals = _integer_duals(par)
+        assert duals == oracles.integer_duals(par)
+        assert all(type(x) is int for point in duals for x in point)

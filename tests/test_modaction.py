@@ -20,7 +20,6 @@ from gfermat.modaction import (
     _ORDERINGS,
     _check_scan,
     _classes,
-    _frame_tables,
     _key_shift,
     act,
     act_sigma1,
@@ -450,12 +449,12 @@ class TestFrameScansAgainstEnumeration:
 
 
 def _decoded_frames(par):
-    """``_frame_tables`` with each key row decoded through its recorded
-    (num, den); each key is checked to be floor(num 2^shift / den)."""
+    """``oracles.keyed_frame_tables`` with each key row decoded through its
+    recorded (num, den); each key is checked to be floor(num 2^shift / den)."""
     minor_table, pairs = _check_scan(par, DEFAULT_BUDGET), {}
     shift = _key_shift(minor_table)
     frames = {}
-    for frame, rows in _frame_tables(par, minor_table, shift, pairs):
+    for frame, rows in oracles.keyed_frame_tables(par, minor_table, shift, pairs):
         frames[frame] = {q: tuple(Fraction(*pairs[x]) for x in row) for q, row in rows.items()}
         assert all(x == math.floor(Fraction(*pairs[x]) * 2**shift)
                    for row in rows.values() for x in row)
@@ -668,6 +667,64 @@ def _small_value_parameter(d, n, rng):
         if is_standard_parameter(par):
             return par
     return None
+
+
+def _orbit_from_frame_tables(par):
+    """(sorted orbit tables, sorted stabilizer images) assembled from
+    ``oracles.frame_tables``: every frame's rows in every row order, and the
+    frames whose rows are par's own, each row sent to its slot in par."""
+    tables, stab = set(), []
+    slots = {row: j for j, row in enumerate(par.rows, start=par.d + 2)}
+    for frame, rows in oracles.frame_tables(par):
+        tables.update(itertools.permutations(rows.values()))
+        if set(rows.values()) == slots.keys():
+            images = [0] * (par.n + 1)
+            for j, h in enumerate(frame):
+                images[h] = j
+            for h, row in rows.items():
+                images[h] = slots[row]
+            stab.append(tuple(images))
+    return sorted(tables), tuple(sorted(stab))
+
+
+# A ``SMALL_FRACTIONS`` table with a nontrivial stabilizer (of order 2 to
+# 12) at each (d, n) with d 1..4 and n <= 6, and the empty d = 4 table.
+FRAME_TIED = [(1, 4, [["2/3"], ["1/3"]]), (1, 5, [["1/2"], ["2/3"], ["1/3"]]),
+              (1, 6, [["1/2"], ["-2"], ["2"], ["2/3"]]), (2, 4, [["2", "-2"]]),
+              (2, 5, [["1/3", "2/3"], ["2/3", "1/3"]]),
+              (2, 6, [["1/3", "2/3"], ["3", "-1"], ["-1", "2"]]), (3, 5, [["-1", "2", "1/2"]]),
+              (3, 6, [["-1", "2", "1/2"], ["-2", "-1", "3/2"]]), (4, 5, []),
+              (4, 6, [["1/3", "2/3", "3", "3/2"]])]
+
+
+class TestOrbitAgainstFrameTables:
+    """The orbit of zipped key columns against the orbit assembled from the
+    Fraction frame tables, for d 1..4 and n <= 6 (the enumeration property
+    test stops at d <= 3): a random table and small-value tables, whose
+    stabilizers and shared row entries tie many frames."""
+
+    @pytest.mark.parametrize("dn", [(d, n) for d in (1, 2, 3, 4) for n in range(d + 1, 7)],
+                             ids=lambda dn: f"d{dn[0]}n{dn[1]}")
+    def test_matches_frame_tables(self, dn):
+        d, n = dn
+        rng = random.Random(97 + 10 * d + n)
+        pars = [random_parameter(d, n, rng), random_parameter(d, n, rng, 10**6)]
+        pars += filter(None, (_small_value_parameter(d, n, rng) for _ in range(3)))
+        for par in pars:
+            tables, stab = _orbit_from_frame_tables(par)
+            report = orbit_and_stabilizer(par)
+            assert [e.rows for e in report.elements] == tables
+            assert _images(report.stabilizer) == stab
+            assert len(tables) * len(stab) == math.factorial(n + 1)
+
+    @pytest.mark.parametrize("d, n, rows", FRAME_TIED, ids=lambda v: str(v).replace(" ", ""))
+    def test_tied_tables(self, d, n, rows):
+        par = StandardParameter(d, n, tuple(tuple(map(Fraction, row)) for row in rows))
+        tables, stab = _orbit_from_frame_tables(par)
+        report = orbit_and_stabilizer(par)
+        assert len(stab) > 1
+        assert [e.rows for e in report.elements] == tables
+        assert _images(report.stabilizer) == stab
 
 
 def _off_every_class(par, moved, rng):
