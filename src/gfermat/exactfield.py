@@ -59,6 +59,29 @@ def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def _roots_of_unity(k: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The residues of zeta_k^j, 0 <= j < k, modulo Phi_k: each one's
+    coefficient vector, signed so that its first nonzero entry is positive,
+    maps to (j, sign).  A power of zeta is a unit of Z[zeta], so its vector
+    is primitive; for even k, -zeta^j = zeta^(j + k/2) keeps the least j.
+    Each step multiplies by zeta: a shift, then one Phi_k reduction of the
+    top coefficient."""
+    phi = cyclotomic_polynomial(k)
+    deg = len(phi) - 1
+    table = {}
+    vec = [1] + [0] * (deg - 1)
+    for j in range(k):
+        sign = 1 if next(c for c in vec if c) > 0 else -1
+        table.setdefault(tuple(sign * c for c in vec), (j, sign))
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:
+            for i in range(deg):
+                vec[i] -= top * phi[i]
+    return table
+
+
 def _reduce(k: int, poly: list, den: int) -> CyclotomicScalar:
     """The scalar (poly mod Phi_k) / den for an integer polynomial ``poly``
     (ascending, reduced in place) and a nonzero integer ``den``: Phi_k is
@@ -221,6 +244,25 @@ class CyclotomicScalar(Frozen):
         if any(self.nums[1:]):
             return hash((self.order, self.nums, self.den))
         return hash(Fraction(self.nums[0], self.den))
+
+    def root_multiple(self) -> tuple[Fraction, int] | None:
+        """(c, j) with the value c zeta_k^j for a nonzero rational c, read
+        off its primitive coefficient vector, or None when it is no such
+        multiple (zero included)."""
+        nonzero = [i for i, a in enumerate(self.nums) if a]
+        if len(nonzero) == 1:
+            j = nonzero[0]
+            return Fraction(self.nums[j], self.den), j
+        if not nonzero:
+            return None
+        g = math.gcd(*self.nums)
+        if self.nums[nonzero[0]] < 0:
+            g = -g
+        found = _roots_of_unity(self.order).get(tuple(a // g for a in self.nums))
+        if found is None:
+            return None
+        j, sign = found
+        return Fraction(sign * g, self.den), j
 
     def promote(self, order: int) -> CyclotomicScalar:
         """Re-express the value in the cyclotomic field of a multiple order

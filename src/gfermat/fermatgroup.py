@@ -24,20 +24,36 @@ high bit exactly when it is >= k and stays below 2M, so neither the sum nor
 the correction carries into the next digit.  XOR with l ONES leaves every
 digit below M and zero exactly where it was l, and adding (M-1) ONES then
 sets the high bit of exactly the nonzero digits, again without a carry.
+
+The automorphism verifier puts certificates modulo a prime in front of its
+exact checks.  With L the lcm of the entries' cyclotomic orders, it takes
+the least prime p = 1 + mL above 2^40 that divides no denominator in play
+(``modp``).  Such a p splits completely in Q(zeta_L), so sending zeta_L to
+a primitive L-th root of unity mod p is a ring homomorphism on those
+values.  An identity that holds exactly therefore holds mod p:
+- a determinant that is nonzero mod p is nonzero, so a non-monomial matrix
+  with one is nonsingular and is rejected with no exact determinant;
+- a span equation of a monomial matrix that fails mod p, with a_r^k taken
+  as pow(a_r mod p, k, p), fails exactly, so the matrix is rejected.  This
+  one is skipped when every entry is +-a_0 times a root of unity, since the
+  exact powers then cost nothing.
+A determinant that is 0 mod p and span equations that all hold mod p prove
+nothing, so those matrices (every singular one and every accepted one)
+are decided by the exact checks, as before.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .arrangement import StandardParameter, is_standard_parameter
 from .errors import DEFAULT_BUDGET, BudgetExceeded, Frozen
 from .invariants import GfmType
-from .rational import rational_to_string
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .arrangement import StandardParameter
     from .exactfield import ExactMatrix
 
 __all__ = [
@@ -102,6 +118,8 @@ class EquationSystem(Frozen):
 
     @classmethod
     def from_table(cls, d: int, n: int, k: int, table) -> EquationSystem:
+        from fractions import Fraction
+
         from .exactfield import ExactMatrix
 
         if d < 1 or n < d + 1 or k < 2:
@@ -128,6 +146,8 @@ class EquationSystem(Frozen):
         return tuple(out)
 
     def polynomial_text(self) -> tuple[str, ...]:
+        from .rational import rational_to_string
+
         lines = []
         for form in self.forms:
             terms = []
@@ -142,6 +162,8 @@ class EquationSystem(Frozen):
         return tuple(lines)
 
     def to_json(self):
+        from .rational import rational_to_string
+
         return {
             "d": self.d,
             "n": self.n,
@@ -157,6 +179,8 @@ class EquationSystem(Frozen):
 
 def equations(par: StandardParameter, k: int) -> EquationSystem:
     """Equation system of the variety over a parameter in X_{n,d}."""
+    from .arrangement import is_standard_parameter
+
     if k < 2:
         raise ValueError("degree k must be >= 2")
     if not is_standard_parameter(par):
@@ -171,6 +195,8 @@ def smoothness_certificate(system: EquationSystem) -> bool:
     and -(l_i, 1); so C's minor on columns S is, up to sign and a common
     nonzero factor, G's (d+1)-minor on the rest.  Up to column signs G holds
     the table's dual points, so the test is their general position."""
+    from .arrangement import StandardParameter, is_standard_parameter
+
     return is_standard_parameter(StandardParameter(system.d, system.n, system.table))
 
 
@@ -340,7 +366,7 @@ def _monomial_support(matrix: ExactMatrix):
     """Column index of the unique nonzero entry per row, or None."""
     support = []
     for i in range(matrix.rows):
-        nonzero = [j for j in range(matrix.cols) if matrix.entry(i, j) != 0]
+        nonzero = [j for j, x in enumerate(matrix.row(i)) if x]
         if len(nonzero) != 1:
             return None
         support.append(nonzero[0])
@@ -353,6 +379,8 @@ def _common_field(values) -> list:
     """The values with every ``CyclotomicScalar`` promoted to the lcm of
     their orders, when the orders differ; other values become ``Fraction``s
     and a single order is kept as it is."""
+    from fractions import Fraction
+
     from .exactfield import CyclotomicScalar
 
     orders = {v.order for v in values if isinstance(v, CyclotomicScalar)}
@@ -373,6 +401,37 @@ def _power(x, e: int):
     return result
 
 
+def _root_multiple(x, order: int):
+    """(c, e) with the nonzero entry x = c zeta_order^e for a rational c,
+    or None when x is no such multiple; the order of x divides ``order``."""
+    from fractions import Fraction
+
+    if not hasattr(x, "nums"):
+        return x if type(x) is Fraction else Fraction(x), 0
+    found = x.root_multiple()
+    return found and (found[0], found[1] * (order // x.order))
+
+
+def _in_span(powers, support, rows, d: int, p: int = 0) -> bool:
+    """Whether the monomial substitution sending x_r to a_r x_support[r],
+    with ``powers`` the a_r^k, maps each form (a row of the coefficient
+    matrix, ``rows``) into the span of the forms; modulo p when p is given
+    (every value is then a residue).  Columns d+1..n of the coefficient
+    matrix are an identity block, so the image v is in the span iff v[c] =
+    sum_j v[d+1+j] C[j][c] for every c <= d."""
+    for row in rows:
+        image = [0] * len(row)
+        for r, c in enumerate(support):
+            if row[r]:
+                image[c] = powers[r] * row[r]
+        tail = [(rows[j], v) for j, v in enumerate(image[d + 1:]) if v]
+        for c in range(d + 1):
+            rhs = sum(v * form[c] for form, v in tail)
+            if (image[c] - rhs) % p if p else image[c] != rhs:
+                return False
+    return True
+
+
 def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) -> bool:
     """Verify a candidate linear automorphism of the variety.
 
@@ -382,35 +441,73 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
     ``ValueError`` when it is singular (its determinant is taken in the
     least cyclotomic field holding its entries).
 
-    A monomial matrix sending x_r to a_r x_c(r) sends the form sum_r
-    C[i][r] x_r^k to the vector v with v[c(r)] = a_r^k C[i][r].  Columns
-    d+1..n of the coefficient matrix C are an identity block (form j owns
-    column d+1+j), so v lies in the row space of C iff v[c] equals
-    sum_j v[d+1+j] C[j][c] for every c <= d.  Each a_r^k is taken once in
-    the entry's own field (a rational stays rational); the powers are lifted
-    to a common cyclotomic field only when their orders differ.
+    A certificate modulo a split prime (module docstring) comes first: a
+    non-monomial matrix whose determinant is nonzero mod p is rejected, and
+    so is a monomial one with a span equation that fails mod p, unless its
+    exact powers are free.  Anything else is decided exactly.  A monomial
+    matrix sending x_r to a_r x_c(r) sends the form sum_r C[i][r] x_r^k to
+    the vector v with v[c(r)] = a_r^k C[i][r] (``_in_span``).  Scaling the
+    matrix scales every form by the same power, so the entries are first
+    divided by a_0 when a_0 is a rational multiple of a root of unity.  An
+    entry c zeta_m^j is raised as c^k zeta_m^(jk mod m), a ``Fraction``
+    when m divides jk; any other entry is raised by repeated squaring.  The
+    powers are lifted to a common cyclotomic field only when their orders
+    differ.
     """
+    from .exactfield import CyclotomicScalar, ExactMatrix
+
     if matrix.rows != matrix.cols or matrix.rows != par.n + 1:
         raise ValueError("matrix must be square of size n+1")
+    order = math.lcm(*(x.order for x in matrix.entries if isinstance(x, CyclotomicScalar)))
     support = _monomial_support(matrix)
     if support is None:
-        from .exactfield import ExactMatrix
+        from . import modp
 
+        split = modp.split_prime(order, matrix.entries)
+        if split:
+            p, g = split
+            residues = [[modp.residue(x, p, g, order) for x in matrix.row(i)]
+                        for i in range(matrix.rows)]
+            if modp.det_mod(residues, p):
+                return False
         lifted = ExactMatrix(matrix.rows, matrix.cols, tuple(_common_field(matrix.entries)))
         if not lifted.det():
             raise ValueError("matrix is singular")
         return False
     coeff = equations(par, k).coefficient_matrix
-    powers = _common_field([_power(matrix.entry(r, c), k) for r, c in enumerate(support)])
-    d, forms = par.d, coeff.rows
-    for i in range(forms):
-        image = [None] * coeff.cols
-        for r, c in enumerate(support):
-            image[c] = powers[r] * coeff.entry(i, r)
-        for c in range(d + 1):
-            if image[c] != sum(image[d + 1 + j] * coeff.entry(j, c) for j in range(forms)):
+    rows = [coeff.row(i) for i in range(coeff.rows)]
+    entries = [matrix.entry(r, c) for r, c in enumerate(support)]
+    roots = [_root_multiple(x, order) for x in entries]
+    c0, e0 = roots[0] or (1, 0)
+    # the exact powers are free when every entry is +-c0 times a root of
+    # unity; otherwise a certificate may spare them
+    if any(root is None or root[0] not in (c0, -c0) for root in roots):
+        from . import modp
+
+        split = modp.split_prime(order, entries + list(coeff.entries))
+        if split:
+            p, g = split
+            residues = [pow(modp.residue(x, p, g, order), k, p) for x in entries]
+            if not _in_span(residues, support, [[modp.residue(x, p, 1, 1) for x in row]
+                                                for row in rows], par.d, p):
                 return False
-    return True
+    powers, raised = [], {}  # raised: each distinct ratio c / c0 to the k-th power
+    for x, root in zip(entries, roots):
+        if root is None:
+            if (c0, e0) != (1, 0):
+                shift = [0] * (-e0 % order) + [1 / c0]
+                x = x.promote(order) * CyclotomicScalar.from_poly(order, shift)
+            powers.append(_power(x, k))
+        else:
+            ratio = root[0] / c0
+            if ratio not in raised:
+                raised[ratio] = ratio**k
+            power, e = raised[ratio], (root[1] - e0) * k % order
+            if e:
+                g = math.gcd(e, order)
+                power = CyclotomicScalar.from_poly(order // g, [0] * (e // g) + [power])
+            powers.append(power)
+    return _in_span(_common_field(powers), support, rows, par.d)
 
 
 # ---------------------------------------------------------------------------

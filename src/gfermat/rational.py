@@ -48,7 +48,7 @@ def rational_from_string(value) -> Fraction:
 
 
 def rational_to_string(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def projective_normalize(vec) -> tuple:

@@ -49,6 +49,15 @@ def matrix_json(first_row):
     return json.dumps({"entries": rows})
 
 
+def dense_cells(order, size, terms=None):
+    """A size x size grid of cyclotomic cells of the given order, each with
+    ``terms`` (default phi(order) = order - 1 for a prime) coefficients drawn
+    from -3..3 by ``random.Random(3)``."""
+    r = random.Random(3)
+    return [[{"k": order, "coeffs": [str(r.randint(-3, 3)) for _ in range(terms or order - 1)]}
+             for _ in range(size)] for _ in range(size)]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -270,15 +279,34 @@ class TestExitCodes:
 
     def test_dense_order_101_matrix_is_rejected_within_20_s(self):
         """A 4x4 non-monomial matrix of 30-term cells at k = 101 (charged
-        163216 steps) is rejected by a fresh child within 20 s: its
-        determinant inverts two pivots, each by the norm."""
-        r = random.Random(3)
-        rows = [[{"k": 101, "coeffs": [str(r.randint(-3, 3)) for _ in range(30)]}
-                 for _ in range(4)] for _ in range(4)]
+        163216 steps) is rejected by a fresh child within 5 s (20 s before
+        the certificates): its determinant is nonzero modulo a split prime,
+        so no pivot is inverted by the norm."""
+        rows = dense_cells(101, 4, terms=30)
         done = run_child("verify-matrix", FERMAT_23, "2", json.dumps({"entries": rows}),
-                         timeout=20)
+                         timeout=5)
         assert done.returncode == EXIT_OK, done.stderr
         assert done.stdout == '{"accepted":false}\n'
+
+    @pytest.mark.parametrize("parameter,degree,entries,stdout", [
+        # monomial, rejected by a span equation mod p: 2^k is never formed
+        (FERMAT_23, "1000000000", [["2", "0", "0", "0"], ["0", "1", "0", "0"],
+                                   ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+         '{"accepted":false}\n'),
+        # a scalar matrix, divided by its first entry: every power is 1
+        (FERMAT_23, "1000000000", [[str(2 * int(r == c)) for c in range(4)] for r in range(4)],
+         '{"accepted":true}\n'),
+        # a nonsingular 3x3 grid of dense k = 331 cells (charged 986049
+        # steps): its determinant is nonzero mod p, so no exact one is taken
+        ('{"d":1,"n":2,"lambda":[]}', "2", dense_cells(331, 3), '{"accepted":false}\n'),
+    ])
+    def test_certified_verdicts_answer_within_2_s(self, parameter, degree, entries, stdout):
+        started = time.monotonic()
+        done = run_child("verify-matrix", parameter, degree, json.dumps({"entries": entries}),
+                         timeout=10)
+        assert time.monotonic() - started < 2
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout == stdout
 
     @pytest.mark.parametrize("cells,needed", [
         ([{"coeffs": ["0", "1"]}], 3**2 * 4**2),

@@ -129,6 +129,22 @@ class TestCyclotomicScalar:
         with pytest.raises(ValueError):
             z3.promote(4)
 
+    def test_root_multiple_reads_every_power_of_zeta(self):
+        """c zeta_k^j is read back as (c, j), or as (-c, j + k/2) for even k,
+        including the powers j >= deg(Phi_k) whose residues are dense."""
+        for k in range(1, 31):
+            for j in range(k):
+                for c in (Fraction(1), Fraction(-1), Fraction(-2, 3)):
+                    value = CyclotomicScalar.zeta(k, j) * c
+                    assert value.root_multiple() in ((c, j), (-c, (j + k // 2) % k))
+                    got, power = value.root_multiple()
+                    assert CyclotomicScalar.zeta(k, power) * got == value
+
+    def test_root_multiple_refuses_other_values(self):
+        assert CyclotomicScalar.from_poly(3, [1, 1]).root_multiple() == (Fraction(-1), 2)
+        for k, coeffs in ((5, [1, 1]), (5, [2, 1]), (12, [1, 0, 1]), (7, [0])):
+            assert CyclotomicScalar.from_poly(k, coeffs).root_multiple() is None
+
 
 ORACLE_ORDERS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 13, 15, 30, 60, 105)
 

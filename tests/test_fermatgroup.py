@@ -28,6 +28,7 @@ from gfermat.fermatgroup import (
     subgroup_acts_freely,
 )
 from gfermat.modaction import act, orbit_and_stabilizer
+from gfermat.modp import split_prime
 from tests import oracles
 from tests.conftest import nonzero_rationals, rand_fraction, tables
 from tests.oracles import arrangement_of, random_parameter
@@ -707,6 +708,131 @@ class TestLinearAutomorphismVerifier:
         the same verdicts and the same ValueError messages."""
         expected = verdict(oracles.is_linear_automorphism, case)
         assert verdict(is_linear_automorphism, case) == expected
+
+
+class TestSplitPrimeCertificates:
+    """The certificates modulo a split prime only ever reject; whatever they
+    cannot prove is decided by the exact checks."""
+
+    FERMAT = StandardParameter(2, 3, ())
+
+    def test_a_span_certificate_never_accepts(self):
+        """diag(a, 1, 1, 1) with a = 1 + p mod p, or a = (1 + p) zeta_3:
+        every span equation holds mod p, yet a^k != 1, so the exact check
+        rejects."""
+        p, _ = split_prime(1)
+        q, _ = split_prime(3)
+        for first, k in ((Fraction(1 + p), 2), (CyclotomicScalar.zeta(3) * (1 + q), 3)):
+            case = (ExactMatrix.from_rows(
+                [[first if c == r == 0 else Fraction(int(c == r)) for c in range(4)]
+                 for r in range(4)]), self.FERMAT, k)
+            assert is_linear_automorphism(*case) is False
+            assert oracles.is_linear_automorphism(*case) is False
+
+    def test_a_determinant_zero_mod_p_takes_the_exact_path(self):
+        """det = p, and det = zeta_3 - g with g the image of zeta_3: both are
+        0 mod p and nonzero, so the matrices are rejected, not refused as
+        singular."""
+        p, _ = split_prime(1)
+        q, g = split_prime(3)
+        for head in (Fraction(p), CyclotomicScalar.zeta(3) - g):
+            rows = [[Fraction(int(c == r)) for c in range(4)] for r in range(4)]
+            rows[0][:2] = [head, Fraction(1)]
+            case = (ExactMatrix.from_rows(rows), self.FERMAT, 2)
+            assert ExactMatrix.from_rows(rows).det() != 0
+            assert is_linear_automorphism(*case) is False
+            assert oracles.is_linear_automorphism(*case) is False
+
+    def test_nonsingular_matrices_take_no_exact_determinant(self, monkeypatch):
+        rng = random.Random(11)
+        cases = []
+        while len(cases) < 30:
+            order = rng.choice((1, 3, 4, 5, 12))
+            cell = [Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 4),
+                    CyclotomicScalar.zeta(order, rng.randrange(order)),
+                    CyclotomicScalar.zeta(rng.choice((2, 3)), 1) * rand_fraction(rng, 3)]
+            rows = [[rng.choice(cell) for _ in range(4)] for _ in range(4)]
+            rows[0][:2] = [Fraction(1), Fraction(1)]
+            matrix = ExactMatrix.from_rows(rows)
+            field = math.lcm(*(x.order for x in matrix.entries if isinstance(x, CyclotomicScalar)))
+            lifted = ExactMatrix(4, 4, tuple(
+                x.promote(field) if isinstance(x, CyclotomicScalar)
+                else CyclotomicScalar.from_rational(field, x) for x in matrix.entries))
+            if oracles.det_cofactor(lifted) != 0:
+                cases.append(matrix)
+
+        def refuse(self):
+            raise AssertionError("took an exact determinant")
+
+        monkeypatch.setattr(ExactMatrix, "det", refuse)
+        assert all(is_linear_automorphism(m, self.FERMAT, 3) is False for m in cases)
+
+    def test_monomial_rejections_raise_no_power(self, monkeypatch):
+        """diag(2, 1, 1, 1), and 1 + zeta_5 (no root of unity times a
+        rational) in the first cell, are rejected at k = 10^9 by the span
+        certificate, before any exact power is formed."""
+        def refuse(x, e):
+            raise AssertionError("formed an exact power")
+
+        monkeypatch.setattr("gfermat.fermatgroup._power", refuse)
+        for first in (Fraction(2), CyclotomicScalar.from_poly(5, [1, 1])):
+            rows = [[first if c == r == 0 else Fraction(int(c == r)) for c in range(4)]
+                    for r in range(4)]
+            assert is_linear_automorphism(ExactMatrix.from_rows(rows), self.FERMAT, 10**9) is False
+
+    def test_scaling_by_the_first_entry_accepts_scalar_matrices(self, monkeypatch):
+        """diag(2, 2, 2, 2), twisted by fourth roots of unity, is accepted at
+        k = 10^9: divided by its first entry, every power is a root of unity
+        raised exactly, so no entry is squared."""
+        monkeypatch.setattr("gfermat.fermatgroup._power", None)
+        for twist in (Fraction(1), CyclotomicScalar.zeta(4), CyclotomicScalar.zeta(4, 3)):
+            diagonal = [2 * twist, Fraction(2), CyclotomicScalar.zeta(4, 2) * 2, Fraction(-2)]
+            rows = [[x if c == r else Fraction(0) for c in range(4)]
+                    for r, x in enumerate(diagonal)]
+            assert is_linear_automorphism(ExactMatrix.from_rows(rows), self.FERMAT, 10**9)
+
+    def test_seeded_cases_match_the_oracle(self):
+        """Monomial and non-monomial matrices with rational, root-of-unity,
+        mixed-order and general cyclotomic cells, scaled by rationals, agree
+        with the lift, rank and solve reference, ValueError messages
+        included."""
+        rng = random.Random(28)
+        harmonic = par1(-1)
+        parameters = [self.FERMAT, harmonic, par1(2, 3),
+                      StandardParameter(2, 4, ((Fraction(2), Fraction(3)),))]
+
+        def cell(k):
+            kind = rng.randrange(5)
+            if kind == 0:
+                return rng.choice((Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)))
+            order = rng.choice((k, 2 * k, 3, 4))
+            if kind == 4:  # a general value of Q(zeta_order)
+                degree = len(CyclotomicScalar.zeta(order).nums)
+                coeffs = [rng.randint(-1, 2) for _ in range(degree)]
+                return CyclotomicScalar.from_poly(order, coeffs)
+            return CyclotomicScalar.zeta(order, rng.randrange(order)) * rng.choice((1, -1, 2))
+
+        cases = []
+        for _ in range(80):
+            par = rng.choice(parameters)
+            k, size = rng.randint(2, 4), par.n + 1
+            images = rng.sample(range(size), size)
+            if rng.random() < 0.7:
+                rows = [[Fraction(0)] * size for _ in range(size)]
+                for r, c in enumerate(images):
+                    rows[r][c] = cell(k) or Fraction(1)
+                    if rng.random() < 0.5:  # often a root of unity, so often accepted
+                        rows[r][c] = CyclotomicScalar.zeta(2 * k, 2 * rng.randrange(k))
+            else:
+                rows = [[cell(k) if rng.random() < 0.6 else Fraction(0) for _ in range(size)]
+                        for _ in range(size)]
+                rows[0][:2] = [Fraction(1), Fraction(1)]
+                if rng.random() < 0.3:
+                    rows[-1] = list(rows[-2])
+            cases.append((ExactMatrix.from_rows(rows), par, k))
+        got = [verdict(is_linear_automorphism, case) for case in cases]
+        assert got == [verdict(oracles.is_linear_automorphism, case) for case in cases]
+        assert {True, False, "ValueError: matrix is singular"} <= set(got)
 
 
 class TestAutomorphismOrder:

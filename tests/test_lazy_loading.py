@@ -81,6 +81,9 @@ def loaded_after(*argv):
 
 
 PAR_24 = '{"d":2,"n":4,"lambda":[["2","3"]]}'
+# a shear, rejected by its determinant mod a split prime
+SHEAR_5 = json.dumps({"entries": [[str(int(r == c or (r, c) == (0, 1))) for c in range(5)]
+                                  for r in range(5)]})
 
 # the verbs that build an exact matrix or a cyclotomic scalar; no other
 # verb loads exactfield
@@ -100,9 +103,12 @@ FIELD_VERBS = {"normalize", "equations", "verify-matrix", "kummer", "restrict-li
     (("iso", PAR_24, PAR_24), {"constructions", "fermatgroup", "invariants"}),
     (("canon", PAR_24), {"constructions", "fermatgroup", "invariants"}),
     (("aut-order", PAR_24, "3"), {"constructions"}),
-    (("fixed-locus", "2", "3", "4", "[1,1,2,0,0]"), {"constructions", "modaction"}),
-    (("free", "2", "3", "4", "[[1,1,2,0,0]]"), {"constructions", "modaction"}),
-    (("classify-low-n", "3", "3"), {"constructions", "modaction"}),
+    (("fixed-locus", "2", "3", "4", "[1,1,2,0,0]"),
+     {"arrangement", "constructions", "modaction", "rational"}),
+    (("free", "2", "3", "4", "[[1,1,2,0,0]]"),
+     {"arrangement", "constructions", "modaction", "rational"}),
+    (("classify-low-n", "3", "3"), {"arrangement", "constructions", "modaction", "rational"}),
+    (("verify-matrix", PAR_24, "3", SHEAR_5), {"constructions", "modaction"}),
     (("normalize", '{"d":1,"points":[["1","0"],["0","1"],["1","1"],["2","3"]]}'),
      {"constructions", "fermatgroup", "invariants", "modaction"}),
 ])
@@ -111,6 +117,8 @@ def test_verbs_load_only_what_they_use(argv, unused):
     assert "gfermat.cli" in loaded
     assert loaded.isdisjoint(f"gfermat.{name}" for name in unused), loaded
     assert ("gfermat.exactfield" in loaded) == (bool(argv) and argv[0] in FIELD_VERBS), loaded
+    # the split-prime residues serve the automorphism verifier alone
+    assert ("gfermat.modp" in loaded) == (argv[:1] == ("verify-matrix",)), loaded
     # the value types are __slots__ classes: no verb pays for dataclasses
     assert loaded.isdisjoint({"dataclasses", "inspect"}), loaded
 
@@ -118,3 +126,14 @@ def test_verbs_load_only_what_they_use(argv, unused):
 def test_invariants_skip_the_rationals():
     """``invariants`` reads a type triple only: no rational arithmetic."""
     assert "fractions" not in loaded_after("invariants", "2", "4", "3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("fixed-locus", "2", "3", "4", "[1,1,2,0,0]"),
+    ("free", "2", "3", "4", "[[1,1,2,0,0]]"),
+    ("classify-low-n", "3", "3"),
+])
+def test_deck_group_verbs_skip_the_rationals(argv):
+    """The deck-group verbs read integer exponents only: no rational
+    arithmetic."""
+    assert "fractions" not in loaded_after(*argv)
