@@ -463,13 +463,11 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
     if support is None:
         from . import modp
 
-        split = modp.split_prime(order, matrix.entries)
-        if split:
-            p, g = split
-            residues = [[modp.residue(x, p, g, order) for x in matrix.row(i)]
-                        for i in range(matrix.rows)]
-            if modp.det_mod(residues, p):
-                return False
+        p, g = modp.split_prime(order, matrix.entries)
+        residues = [[modp.residue(x, p, g, order) for x in matrix.row(i)]
+                    for i in range(matrix.rows)]
+        if modp.det_mod(residues, p):
+            return False
         lifted = ExactMatrix(matrix.rows, matrix.cols, tuple(_common_field(matrix.entries)))
         if not lifted.det():
             raise ValueError("matrix is singular")
@@ -484,14 +482,12 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
     if any(root is None or root[0] not in (c0, -c0) for root in roots):
         from . import modp
 
-        split = modp.split_prime(order, entries + list(coeff.entries))
-        if split:
-            p, g = split
-            residues = [pow(modp.residue(x, p, g, order), k, p) for x in entries]
-            if not _in_span(residues, support, [[modp.residue(x, p, 1, 1) for x in row]
-                                                for row in rows], par.d, p):
-                return False
-    powers, raised = [], {}  # raised: each distinct ratio c / c0 to the k-th power
+        p, g = modp.split_prime(order, entries + list(coeff.entries))
+        residues = [pow(modp.residue(x, p, g, order), k, p) for x in entries]
+        if not _in_span(residues, support, [[modp.residue(x, p, 1, 1) for x in row]
+                                            for row in rows], par.d, p):
+            return False
+    powers = []
     for x, root in zip(entries, roots):
         if root is None:
             if (c0, e0) != (1, 0):
@@ -499,10 +495,7 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
                 x = x.promote(order) * CyclotomicScalar.from_poly(order, shift)
             powers.append(_power(x, k))
         else:
-            ratio = root[0] / c0
-            if ratio not in raised:
-                raised[ratio] = ratio**k
-            power, e = raised[ratio], (root[1] - e0) * k % order
+            power, e = (root[0] / c0) ** k, (root[1] - e0) * k % order
             if e:
                 g = math.gcd(e, order)
                 power = CyclotomicScalar.from_poly(order // g, [0] * (e // g) + [power])

@@ -48,15 +48,12 @@ def is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _next_split_prime(order: int, above: int) -> tuple[int, int] | None:
+def _next_split_prime(order: int, above: int) -> tuple[int, int]:
     """(p, g): the least prime p = 1 + m * order above ``above`` and a
-    primitive order-th root of unity g mod p; None when no such prime lies
-    below ``EXACT_BELOW``."""
+    primitive order-th root of unity g mod p."""
     p = above - (above - 1) % order + order
-    while p < EXACT_BELOW and not is_prime(p):
+    while not is_prime(p):
         p += order
-    if p >= EXACT_BELOW:
-        return None
     factors, m, q = [], order, 2
     while q * q <= m:
         if m % q == 0:
@@ -67,21 +64,22 @@ def _next_split_prime(order: int, above: int) -> tuple[int, int] | None:
     factors += [m] if m > 1 else []
     # a^((p-1)/order) has order exactly ``order`` unless a power
     # order/q of it is 1; the units of F_p are cyclic, so some a < p passes
-    for a in range(2, p):
+    a = 2
+    while True:
         g = pow(a, (p - 1) // order, p)
         if all(pow(g, order // q, p) != 1 for q in factors):
             return p, g
-    return None
+        a += 1
 
 
-def split_prime(order: int, values=()) -> tuple[int, int] | None:
+def split_prime(order: int, values=()) -> tuple[int, int]:
     """(p, g) for the least prime p = 1 + m * order above 2^40 that divides
     the denominator of none of ``values`` (each an ``int``, a ``Fraction`` or
-    a ``CyclotomicScalar``), with a primitive order-th root of unity g mod p;
-    None when there is none below ``EXACT_BELOW``."""
+    a ``CyclotomicScalar``), with a primitive order-th root of unity g mod p.
+    A search past ``EXACT_BELOW`` ends in ``is_prime``'s ``ValueError``."""
     denominators = {getattr(x, "den", None) or x.denominator for x in values} - {1}
     found = _next_split_prime(order, 1 << 40)
-    while found and any(den % found[0] == 0 for den in denominators):
+    while any(den % found[0] == 0 for den in denominators):
         found = _next_split_prime(order, found[0])
     return found
 
