@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import Frozen, NotInGeneralPosition, ValidationError
 from .rational import (
@@ -140,6 +141,14 @@ class StandardParameter(Frozen):
         set_n(par, n)
         set_rows(par, rows)
         return par
+
+    @classmethod
+    def _trusted_all(cls, d: int, n: int, tables: list) -> tuple[StandardParameter, ...]:
+        """``_trusted(d, n, rows)`` for each rows of ``tables``, mapped in C."""
+        pars = tuple(map(object.__new__, repeat(cls, len(tables))))
+        for set_field, values in zip(cls._setters, (repeat(d), repeat(n), tables)):
+            any(map(set_field, pars, values))  # a setter returns None
+        return pars
 
     @property
     def columns(self) -> tuple[tuple[Fraction, ...], ...]:

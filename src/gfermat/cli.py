@@ -155,12 +155,18 @@ def _cmd_normalize(args, budget):
 
 def _cmd_orbit(args, budget):
     from .modaction import orbit_and_stabilizer
+    from .rational import rational_to_string
 
     par = _parameter(args.parameter)
     report = orbit_and_stabilizer(par, budget=budget)
+    # each element's ``to_json``, stringifying each distinct row once: the elements
+    # share their row tuples, and id() names a row while the report keeps it alive
+    rows = {id(row): row for element in report.elements for row in element.rows}
+    rows = {key: [rational_to_string(x) for x in row] for key, row in rows.items()}
     return {
         "base": par.to_json(),
-        "elements": [p.to_json() for p in report.elements],
+        "elements": [{"d": par.d, "n": par.n, "lambda": [rows[id(row)] for row in element.rows]}
+                     for element in report.elements],
         "orbit_size": report.orbit_size,
         "stabilizer": _permutations_json(report.stabilizer),
         "stabilizer_order": report.stabilizer_order,

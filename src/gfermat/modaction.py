@@ -36,8 +36,10 @@ stabilizer element (and, against a second table, one isomorphism).  The
 orbit is built per basis set S, anchor a and b_d: each head hyperplane b
 gets one column, the keys of its entries over the other hyperplanes, and
 each order of the head zips its columns into one frame's rows.  The
-distinct rows are ranked once, and the orbit is every permutation of every
-frame's row ranks, sorted in one pass.  Scans are still charged
+output is built once per distinct key (one ``Fraction``), row (one tuple,
+ranked once) and element: the orbit is every permutation of every row
+set's ranks, made and sorted in C, and its elements share the row tuples.
+Scans are still charged
 (n+1)! against the budget, which bounds the (n+1)!/(n-d-1)! frames they
 visit.
 
@@ -83,6 +85,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from itertools import chain, count, repeat, starmap
 
 from .arrangement import (
     StandardParameter,
@@ -389,40 +392,42 @@ def orbit_and_stabilizer(par: StandardParameter, budget: int = DEFAULT_BUDGET) -
     minor_table, pairs = _check_scan(par, budget), {}
     shift = _key_shift(minor_table, par.rows)
     slots, hyperplanes = _slots(par, shift), range(par.n + 1)
-    row_sets, stabilizer = set(), []
+    own, row_sets, stabilizer = frozenset(slots), set(), []
+    add, permutations = row_sets.add, itertools.permutations
     for basis in itertools.combinations(hyperplanes, par.d + 1):
         mask = sum(1 << b for b in basis)
         coords = _columns(minor_table, basis, mask, [q for q in hyperplanes if not mask >> q & 1])
+        heads = [(last, [b for b in basis if b != last]) for last in basis]
         for a, ca in coords.items():
-            others = [q for q in coords if q != a]
-            cs = [coords[q] for q in others]
-            for last in basis:
-                head, columns = [b for b in basis if b != last], []
+            cs = [c for q, c in coords.items() if q != a]
+            for last, head in heads:
+                cal, columns = ca[last], []
                 for b in head:
+                    cab = ca[b]
                     columns.append(column := [])
                     for c in cs:
-                        num, den = c[b] * ca[last], ca[b] * c[last]
+                        num, den = c[b] * cal, cab * c[last]
                         key = (num << shift) // den
-                        pairs.setdefault(key, (num, den))
+                        if key not in pairs:
+                            pairs[key] = num, den
                         column.append(key)
-                for order, cols in zip(itertools.permutations(head), itertools.permutations(columns)):
+                for order, cols in zip(permutations(head), permutations(columns)):
                     row_set = frozenset(zip(*cols))
-                    row_sets.add(row_set)
-                    if row_set == slots.keys():
+                    add(row_set)
+                    if row_set == own:
+                        others = [q for q in coords if q != a]
                         stabilizer.append(_one_line((*order, last, a), dict(
                             zip(others, map(slots.__getitem__, zip(*cols))))))
-    # sort tables as tuples of row ranks: keys order rows as their values do
+    # tables as row-rank tuples (keys order rows as their values do), made and sorted in C
     distinct = sorted(set().union(*row_sets))
-    rank = {row: i for i, row in enumerate(distinct)}
-    tables = sorted(t for row_set in row_sets
-                    for t in itertools.permutations(sorted(map(rank.__getitem__, row_set))))
-    fractions = {x: Fraction(num, den) for x, (num, den) in pairs.items()}  # every entry
-    entries = map(fractions.__getitem__, itertools.chain.from_iterable(distinct))
-    rows = list(zip(*[entries] * par.d))  # the distinct rows, d entries at a time
+    rank = dict(zip(distinct, count())).__getitem__
+    tables = sorted(chain(*map(permutations, map(sorted, map(map, repeat(rank), row_sets)))))
+    fractions = dict(zip(pairs, starmap(Fraction, pairs.values())))  # every entry
+    rows = list(zip(*[map(fractions.__getitem__, chain(*distinct))] * par.d))  # d at a time
     return OrbitReport(
         par,
-        tuple([StandardParameter._trusted(par.d, par.n, tuple(map(rows.__getitem__, t)))
-               for t in tables]),
+        StandardParameter._trusted_all(
+            par.d, par.n, list(map(tuple, map(map, repeat(rows.__getitem__), tables)))),
         tuple(map(Permutation, sorted(stabilizer))),
         kernel_note(par.n, par.d),
     )

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -450,6 +451,30 @@ class TestVerbs:
         assert values == ["-1", "1/2", "2"]
         code, report = run_json(capsys, "canon", PAR_13)
         assert report["parameter"]["lambda"] == [["-1"]]
+
+    @pytest.mark.parametrize("payload", ['{"d":1,"n":6,"lambda":[["2"],["5"],["-3"],["7/3"]]}',
+                                         FERMAT_23])
+    def test_orbit_shares_row_strings_like_elementwise_to_json(self, capsys, payload):
+        """The ``orbit`` verb stringifies each distinct row once; its stdout
+        is that of ``to_json`` taken element by element."""
+        from gfermat.modaction import orbit_and_stabilizer
+
+        par = StandardParameter.from_json(json.loads(payload))
+        report = orbit_and_stabilizer(par)
+        expected = {
+            "base": par.to_json(),
+            "elements": [element.to_json() for element in report.elements],
+            "orbit_size": report.orbit_size,
+            "stabilizer": [list(s.one_line()) for s in report.stabilizer],
+            "stabilizer_order": report.stabilizer_order,
+            "kernel_note": report.kernel_note,
+        }
+        assert report.orbit_size * report.stabilizer_order == math.factorial(par.n + 1)
+        code, out = run_cli(capsys, "orbit", payload)
+        assert code == EXIT_OK
+        # compared outside the assert, which would diff the two long lines
+        same = out == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
+        assert same
 
     def test_stabilizer(self, capsys):
         code, report = run_json(capsys, "stabilizer", FERMAT_23)

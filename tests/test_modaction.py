@@ -1,7 +1,9 @@
 """Tests for the symmetric-group action, orbits, stabilizers and the kernel."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -647,12 +649,23 @@ class TestScanOutput:
                                             for d, n in ((1, 4), (2, 5), (3, 6))],
                              ids=lambda p: f"d{p.d}n{p.n}{p.rows}")
     def test_output_equals_and_hashes_like_checked_parameter(self, par):
+        """Setter-built output (the orbit's bulk constructor, canon and act)
+        is a plain ``StandardParameter`` with tuple rows of ``Fraction``s,
+        equal and hash-equal to the checked constructor's value, and it
+        survives ``pickle`` and ``copy``."""
         report = orbit_and_stabilizer(par)
         eta = Permutation(tuple(reversed(range(par.n + 1))))
         for element in (*report.elements, canonical_representative(par), act(eta, par)):
+            assert type(element) is StandardParameter
             checked = StandardParameter(element.d, element.n, element.rows)
             assert element == checked and hash(element) == hash(checked)
+            assert type(element.rows) is tuple
+            assert all(type(row) is tuple for row in element.rows)
             assert all(type(x) is Fraction for row in element.rows for x in row)
+            for twin in (pickle.loads(pickle.dumps(element)), copy.copy(element),
+                         copy.deepcopy(element)):
+                assert type(twin) is StandardParameter
+                assert twin == element and hash(twin) == hash(element)
         assert len(set(report.elements)) == report.orbit_size
 
 
