@@ -227,9 +227,9 @@ def conic_curve_parameters(a, par: StandardParameter, anchors=(1, 2, 3)) -> Coni
         pole = adj.matvec(q)
         if _dot(q, pole):
             raise TangencyError(j)
+        # the duals of par in X_{n,2} are pairwise non-proportional and adj(Q)
+        # is invertible, so the normalized poles are distinct tuples
         poles.append(projective_normalize(pole))
-    if len(set(poles)) != len(poles):
-        raise ValueError("tangency points are not distinct")
     anchors = tuple(anchors)
     if len(set(anchors)) != 3 or not all(type(i) is int and 1 <= i <= par.n + 1 for i in anchors):
         raise ValueError("anchors must be three distinct 1-based indices")

@@ -375,20 +375,6 @@ def _monomial_support(matrix: ExactMatrix):
     return support
 
 
-def _common_field(values) -> list:
-    """The values with every ``CyclotomicScalar`` promoted to the lcm of
-    their orders, when the orders differ; other values become ``Fraction``s
-    and a single order is kept as it is."""
-    from fractions import Fraction
-
-    from .exactfield import CyclotomicScalar
-
-    orders = {v.order for v in values if isinstance(v, CyclotomicScalar)}
-    order = math.lcm(*orders)
-    return [v.promote(order) if isinstance(v, CyclotomicScalar) else Fraction(v)
-            for v in values]
-
-
 def _power(x, e: int):
     """x^e for e >= 1 by repeated squaring."""
     result = None
@@ -448,11 +434,11 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
     matrix sending x_r to a_r x_c(r) sends the form sum_r C[i][r] x_r^k to
     the vector v with v[c(r)] = a_r^k C[i][r] (``_in_span``).  Scaling the
     matrix scales every form by the same power, so the entries are first
-    divided by a_0 when a_0 is a rational multiple of a root of unity.  An
-    entry c zeta_m^j is raised as c^k zeta_m^(jk mod m), a ``Fraction``
-    when m divides jk; any other entry is raised by repeated squaring.  The
-    powers are lifted to a common cyclotomic field only when their orders
-    differ.
+    divided by a_0 when a_0 is a rational multiple of a root of unity.  With
+    L the lcm of the entries' cyclotomic orders, an entry c zeta_L^j is
+    raised as c^k zeta_L^(jk mod L), a ``Fraction`` when L divides jk; any
+    other entry is raised by repeated squaring in its own field and then
+    promoted, so every power lies in Q or Q(zeta_L).
     """
     from .exactfield import CyclotomicScalar, ExactMatrix
 
@@ -468,7 +454,8 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
                     for i in range(matrix.rows)]
         if modp.det_mod(residues, p):
             return False
-        lifted = ExactMatrix(matrix.rows, matrix.cols, tuple(_common_field(matrix.entries)))
+        lifted = ExactMatrix(matrix.rows, matrix.cols, tuple(
+            x.promote(order) if isinstance(x, CyclotomicScalar) else x for x in matrix.entries))
         if not lifted.det():
             raise ValueError("matrix is singular")
         return False
@@ -490,17 +477,15 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
     powers = []
     for x, root in zip(entries, roots):
         if root is None:
-            if (c0, e0) != (1, 0):
-                shift = [0] * (-e0 % order) + [1 / c0]
-                x = x.promote(order) * CyclotomicScalar.from_poly(order, shift)
-            powers.append(_power(x, k))
+            power = _power(x if c0 == 1 else x * (1 / c0), k).promote(order)
+            if e0:
+                power *= CyclotomicScalar.zeta(order, -e0 * k)
         else:
             power, e = (root[0] / c0) ** k, (root[1] - e0) * k % order
             if e:
-                g = math.gcd(e, order)
-                power = CyclotomicScalar.from_poly(order // g, [0] * (e // g) + [power])
-            powers.append(power)
-    return _in_span(_common_field(powers), support, rows, par.d)
+                power = CyclotomicScalar.from_poly(order, [0] * e + [power])
+        powers.append(power)
+    return _in_span(powers, support, rows, par.d)
 
 
 # ---------------------------------------------------------------------------

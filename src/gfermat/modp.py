@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .exactfield import cyclotomic_polynomial
+
 __all__ = ["is_prime", "split_prime", "residue", "det_mod"]
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -49,25 +51,22 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _next_split_prime(order: int, above: int) -> tuple[int, int]:
-    """(p, g): the least prime p = 1 + m * order above ``above`` and a
-    primitive order-th root of unity g mod p."""
+    """(p, g): the least prime p = 1 + m * order above ``above`` and the
+    root g = a^((p-1)/order) of Phi_order mod p for the least a >= 2.  As p
+    does not divide ``order``, x^order - 1 has distinct roots mod p, so the
+    roots of Phi_order mod p are exactly its primitive order-th roots of
+    unity; the units of F_p are cyclic, so some a < p gives one."""
     p = above - (above - 1) % order + order
     while not is_prime(p):
         p += order
-    factors, m, q = [], order, 2
-    while q * q <= m:
-        if m % q == 0:
-            factors.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    factors += [m] if m > 1 else []
-    # a^((p-1)/order) has order exactly ``order`` unless a power
-    # order/q of it is 1; the units of F_p are cyclic, so some a < p passes
+    phi = cyclotomic_polynomial(order)
     a = 2
     while True:
         g = pow(a, (p - 1) // order, p)
-        if all(pow(g, order // q, p) != 1 for q in factors):
+        value = 0
+        for c in reversed(phi):
+            value = (value * g + c) % p
+        if not value:
             return p, g
         a += 1
 

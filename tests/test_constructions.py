@@ -399,6 +399,7 @@ class TestConicCurveParameters:
         par = StandardParameter(2, 3, ())
         conic = tangent_conic(-1)
         result = conic_curve_parameters(-1, par)
+        assert len(set(result.tangency_points)) == par.n + 1
         duals = arrangement_of(par).duals
         for point, dual in zip(result.tangency_points, duals):
             assert oracles.conic_contains(conic, point)

@@ -686,18 +686,39 @@ class TestLinearAutomorphismVerifier:
         assert verdicts == [oracles.is_linear_automorphism(*case) for case in cases]
         assert True in verdicts and False in verdicts
 
+    def test_non_root_entries_raised_in_their_own_field(self):
+        """On the harmonic parameter the anti-diagonal with squares
+        (1, 1, 2, 2) preserves the span at k = 2.  Scaled by 3 zeta_8, its
+        entries 3 (1 + i) lie in Q(zeta_4) and are no root multiples: each
+        is divided by c0 = 3, squared there, promoted to Q(zeta_8) and
+        divided by zeta_8^2.  With 3 (1 - i) in the last slot it is
+        rejected."""
+        first = CyclotomicScalar.zeta(8) * 3
+        for sign, accepted in ((1, True), (-1, False)):
+            diagonal = [first, first, CyclotomicScalar.from_poly(4, [3, 3]),
+                        CyclotomicScalar.from_poly(4, [3, 3 * sign])]
+            rows = [[x if c == 3 - r else Fraction(0) for c in range(4)]
+                    for r, x in enumerate(diagonal)]
+            case = (ExactMatrix.from_rows(rows), par1(-1), 2)
+            assert is_linear_automorphism(*case) is accepted
+            assert oracles.is_linear_automorphism(*case) is accepted
+
     def test_mixed_order_powers_share_a_field(self):
         """k-th powers that are 1 in Q(zeta_4), Q(zeta_2) and Q(zeta_3) are
         compared in one field: the twisted diagonal is accepted, and with one
-        power -1 it is rejected."""
+        power -1 it is rejected.  diag(zeta_4, -1, 1, zeta_3) is accepted at
+        k = 12 and rejected at k = 6, where the last relative power is
+        zeta_12^6 = -1, a root of unity of a proper subfield."""
         fermat = StandardParameter(2, 3, ())
-        for first, accepted in ((CyclotomicScalar.zeta(4, 2), True),
-                                (CyclotomicScalar.zeta(4, 1), False)):
-            diagonal = [first, CyclotomicScalar.zeta(2, 1), Fraction(1),
-                        CyclotomicScalar.zeta(3, 0)]
+        for first, last, k, accepted in (
+                (CyclotomicScalar.zeta(4, 2), CyclotomicScalar.zeta(3, 0), 2, True),
+                (CyclotomicScalar.zeta(4, 1), CyclotomicScalar.zeta(3, 0), 2, False),
+                (CyclotomicScalar.zeta(4, 1), CyclotomicScalar.zeta(3, 1), 12, True),
+                (CyclotomicScalar.zeta(4, 1), CyclotomicScalar.zeta(3, 1), 6, False)):
+            diagonal = [first, CyclotomicScalar.zeta(2, 1), Fraction(1), last]
             rows = [[x if c == r else Fraction(0) for c in range(4)]
                     for r, x in enumerate(diagonal)]
-            case = (ExactMatrix.from_rows(rows), fermat, 2)
+            case = (ExactMatrix.from_rows(rows), fermat, k)
             assert is_linear_automorphism(*case) is accepted
             assert oracles.is_linear_automorphism(*case) is accepted
 

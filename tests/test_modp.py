@@ -12,6 +12,44 @@ from gfermat.modp import EXACT_BELOW, det_mod, is_prime, residue, split_prime
 from tests.conftest import rand_fraction
 
 
+# (p, g): the least split prime p and g = a^((p-1)/L) for the least base a
+# that gives exact order L, recorded when g's order was tested against each
+# prime factor of L
+SPLIT_PRIMES = {
+    1: (1099511627791, 1), 2: (1099511627791, 1099511627790), 3: (1099511627791, 900489399375),
+    4: (1099511627873, 961209656835), 5: (1099511627791, 56559685605),
+    6: (1099511627791, 199022228416), 7: (1099511627803, 231197147670),
+    8: (1099511627873, 173652341105), 9: (1099511628211, 393458044354),
+    10: (1099511627791, 830751034116), 11: (1099511627831, 225136507402),
+    12: (1099511627917, 378859261578), 13: (1099511627891, 127945694702),
+    14: (1099511627803, 262439494776), 15: (1099511627791, 60079515103),
+    16: (1099511627873, 108163207722), 17: (1099511628779, 926083899698),
+    18: (1099511628211, 462060093861), 19: (1099511628331, 674130462460),
+    20: (1099511628161, 576980534126), 21: (1099511627803, 50536764190),
+    22: (1099511627831, 124103988222), 23: (1099511628569, 588192417373),
+    24: (1099511627953, 341206866940), 25: (1099511628401, 4614327482),
+    26: (1099511627891, 1092529354930), 27: (1099511628571, 217763542777),
+    28: (1099511627873, 1052195022015), 29: (1099511629597, 832922507118),
+    30: (1099511627791, 271808134474), 31: (1099511628427, 1073487088629),
+    32: (1099511627873, 776063673133), 33: (1099511628403, 564806848393),
+    34: (1099511628779, 724963994221), 35: (1099511627831, 1036160591296),
+    36: (1099511628769, 431715320615), 37: (1099511628427, 562190806624),
+    38: (1099511628331, 714061297832), 39: (1099511627917, 666145039961),
+    40: (1099511628161, 249238157354), 41: (1099511628227, 215762756097),
+    42: (1099511627803, 503833182187), 43: (1099511630561, 594455866397),
+    44: (1099511628029, 963425435709), 45: (1099511628211, 918214201784),
+    46: (1099511628569, 484075609623), 47: (1099511628211, 787390324723),
+    48: (1099511627953, 699059729324), 49: (1099511628769, 799928921901),
+    50: (1099511628401, 113604899531), 51: (1099511630479, 362781302833),
+    52: (1099511627917, 343808628143), 53: (1099511628791, 275776954354),
+    54: (1099511628571, 837653764366), 55: (1099511627831, 1097909965318),
+    56: (1099511627873, 378173029727), 57: (1099511628331, 764633155675),
+    58: (1099511629597, 220078943093), 59: (1099511628763, 169180799318),
+    60: (1099511628781, 982137446793), 331: (1099511645951, 896663658472),
+    660: (1099511629921, 918757778868), 2310: (1099511630911, 562019046983),
+}
+
+
 def trial_division_primes(limit):
     return [n for n in range(limit) if n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))]
 
@@ -47,6 +85,11 @@ class TestSplitPrime:
         # it is the least such prime above 2^40
         first = 2**40 + 1 + (-2**40) % order
         assert all(not is_prime(q) for q in range(first, p, order))
+
+    def test_pinned_primes_and_roots(self):
+        """The least p and the root g of the least base a are pinned, so a
+        change in how g is found cannot change which g is returned."""
+        assert {order: split_prime(order) for order in SPLIT_PRIMES} == SPLIT_PRIMES
 
     def test_skips_a_prime_dividing_a_denominator(self):
         p, _ = split_prime(7)
