@@ -14,7 +14,19 @@ with a fixed component has at least n+1-d coordinates, so it misses at most
 d of them and, by pigeonhole, holds one of the first d+1: only their levels
 are counted.
 
-The subgroup scan packs each canonical exponent vector into one integer:
+Free actions start from a triangular basis.  The subgroup H generated by
+some elements is L / kZ^n, with L the lattice spanned by kZ^n and the
+generators' first n canonical exponents.  Euclid per column (a Hermite
+normal form; Cohen, GTM 138, section 2.4) gives pivots h_c dividing k and
+|H| = prod k/h_c, so an order past the budget is refused before any
+element is formed.  An element has a fixed point exactly when one level
+holds at least n+1-d of its coordinates, so the least offender is the
+least such nonzero canonical vector in H.  There are at most
+k sum_{t<=d} C(n, t) (k-1)^t of these candidates, whatever H is, and each
+takes one reduction along the basis; when that costs more than H, the
+elements of H are enumerated and scanned in order instead.
+
+Both paths pack each canonical exponent vector into one integer:
 coordinate j is digit n-j, w bits wide with M = 2^(w-1) >= 2k-1, so
 coordinate 0 is the most significant digit and integer order is
 lexicographic order.  With ONES holding 1 in every digit and HIGH = M ONES,
@@ -291,6 +303,15 @@ def _packing(k: int, n: int) -> tuple[int, int]:
     return w, ((1 << w * (n + 1)) - 1) // ((1 << w) - 1)
 
 
+def _pack(digits, w: int) -> int:
+    """The digits as one integer, w bits each, the first the most
+    significant."""
+    packed = 0
+    for m in digits:
+        packed = packed << w | m
+    return packed
+
+
 def _subgroup_closure(generators, k: int, n: int, budget: int) -> list[int]:
     """The generated subgroup as packed canonical exponent vectors (module
     docstring; the last exponent is 0, so a product is the digitwise sum
@@ -304,9 +325,7 @@ def _subgroup_closure(generators, k: int, n: int, budget: int) -> list[int]:
     elements = [0]
     members = {0}
     for g in generators:
-        packed = 0
-        for m in g.exponents:
-            packed = packed << w | m
+        packed = _pack(g.exponents, w)
         coset = elements[:]
         while (first := (s := coset[0] + packed) - ((s + off & high) >> shift) * k) not in members:
             if len(elements) + len(coset) > budget:
@@ -318,24 +337,109 @@ def _subgroup_closure(generators, k: int, n: int, budget: int) -> list[int]:
     return elements
 
 
-def subgroup_acts_freely(
-    generators,
-    gfm_type: GfmType,
-    budget: int = DEFAULT_BUDGET,
-) -> FreeActionResult:
-    """Exhaustive freeness check over the generated subgroup, refused with
-    ``BudgetExceeded`` when its order passes the budget.
+def _triangular_basis(generators, k: int, n: int, budget: int):
+    """(pivots, order) of the generated subgroup H = L / kZ^n, with L the
+    lattice spanned by kZ^n and the first n canonical exponents of the
+    generators, refused with ``BudgetExceeded`` as soon as the order passes
+    the budget, before any element is formed.
 
-    Returns the least (in exponent order) non-free nontrivial element when
-    the action is not free: the elements are scanned in integer order, which
-    is exponent order, up to the first one with a fixed point.  An element
-    has one when, for the level l of one of its first d+1 coordinates, at
-    most d digits of element XOR l ONES are nonzero (module docstring).
-    """
-    d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
-    for g in generators:
-        if g.k != k or g.n != n:
-            raise ValueError("generator does not match the type")
+    Column c runs Euclid over k e_c and the rows that are nonzero at c.  The
+    pivot row keeps h = gcd(k, column c) at c; every leftover row is 0 at c
+    and passes on, among them +-(k/h) times a row, nonzero for composite k
+    only.  A pivot (c, h, row) multiplies the order by k/h >= 2, so rows
+    are combined at no more than log2(budget) columns."""
+    rows = [list(g.exponents[:n]) for g in generators if any(g.exponents)]
+    pivots, order = [], 1
+    for c in range(n):
+        if not rows:
+            break
+        pivot, rest = [0] * n, []
+        pivot[c] = k
+        for b in rows:
+            if b[c]:
+                a = pivot
+                while b[c]:
+                    q = a[c] // b[c]
+                    a, b = b, [(x - q * y) % k for x, y in zip(a, b)]
+                pivot = a
+                if not any(b):
+                    continue
+            rest.append(b)
+        if pivot[c] < k:
+            pivots.append((c, pivot[c], pivot))
+            order *= k // pivot[c]
+            if order > budget:
+                raise BudgetExceeded(budget + 1, budget)
+        rows = rest
+    return pivots, order
+
+
+def _candidate_count(d: int, k: int, n: int) -> int:
+    """How many candidates ``_offender_by_candidates`` forms."""
+    def spread(t):
+        return sum(math.comb(n, s) * (k - 1) ** s for s in range(t + 1))
+    return spread(d) + (k - 1) * spread(d - 1)
+
+
+def _offender_by_candidates(pivots, d: int, k: int, n: int) -> GroupElement | None:
+    """The least offender among the candidates, the packed canonical
+    vectors with one level on at least n+1-d coordinates: level 0 off at
+    most d of the first n coordinates, or a level l > 0 off the last one
+    and at most d-1 others.  Sorted, the first in the subgroup is the least
+    offender.  A candidate x is reduced along the pivots in column order,
+    x - (x_c / h) row digitwise mod k, and is refused as soon as x_c is no
+    multiple of h or a column before the next pivot is nonzero."""
+    if not pivots:
+        return None
+    w, ones = _packing(k, n)
+    high, digit = ones << (w - 1), (1 << w) - 1
+    off = high - k * ones
+    shifts = [w * (n - j) for j in range(n + 1)]
+    candidates = []
+    for level in range(k):
+        # (vector, top): each further coordinate moved off the level lies
+        # left of top, so every set of coordinates is taken once
+        layer = [(level * (ones - 1), n)]
+        for t in range(d + (level == 0)):
+            if t:
+                layer = [(x + (e - level << shifts[j]), j) for x, top in layer
+                         for j in range(top) for e in range(k) if e != level]
+            candidates += [x for x, _ in layer]
+    candidates.sort()  # the zero vector comes first
+    # x lies below limits[i] when its columns before pivot i are 0
+    limits = [1 << shifts[c] + w for c, _, _ in pivots] + [1 << w]
+    table = []  # (shift, h, the rows -q row packed for q < k/h, limit)
+    for (c, h, row), limit in zip(pivots, limits[1:]):
+        s = k * ones - (_pack(row, w) << w)
+        negatives = [0, s - ((s + off & high) >> (w - 1)) * k]
+        for _ in range(k // h - 2):
+            s = negatives[1] + negatives[-1]
+            negatives.append(s - ((s + off & high) >> (w - 1)) * k)
+        table.append((shifts[c], h, negatives, limit))
+    for x in candidates[1:]:
+        if x >= limits[0]:  # so is every later one
+            break
+        y = x
+        for shift, h, negatives, limit in table:
+            v = y >> shift & digit
+            if v % h:
+                break
+            s = y + negatives[v // h]
+            y = s - ((s + off & high) >> (w - 1)) * k
+            if y >= limit:
+                break
+        else:
+            return GroupElement(k, tuple(x >> s & digit for s in shifts))
+    return None
+
+
+def _offender_by_enumeration(generators, d: int, k: int, n: int,
+                             budget: int) -> GroupElement | None:
+    """The least offender by closure, sort and scan: the elements are
+    scanned in integer order, which is exponent order, up to the first one
+    with a fixed point.  An element has one when, for the level l of one of
+    its first d+1 coordinates, at most d digits of element XOR l ONES are
+    nonzero (module docstring)."""
     elements = _subgroup_closure(generators, k, n, budget)
     w, ones = _packing(k, n)
     high, digit = ones << (w - 1), (1 << w) - 1
@@ -345,9 +449,39 @@ def subgroup_acts_freely(
     for x in elements[1:]:
         for s in shifts:
             if ((x ^ (x >> s & digit) * ones) + low & high).bit_count() <= d:
-                offending = GroupElement(k, tuple(x >> w * (n - j) & digit for j in range(n + 1)))
-                return FreeActionResult(False, offending, len(elements))
-    return FreeActionResult(True, None, len(elements))
+                return GroupElement(k, tuple(x >> w * (n - j) & digit for j in range(n + 1)))
+    return None
+
+
+def subgroup_acts_freely(
+    generators,
+    gfm_type: GfmType,
+    budget: int = DEFAULT_BUDGET,
+) -> FreeActionResult:
+    """Whether the generated subgroup acts freely, its least (in exponent
+    order) nontrivial element with a fixed point when it does not, and its
+    order.
+
+    The order comes first, from a triangular basis (``_triangular_basis``),
+    and an order past the budget is refused with ``BudgetExceeded`` before
+    any element is formed.  The least offender then comes from whichever
+    path takes fewer steps, a property of the input: the candidates with a
+    long level set, each reduced along the basis
+    (``_offender_by_candidates``), when their count times the pivot count
+    is below twice the order (a reduction step costs about half of an
+    enumerated element); otherwise the enumeration of the subgroup
+    (``_offender_by_enumeration``).
+    """
+    d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
+    for g in generators:
+        if g.k != k or g.n != n:
+            raise ValueError("generator does not match the type")
+    pivots, order = _triangular_basis(generators, k, n, budget)
+    if _candidate_count(d, k, n) * len(pivots) < 2 * order:
+        offending = _offender_by_candidates(pivots, d, k, n)
+    else:
+        offending = _offender_by_enumeration(generators, d, k, n, budget)
+    return FreeActionResult(offending is None, offending, order)
 
 
 def bound_feasible(p: int, r: int, n: int) -> bool:

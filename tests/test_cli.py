@@ -239,7 +239,7 @@ class TestExitCodes:
 
     def test_large_subgroup_is_refused_within_bounds(self):
         """phi_1, ..., phi_24 generate 2^24 elements: a fresh child refuses
-        before the coset that would pass the default budget is built."""
+        before any element is formed."""
         gens = json.dumps([[int(i == j) for i in range(25)] for j in range(24)])
         started = time.monotonic()
         done = run_child("free", "1", "2", "24", gens)
@@ -247,6 +247,15 @@ class TestExitCodes:
         assert done.returncode == EXIT_BUDGET, done.stderr
         assert done.stdout == ('{"error":{"kind":"budget","message":'
                                '"enumeration needs 1000001 steps, budget is 1000000"}}\n')
+
+    def test_large_subgroup_is_refused_before_any_element(self, capsys):
+        """The same refusal in process, with the subgroup closure made to
+        fail: the order comes from the triangular basis alone."""
+        gens = json.dumps([[int(i == j) for i in range(25)] for j in range(24)])
+        with mock.patch("gfermat.fermatgroup._subgroup_closure", side_effect=AssertionError):
+            code, out = run_cli(capsys, "free", "1", "2", "24", gens)
+        assert (code, out) == (EXIT_BUDGET, '{"error":{"kind":"budget","message":'
+                                            '"enumeration needs 1000001 steps, budget is 1000000"}}\n')
 
     def test_primality_charge_is_one_step_per_divisor(self, capsys):
         """The prime 10^9 + 7 takes isqrt(k) - 1 = 31621 trial divisions: a

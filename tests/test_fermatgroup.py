@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +25,10 @@ from gfermat.fermatgroup import (
     fixed_locus,
     is_linear_automorphism,
     smoothness_certificate,
+    _offender_by_candidates,
+    _offender_by_enumeration,
     _subgroup_closure,
+    _triangular_basis,
     subgroup_acts_freely,
 )
 from gfermat.modaction import act, orbit_and_stabilizer
@@ -328,6 +332,21 @@ def subgroup_cases(draw):
     return k, n, d, gens
 
 
+@st.composite
+def small_k_cases(draw):
+    """(k, n, d, generator vectors) with k 2..12, composite included, and n
+    2..6: entries biased to 0, each vector times a divisor of k, so that
+    a column's gcd with k is often a proper divisor."""
+    k = draw(st.integers(2, 12))
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, n - 1))
+    entry = st.one_of(st.just(0), st.integers(0, k - 1))
+    vector = st.builds(lambda q, v: [q * m for m in v],
+                       st.sampled_from([q for q in range(1, k + 1) if k % q == 0]),
+                       st.lists(entry, min_size=n + 1, max_size=n + 1))
+    return k, n, d, draw(st.lists(vector, max_size=4))
+
+
 def unpack(x, k, n):
     """The exponent tuple of a packed element: coordinate j is digit n-j of
     w bits, with 2^(w-1) the least power of two >= 2k-1."""
@@ -455,6 +474,58 @@ class TestFreeActions:
             closure = _subgroup_closure(gens, k, n, budget)
             assert unpack(closure[0], k, n) == (0,) * (n + 1)
             assert len(set(closure)) == len(closure) == expected[2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_k_cases(), st.integers(1, 500))
+    def test_basis_order_is_the_closure_order(self, case, budget):
+        """The triangular basis gives the coset closure's order, or its
+        refusal text; each pivot h divides k and leads its row."""
+        k, n, _, gens = case
+        gens = [GroupElement(k, tuple(g)) for g in gens]
+        try:
+            expected = len(oracles.coset_closure(gens, k, n, budget))
+        except BudgetExceeded as exc:
+            expected = str(exc)
+        try:
+            pivots, order = _triangular_basis(gens, k, n, budget)
+        except BudgetExceeded as exc:
+            assert str(exc) == expected
+            return
+        assert order == expected == math.prod(k // h for _, h, _ in pivots)
+        for c, h, row in pivots:
+            assert k % h == 0 and row[c] == h and not any(row[:c])
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_k_cases(), st.integers(1, 500))
+    def test_each_path_matches_oracle(self, case, budget):
+        """The candidate path and the enumeration path, each called on its
+        own, give the oracle's (free, offending, order), or the basis gives
+        its refusal text, so the selection rule hides neither path."""
+        k, n, d, gens = case
+        t = GfmType(d, k, n)
+        gens = [GroupElement(k, tuple(g)) for g in gens]
+        try:
+            result = oracles.subgroup_acts_freely(gens, t, budget)
+            expected = result.free, result.offending, result.subgroup_order
+        except BudgetExceeded as exc:
+            expected = str(exc)
+        try:
+            pivots, order = _triangular_basis(gens, k, n, budget)
+        except BudgetExceeded as exc:
+            assert str(exc) == expected
+            return
+        for offending in (_offender_by_candidates(pivots, d, k, n),
+                          _offender_by_enumeration(gens, d, k, n, budget)):
+            assert (offending is None, offending, order) == expected
+
+    def test_refusal_forms_no_element(self):
+        """The 24 unit vectors are refused from the basis alone: the
+        closure is never called."""
+        gens = list(oracles.canonical_generators(2, 24)[:24])
+        with mock.patch("gfermat.fermatgroup._subgroup_closure", side_effect=AssertionError):
+            with pytest.raises(BudgetExceeded) as exc:
+                subgroup_acts_freely(gens, GfmType(1, 2, 24))
+        assert str(exc.value) == "enumeration needs 1000001 steps, budget is 1000000"
 
     def test_order_q_subgroup_past_two_words(self):
         """k = 2^64 + 1 = 274177 * 67280421310721 (2k - 2 is a power of two):
