@@ -1,4 +1,5 @@
-"""Cyclotomic scalars and dense exact matrices.  The automorphism verifier
+"""Cyclotomic scalars and dense exact matrices, with no determinant (the
+verifier decides singularity modulo split primes, ``modp``).  The verifier
 needs the cyclotomic field; normalization, the equations and the conics use
 only ``ExactMatrix`` of rationals.
 
@@ -320,42 +321,6 @@ class ExactMatrix(Frozen):
             for i in range(self.rows)
         )
 
-    def det(self):
-        """Determinant by fraction-free (Bareiss) elimination.
-
-        Each division is exact: the quotient is a minor of the matrix.  When
-        both operands are ``int`` every entry of that minor is, so ``//``
-        keeps the result an exact ``int``; otherwise the step multiplies by
-        the pivot's inverse, taken once per step."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        a = self.row_list()
-        sign = 1
-        prev = 1
-        for i in range(n - 1):
-            if a[i][i] == 0:
-                for r in range(i + 1, n):
-                    if a[r][i] != 0:
-                        a[i], a[r] = a[r], a[i]
-                        sign = -sign
-                        break
-                else:
-                    return _zero_like(self.entries[0])
-            whole = type(prev) is int
-            inv = Fraction(1, prev) if whole else 1 / prev
-            for r in range(i + 1, n):
-                for c in range(i + 1, n):
-                    x = a[r][c] * a[i][i] - a[r][i] * a[i][c]
-                    a[r][c] = x // prev if whole and type(x) is int else x * inv
-                a[r][i] = 0
-            prev = a[i][i]
-        return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
-
     def to_json(self):
         return [[rational_to_string(e) for e in self.row(i)] for i in range(self.rows)]
 
-
-def _zero_like(sample):
-    """The zero of ``sample``'s own type: ``int``, ``Fraction`` or cyclotomic."""
-    return sample * 0

@@ -37,21 +37,22 @@ the correction carries into the next digit.  XOR with l ONES leaves every
 digit below M and zero exactly where it was l, and adding (M-1) ONES then
 sets the high bit of exactly the nonzero digits, again without a carry.
 
-The automorphism verifier puts certificates modulo a prime in front of its
-exact checks.  With L the lcm of the entries' cyclotomic orders, it takes
-the least prime p = 1 + mL above 2^40 that divides no denominator in play
-(``modp``).  Such a p splits completely in Q(zeta_L), so sending zeta_L to
-a primitive L-th root of unity mod p is a ring homomorphism on those
-values.  An identity that holds exactly therefore holds mod p:
-- a determinant that is nonzero mod p is nonzero, so a non-monomial matrix
-  with one is nonsingular and is rejected with no exact determinant;
+The automorphism verifier works modulo the primes p = 1 + mL above 2^40
+that divide no denominator in play (``modp``), with L the lcm of the
+entries' cyclotomic orders.  Such a p splits completely in Q(zeta_L), so
+sending zeta_L to a primitive L-th root of unity mod p is a ring
+homomorphism on those values, and an identity that holds exactly holds
+mod p:
+- a non-monomial matrix is rejected, or refused as singular, by
+  ``modp.is_singular`` alone: a determinant nonzero at one root of Phi_L
+  mod p is nonzero, and one that vanishes at every root of enough primes
+  is 0 by Hadamard's bound, with no lift to Q(zeta_L);
 - a span equation of a monomial matrix that fails mod p, with a_r^k taken
   as pow(a_r mod p, k, p), fails exactly, so the matrix is rejected.  This
   one is skipped when every entry is +-a_0 times a root of unity, since the
   exact powers then cost nothing.
-A determinant that is 0 mod p and span equations that all hold mod p prove
-nothing, so those matrices (every singular one and every accepted one)
-are decided by the exact checks, as before.
+Span equations that all hold mod p prove nothing, so those matrices (every
+accepted one among them) are decided by the exact check.
 """
 
 from __future__ import annotations
@@ -312,13 +313,12 @@ def _pack(digits, w: int) -> int:
     return packed
 
 
-def _subgroup_closure(generators, k: int, n: int, budget: int) -> list[int]:
+def _subgroup_closure(generators, k: int, n: int) -> list[int]:
     """The generated subgroup as packed canonical exponent vectors (module
     docstring; the last exponent is 0, so a product is the digitwise sum
     mod k), identity first, each formed once: a generator g outside the
     group H built so far appends the cosets H+g, H+2g, ... until a multiple
-    of g falls back into H.  A coset that would take the order past the
-    budget is refused before it is built."""
+    of g falls back into H (its order passed the budget check before)."""
     w, ones = _packing(k, n)
     high, shift = ones << (w - 1), w - 1
     off = high - k * ones
@@ -328,8 +328,6 @@ def _subgroup_closure(generators, k: int, n: int, budget: int) -> list[int]:
         packed = _pack(g.exponents, w)
         coset = elements[:]
         while (first := (s := coset[0] + packed) - ((s + off & high) >> shift) * k) not in members:
-            if len(elements) + len(coset) > budget:
-                raise BudgetExceeded(budget + 1, budget)
             coset = [first] + [(s := h + packed) - ((s + off & high) >> shift) * k
                                for h in coset[1:]]
             elements += coset
@@ -433,14 +431,13 @@ def _offender_by_candidates(pivots, d: int, k: int, n: int) -> GroupElement | No
     return None
 
 
-def _offender_by_enumeration(generators, d: int, k: int, n: int,
-                             budget: int) -> GroupElement | None:
+def _offender_by_enumeration(generators, d: int, k: int, n: int) -> GroupElement | None:
     """The least offender by closure, sort and scan: the elements are
     scanned in integer order, which is exponent order, up to the first one
     with a fixed point.  An element has one when, for the level l of one of
     its first d+1 coordinates, at most d digits of element XOR l ONES are
     nonzero (module docstring)."""
-    elements = _subgroup_closure(generators, k, n, budget)
+    elements = _subgroup_closure(generators, k, n)
     w, ones = _packing(k, n)
     high, digit = ones << (w - 1), (1 << w) - 1
     low = high - ones
@@ -480,7 +477,7 @@ def subgroup_acts_freely(
     if _candidate_count(d, k, n) * len(pivots) < 2 * order:
         offending = _offender_by_candidates(pivots, d, k, n)
     else:
-        offending = _offender_by_enumeration(generators, d, k, n, budget)
+        offending = _offender_by_enumeration(generators, d, k, n)
     return FreeActionResult(offending is None, offending, order)
 
 
@@ -558,23 +555,22 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
     Accepts exactly the monomial matrices (one nonzero entry per row and
     column) whose substitution maps every defining form into the span of the
     defining forms; a non-monomial matrix is rejected, or refused with
-    ``ValueError`` when it is singular (its determinant is taken in the
-    least cyclotomic field holding its entries).
+    ``ValueError`` when it is singular, by its determinants modulo split
+    primes (``modp.is_singular``).
 
-    A certificate modulo a split prime (module docstring) comes first: a
-    non-monomial matrix whose determinant is nonzero mod p is rejected, and
-    so is a monomial one with a span equation that fails mod p, unless its
-    exact powers are free.  Anything else is decided exactly.  A monomial
-    matrix sending x_r to a_r x_c(r) sends the form sum_r C[i][r] x_r^k to
-    the vector v with v[c(r)] = a_r^k C[i][r] (``_in_span``).  Scaling the
-    matrix scales every form by the same power, so the entries are first
-    divided by a_0 when a_0 is a rational multiple of a root of unity.  With
-    L the lcm of the entries' cyclotomic orders, an entry c zeta_L^j is
-    raised as c^k zeta_L^(jk mod L), a ``Fraction`` when L divides jk; any
-    other entry is raised by repeated squaring in its own field and then
-    promoted, so every power lies in Q or Q(zeta_L).
+    A monomial matrix with a span equation that fails modulo a split prime
+    (module docstring) is rejected, unless its exact powers are free.
+    Anything else monomial is decided exactly.  A monomial matrix sending
+    x_r to a_r x_c(r) sends the form sum_r C[i][r] x_r^k to the vector v
+    with v[c(r)] = a_r^k C[i][r] (``_in_span``).  Scaling the matrix scales
+    every form by the same power, so the entries are first divided by a_0
+    when a_0 is a rational multiple of a root of unity.  With L the lcm of
+    the entries' cyclotomic orders, an entry c zeta_L^j is raised as c^k
+    zeta_L^(jk mod L), a ``Fraction`` when L divides jk; any other entry is
+    raised by repeated squaring in its own field and then promoted, so every
+    power lies in Q or Q(zeta_L).
     """
-    from .exactfield import CyclotomicScalar, ExactMatrix
+    from .exactfield import CyclotomicScalar
 
     if matrix.rows != matrix.cols or matrix.rows != par.n + 1:
         raise ValueError("matrix must be square of size n+1")
@@ -583,14 +579,7 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
     if support is None:
         from . import modp
 
-        p, g = modp.split_prime(order, matrix.entries)
-        residues = [[modp.residue(x, p, g, order) for x in matrix.row(i)]
-                    for i in range(matrix.rows)]
-        if modp.det_mod(residues, p):
-            return False
-        lifted = ExactMatrix(matrix.rows, matrix.cols, tuple(
-            x.promote(order) if isinstance(x, CyclotomicScalar) else x for x in matrix.entries))
-        if not lifted.det():
+        if modp.is_singular([matrix.row(i) for i in range(matrix.rows)], order):
             raise ValueError("matrix is singular")
         return False
     coeff = equations(par, k).coefficient_matrix
@@ -603,7 +592,7 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
     if any(root is None or root[0] not in (c0, -c0) for root in roots):
         from . import modp
 
-        p, g = modp.split_prime(order, entries + list(coeff.entries))
+        p, g = next(modp.split_primes(order, entries + list(coeff.entries)))
         residues = [pow(modp.residue(x, p, g, order), k, p) for x in entries]
         if not _in_span(residues, support, [[modp.residue(x, p, 1, 1) for x in row]
                                             for row in rows], par.d, p):

@@ -1,5 +1,5 @@
-"""Residues modulo a prime that splits completely in Q(zeta_L), for the
-certificates of the automorphism verifier.
+"""Residues modulo the primes that split completely in Q(zeta_L), for the
+automorphism verifier's span certificate and its singularity proof.
 
 A prime p = 1 + mL splits completely in Q(zeta_L) (Washington,
 *Introduction to Cyclotomic Fields*, GTM 83, Thm 2.13): F_p holds a
@@ -11,11 +11,14 @@ Q(zeta_L) through zeta_m = zeta_L^(L/m), so it goes to g^(L/m).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from itertools import chain
 
 from .exactfield import cyclotomic_polynomial
+from .rational import minors
 
-__all__ = ["is_prime", "split_prime", "residue", "det_mod"]
+__all__ = ["is_prime", "split_primes", "residue", "det_mod", "is_singular"]
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # the least strong pseudoprime to all twelve bases (Sorenson and Webster,
@@ -71,16 +74,18 @@ def _next_split_prime(order: int, above: int) -> tuple[int, int]:
         a += 1
 
 
-def split_prime(order: int, values=()) -> tuple[int, int]:
-    """(p, g) for the least prime p = 1 + m * order above 2^40 that divides
-    the denominator of none of ``values`` (each an ``int``, a ``Fraction`` or
-    a ``CyclotomicScalar``), with a primitive order-th root of unity g mod p.
-    A search past ``EXACT_BELOW`` ends in ``is_prime``'s ``ValueError``."""
+def split_primes(order: int, values=()):
+    """The pairs (p, g), in increasing order of p, of the primes p = 1 + m *
+    order above 2^40 that divide the denominator of none of ``values`` (each
+    an ``int``, a ``Fraction`` or a ``CyclotomicScalar``), each with a
+    primitive order-th root of unity g mod p.  A search past ``EXACT_BELOW``
+    ends in ``is_prime``'s ``ValueError``."""
     denominators = {getattr(x, "den", None) or x.denominator for x in values} - {1}
     found = _next_split_prime(order, 1 << 40)
-    while any(den % found[0] == 0 for den in denominators):
+    while True:
+        if not any(den % found[0] == 0 for den in denominators):
+            yield found
         found = _next_split_prime(order, found[0])
-    return found
 
 
 def residue(x, p: int, g: int, order: int) -> int:
@@ -117,3 +122,40 @@ def det_mod(rows, p: int) -> int:
             if f:
                 a[r] = [(x - f * y) % p for x, y in zip(a[r], head)]
     return det % p
+
+
+def is_singular(rows, order: int) -> bool:
+    """Whether the square matrix ``rows``, of ``int``, ``Fraction`` and
+    ``CyclotomicScalar`` entries whose orders divide L = ``order``, is
+    singular, from its determinants modulo the split primes in turn.
+
+    Modulo p the determinant is evaluated at every root g^j of Phi_L, j a
+    unit mod L and first j = 1; a nonzero value proves it nonzero.  Scaled by
+    the lcm of its denominators, each row lies in Z[zeta_L], and every
+    embedding sigma has |sigma(a)| <= ||a||_1, the sum of the absolute values
+    of a's coefficients, so |sigma(det)| <= B with B^2 = prod_i sum_j
+    ||a_ij||_1^2 (Hadamard).  A determinant zero at all phi(L) roots lies in
+    pZ[zeta_L], so p^phi(L) divides its norm, an integer of absolute value at
+    most B^phi(L): it is 0 once the product of such primes passes B.  For
+    L = 1 a zero at the first prime goes to the one integer determinant of
+    the scaled rows (``rational.minors``) instead."""
+    units = [j for j in range(order) if math.gcd(j, order) == 1]
+    product, bound = 1, None
+    for p, g in split_primes(order, chain.from_iterable(rows)):
+        for j in units:
+            h = pow(g, j, p)
+            if det_mod([[residue(x, p, h, order) for x in row] for row in rows], p):
+                return False
+        if bound is None:
+            scaled = []
+            for row in rows:
+                parts = [(x.nums, x.den) if hasattr(x, "nums") else ((x.numerator,), x.denominator)
+                         for x in row]
+                lcm = math.lcm(*(den for _, den in parts))
+                scaled.append([[c * (lcm // den) for c in nums] for nums, den in parts])
+            if order == 1:
+                return not next(minors([[v[0] for v in row] for row in scaled]))
+            bound = math.prod(sum(sum(map(abs, v)) ** 2 for v in row) for row in scaled)
+        product *= p * p
+        if product > bound:
+            return True

@@ -1,5 +1,7 @@
 """Independent reference implementations the fast library paths are
-compared against: cofactor determinants, the cofactor adjugate that the
+compared against: cofactor determinants, the Bareiss determinant over the
+entries' field (``det``) that the verifier's split-prime singularity proof
+replaced, the cofactor adjugate that the
 closed-form dual conic replaced, a Fraction Gauss-Jordan inverse,
 the Fraction normal form that the integer frame kernel replaced (its
 ``act`` reorders by ``permutation_inverse``, which the library no longer
@@ -66,7 +68,7 @@ from gfermat.arrangement import (
 )
 from gfermat.constructions import ConicCurveResult, LineRestriction, _cross, tangent_conic
 from gfermat.errors import DEFAULT_BUDGET, BudgetExceeded, NotInGeneralPosition, TangencyError
-from gfermat.exactfield import CyclotomicScalar, ExactMatrix, _zero_like, cyclotomic_polynomial
+from gfermat.exactfield import CyclotomicScalar, ExactMatrix, cyclotomic_polynomial
 from gfermat.fermatgroup import (
     FixedComponent,
     FixedLocusReport,
@@ -285,6 +287,46 @@ class FractionCyclotomic:
 
     def to_json(self):
         return {"k": self.order, "coeffs": [rational_to_string(c) for c in self.coeffs]}
+
+
+def _zero_like(sample):
+    """The zero of ``sample``'s own type: ``int``, ``Fraction`` or cyclotomic."""
+    return sample * 0
+
+
+def det(matrix: ExactMatrix):
+    """Determinant by fraction-free (Bareiss) elimination over the entries'
+    field, the exact determinant the verifier took before split primes
+    decided singularity.
+
+    Each division is exact: the quotient is a minor of the matrix.  When
+    both operands are ``int`` every entry of that minor is, so ``//`` keeps
+    the result an exact ``int``; otherwise the step multiplies by the
+    pivot's inverse, taken once per step."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = matrix.rows
+    a = matrix.row_list()
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        if a[i][i] == 0:
+            for r in range(i + 1, n):
+                if a[r][i] != 0:
+                    a[i], a[r] = a[r], a[i]
+                    sign = -sign
+                    break
+            else:
+                return _zero_like(matrix.entries[0])
+        whole = type(prev) is int
+        inv = Fraction(1, prev) if whole else 1 / prev
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                x = a[r][c] * a[i][i] - a[r][i] * a[i][c]
+                a[r][c] = x // prev if whole and type(x) is int else x * inv
+            a[r][i] = 0
+        prev = a[i][i]
+    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 
 
 def det_cofactor(matrix: ExactMatrix):
@@ -526,7 +568,7 @@ def all_maximal_minors_nonzero(matrix: ExactMatrix, s: int) -> bool:
     """Every s-by-s minor nonzero: one Fraction Bareiss determinant per row
     subset and column subset, with no clearing of denominators."""
     return all(
-        submatrix(matrix, rows, cols).det() != 0
+        det(submatrix(matrix, rows, cols)) != 0
         for rows in itertools.combinations(range(matrix.rows), s)
         for cols in itertools.combinations(range(matrix.cols), s)
     )

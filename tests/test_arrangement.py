@@ -90,18 +90,18 @@ class TestGeneralPosition:
             )
             for i in range(m):
                 for j in range(i + 1, m):
-                    det = ExactMatrix.from_rows([
+                    det = oracles.det(ExactMatrix.from_rows([
                         [1, 1, 1],
                         [deltas[i], mus[i], 1],
                         [deltas[j], mus[j], 1],
-                    ]).det()
+                    ]))
                     explicit &= det != 0
             for i, j, l in itertools.combinations(range(m), 3):
-                det = ExactMatrix.from_rows([
+                det = oracles.det(ExactMatrix.from_rows([
                     [deltas[i], mus[i], 1],
                     [deltas[j], mus[j], 1],
                     [deltas[l], mus[l], 1],
-                ]).det()
+                ]))
                 explicit &= det != 0
             assert is_general_position(duals, 2) == explicit
             agree += 1

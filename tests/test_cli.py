@@ -318,6 +318,34 @@ class TestExitCodes:
         assert done.returncode == EXIT_OK, done.stderr
         assert done.stdout == stdout
 
+    def test_singular_dense_grid_is_refused_within_2_s(self):
+        """The 3x3 grid of dense k = 331 cells with its third row equal to
+        its second (charged 986049 steps) is refused as singular by a fresh
+        child within 2 s: one split prime's 330 determinants pass the
+        Hadamard bound, so no cyclotomic pivot is inverted."""
+        rows = dense_cells(331, 3)
+        rows[2] = rows[1]
+        started = time.monotonic()
+        done = run_child("verify-matrix", '{"d":1,"n":2,"lambda":[]}', "2",
+                         json.dumps({"entries": rows}), timeout=10)
+        assert time.monotonic() - started < 2
+        assert done.returncode == EXIT_PRECONDITION, done.stderr
+        assert done.stdout == '{"error":{"kind":"precondition","message":"matrix is singular"}}\n'
+
+    @pytest.mark.parametrize("last,code,stdout", [
+        ('"1"', EXIT_OK, '{"accepted":false}\n'),
+        ('{"k":1,"coeffs":["2/3"]}', EXIT_PRECONDITION,
+         '{"error":{"kind":"precondition","message":"matrix is singular"}}\n'),
+    ], ids=("nonsingular", "singular"))
+    def test_order_one_cells_are_decided_in_q(self, capsys, last, code, stdout):
+        """Non-monomial matrices of {"k": 1} cells lie in Q(zeta_1) = Q: an
+        invertible one is rejected, and one whose last row is 2/3 times its
+        first is refused as singular."""
+        one = '{"k":1,"coeffs":["1"]}'
+        payload = ('{"entries":[[' + one + ',' + one + ',"0","0"],["0","1","0","1"],'
+                   '["0","0","1","0"],[{"k":1,"coeffs":["2/3"]},' + last + ',"0","0"]]}')
+        assert run_cli(capsys, "verify-matrix", FERMAT_23, "2", payload) == (code, stdout)
+
     @pytest.mark.parametrize("cells,needed", [
         ([{"coeffs": ["0", "1"]}], 3**2 * 4**2),
         ([{"k": 4, "coeffs": ["1"]}, {"k": 6, "coeffs": ["1"]}], 12**2 * 4**2),

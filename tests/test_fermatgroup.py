@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gfermat import modp
 from gfermat.arrangement import StandardParameter, is_standard_parameter
 from gfermat.errors import BudgetExceeded
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix
@@ -31,7 +32,7 @@ from gfermat.fermatgroup import (
     subgroup_acts_freely,
 )
 from gfermat.modaction import act, orbit_and_stabilizer
-from gfermat.modp import split_prime
+from gfermat.modp import split_primes
 from tests import oracles
 from tests.conftest import nonzero_rationals, rand_fraction, tables
 from tests.oracles import arrangement_of, random_parameter
@@ -402,7 +403,7 @@ class TestFreeActions:
         have a level set of n+1-d = 3 coordinates, and the lesser is reported."""
         t = GfmType(1, 3, 3)
         gens = [GroupElement(3, (2, 2, 2, 0))]
-        closure = _subgroup_closure(gens, 3, 3, 10)
+        closure = _subgroup_closure(gens, 3, 3)
         assert [unpack(x, 3, 3) for x in closure] == [(0, 0, 0, 0), (2, 2, 2, 0), (1, 1, 1, 0)]
         assert not oracles.acts_freely(gens[0], t)
         result = subgroup_acts_freely(gens, t)
@@ -412,43 +413,28 @@ class TestFreeActions:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 5).flatmap(lambda k: st.integers(1, 4).flatmap(
         lambda n: st.tuples(st.just(k), st.just(n), st.lists(
-            st.lists(st.integers(-k, 2 * k), min_size=n + 1, max_size=n + 1), max_size=3)))),
-           st.integers(1, 300))
-    def test_closure_matches_element_closure(self, case, budget):
-        """Closing over exponent tuples gives the subgroup (or the budget
-        refusal) that closing over validated group elements gives."""
+            st.lists(st.integers(-k, 2 * k), min_size=n + 1, max_size=n + 1), max_size=3)))))
+    def test_closure_matches_element_closure(self, case):
+        """Closing over exponent tuples gives the subgroup that closing over
+        validated group elements gives (the budget k^n refuses no subgroup)."""
         k, n, gens = case
         gens = [GroupElement(k, tuple(g)) for g in gens]
-
-        def outcome(closure):
-            try:
-                return closure(gens, k, n, budget)
-            except BudgetExceeded as exc:
-                return str(exc)
-
-        closure = outcome(_subgroup_closure)
-        if not isinstance(closure, str):
-            closure = {GroupElement(k, unpack(x, k, n)) for x in closure}
-        assert closure == outcome(oracles.subgroup_closure)
+        closure = {GroupElement(k, unpack(x, k, n)) for x in _subgroup_closure(gens, k, n)}
+        assert closure == oracles.subgroup_closure(gens, k, n, k**n)
 
     @settings(max_examples=40, deadline=None)
     @given(subgroup_cases())
     def test_packed_closure_is_the_coset_closure(self, case):
         """Decoded, the packed closure is the tuple coset closure element by
-        element and in order, and every budget 1..300 gives both the same
-        refusal text or the same subgroup."""
+        element and in order, for every subgroup of order up to 300 (past
+        its budget, ``subgroup_acts_freely`` forms no element)."""
         k, n, _, gens = case
         gens = [GroupElement(k, tuple(g)) for g in gens]
-        for budget in range(1, 301):
-            try:
-                expected = oracles.coset_closure(gens, k, n, budget)
-            except BudgetExceeded as exc:
-                with pytest.raises(BudgetExceeded) as ours:
-                    _subgroup_closure(gens, k, n, budget)
-                assert str(ours.value) == str(exc)
-                continue
-            closure = _subgroup_closure(gens, k, n, budget)
-            assert [unpack(x, k, n) for x in closure] == expected
+        try:
+            expected = oracles.coset_closure(gens, k, n, 300)
+        except BudgetExceeded:
+            return
+        assert [unpack(x, k, n) for x in _subgroup_closure(gens, k, n)] == expected
 
     @settings(max_examples=200, deadline=None)
     @given(subgroup_cases(), st.integers(1, 300))
@@ -470,7 +456,7 @@ class TestFreeActions:
         expected = outcome(oracles.subgroup_acts_freely)
         assert outcome(subgroup_acts_freely) == expected
         if not isinstance(expected, str):
-            closure = _subgroup_closure(gens, k, n, budget)
+            closure = _subgroup_closure(gens, k, n)
             assert unpack(closure[0], k, n) == (0,) * (n + 1)
             assert len(set(closure)) == len(closure) == expected[2]
 
@@ -514,7 +500,7 @@ class TestFreeActions:
             assert str(exc) == expected
             return
         for offending in (_offender_by_candidates(pivots, d, k, n),
-                          _offender_by_enumeration(gens, d, k, n, budget)):
+                          _offender_by_enumeration(gens, d, k, n)):
             assert (offending is None, offending, order) == expected
 
     def test_order_q_subgroup_past_two_words(self):
@@ -524,7 +510,7 @@ class TestFreeActions:
         nontrivial element has a fixed point and the generator is the least."""
         k, q = 2**64 + 1, 274177
         gens = [GroupElement(k, (k // q, k // q, 0))]
-        closure = _subgroup_closure(gens, k, 2, q)
+        closure = _subgroup_closure(gens, k, 2)
         assert [unpack(x, k, 2) for x in closure] == oracles.coset_closure(gens, k, 2, q)
         assert subgroup_acts_freely(gens, GfmType(1, k, 2), q) == FreeActionResult(False, gens[0], q)
 
@@ -623,6 +609,19 @@ def verifier_cases(draw):
     return ExactMatrix.from_rows(matrix), par, k
 
 
+def count_det_mod(monkeypatch):
+    """The primes of the ``modp.det_mod`` calls made from now on, in order."""
+    calls = []
+    det_mod = modp.det_mod
+
+    def counting(rows, p):
+        calls.append(p)
+        return det_mod(rows, p)
+
+    monkeypatch.setattr(modp, "det_mod", counting)
+    return calls
+
+
 def verdict(verifier, case):
     """The verifier's answer, or the message of the ValueError it raises."""
     try:
@@ -663,7 +662,7 @@ class TestLinearAutomorphismVerifier:
             monomial = all(
                 sum(1 for x in matrix.row(i) if x != 0) == 1 for i in range(4)
             )
-            if monomial or matrix.det() == 0:
+            if monomial or oracles.det(matrix) == 0:
                 continue
             assert not is_linear_automorphism(matrix, par, 2)
             rejected += 1
@@ -741,7 +740,7 @@ class TestLinearAutomorphismVerifier:
                 cases.append((ExactMatrix.from_rows(rows), harmonic, 2))
         while len(cases) < 120:
             rows = [[rand_fraction(rng, 3) for _ in range(5)] for _ in range(5)]
-            if ExactMatrix.from_rows(rows).det() != 0:
+            if oracles.det(ExactMatrix.from_rows(rows)) != 0:
                 cases.append((ExactMatrix.from_rows(rows), par1(2, 3), 3))
         verdicts = [is_linear_automorphism(*case) for case in cases]
         assert verdicts == [oracles.is_linear_automorphism(*case) for case in cases]
@@ -793,8 +792,9 @@ class TestLinearAutomorphismVerifier:
 
 
 class TestSplitPrimeCertificates:
-    """The certificates modulo a split prime only ever reject; whatever they
-    cannot prove is decided by the exact checks."""
+    """A monomial matrix's span certificate modulo a split prime only ever
+    rejects; a non-monomial matrix is decided by its determinants modulo
+    split primes alone (``modp.is_singular``)."""
 
     FERMAT = StandardParameter(2, 3, ())
 
@@ -802,8 +802,8 @@ class TestSplitPrimeCertificates:
         """diag(a, 1, 1, 1) with a = 1 + p mod p, or a = (1 + p) zeta_3:
         every span equation holds mod p, yet a^k != 1, so the exact check
         rejects."""
-        p, _ = split_prime(1)
-        q, _ = split_prime(3)
+        p, _ = next(split_primes(1))
+        q, _ = next(split_primes(3))
         for first, k in ((Fraction(1 + p), 2), (CyclotomicScalar.zeta(3) * (1 + q), 3)):
             case = (ExactMatrix.from_rows(
                 [[first if c == r == 0 else Fraction(int(c == r)) for c in range(4)]
@@ -813,19 +813,55 @@ class TestSplitPrimeCertificates:
 
     def test_a_determinant_zero_mod_p_takes_the_exact_path(self):
         """det = p, and det = zeta_3 - g with g the image of zeta_3: both are
-        0 mod p and nonzero, so the matrices are rejected, not refused as
-        singular."""
-        p, _ = split_prime(1)
-        q, g = split_prime(3)
+        0 at the first split prime's first root and nonzero, so the matrices
+        are rejected, not refused as singular: the rational one by its
+        integer determinant, the cyclotomic one at the second root of Phi_3,
+        where zeta_3 - g goes to g^2 - g."""
+        p, _ = next(split_primes(1))
+        q, g = next(split_primes(3))
         for head in (Fraction(p), CyclotomicScalar.zeta(3) - g):
             rows = [[Fraction(int(c == r)) for c in range(4)] for r in range(4)]
             rows[0][:2] = [head, Fraction(1)]
             case = (ExactMatrix.from_rows(rows), self.FERMAT, 2)
-            assert ExactMatrix.from_rows(rows).det() != 0
+            assert oracles.det(ExactMatrix.from_rows(rows)) != 0
             assert is_linear_automorphism(*case) is False
             assert oracles.is_linear_automorphism(*case) is False
 
+    def test_a_determinant_in_p_z_zeta_takes_a_second_prime(self, monkeypatch):
+        """det = q zeta_3, with q the first split prime for L = 3, vanishes
+        at both roots of Phi_3 mod q; B^2 = q^2 + 1 > q^2, so a second prime
+        is taken, and its first root proves the determinant nonzero."""
+        q, _ = next(split_primes(3))
+        rows = [[Fraction(int(c == r)) for c in range(4)] for r in range(4)]
+        rows[0][:2] = [Fraction(q), Fraction(1)]
+        rows[3][3] = CyclotomicScalar.zeta(3)
+        calls = count_det_mod(monkeypatch)
+        assert is_linear_automorphism(ExactMatrix.from_rows(rows), self.FERMAT, 2) is False
+        assert calls == [q, q, next(p for p, _ in split_primes(3) if p > q)]
+
+    @pytest.mark.parametrize("singular", (False, True))
+    def test_order_one_cells_take_the_integer_determinant(self, singular):
+        """Cells of Q(zeta_1) = Q make L = 1.  With a p in the corner the
+        determinant is 0 modulo the first split prime p, so the integer
+        determinant decides: nonzero is rejected, and a repeated row is
+        refused as singular."""
+        p, _ = next(split_primes(1))
+
+        def cell(value):
+            return CyclotomicScalar.from_rational(1, value)
+
+        rows = [[cell(int(c == r)) for c in range(4)] for r in range(4)]
+        rows[0][:2] = [cell(Fraction(p, 3)), cell(Fraction(1, 3))]
+        if singular:
+            rows[3] = rows[0]
+        matrix = ExactMatrix.from_rows(rows)
+        assert (oracles.det(matrix) == 0) is singular
+        assert verdict(is_linear_automorphism, (matrix, self.FERMAT, 2)) == \
+            ("ValueError: matrix is singular" if singular else False)
+
     def test_nonsingular_matrices_take_no_exact_determinant(self, monkeypatch):
+        """Nonsingular matrices of mixed orders are rejected by one
+        determinant modulo the first split prime, at its first root."""
         rng = random.Random(11)
         cases = []
         while len(cases) < 30:
@@ -842,12 +878,11 @@ class TestSplitPrimeCertificates:
                 else CyclotomicScalar.from_rational(field, x) for x in matrix.entries))
             if oracles.det_cofactor(lifted) != 0:
                 cases.append(matrix)
-
-        def refuse(self):
-            raise AssertionError("took an exact determinant")
-
-        monkeypatch.setattr(ExactMatrix, "det", refuse)
-        assert all(is_linear_automorphism(m, self.FERMAT, 3) is False for m in cases)
+        calls = count_det_mod(monkeypatch)
+        for matrix in cases:
+            calls.clear()
+            assert is_linear_automorphism(matrix, self.FERMAT, 3) is False
+            assert len(calls) == 1
 
     def test_monomial_rejections_raise_no_power(self, monkeypatch):
         """diag(2, 1, 1, 1), and 1 + zeta_5 (no root of unity times a

@@ -1,6 +1,7 @@
 """Tests for the residues modulo a split prime behind the verifier's
 certificates."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix
-from gfermat.modp import EXACT_BELOW, det_mod, is_prime, residue, split_prime
+from gfermat.modp import EXACT_BELOW, det_mod, is_prime, is_singular, residue, split_primes
+from tests import oracles
 from tests.conftest import rand_fraction
 
 
@@ -79,7 +81,7 @@ class TestMillerRabin:
 class TestSplitPrime:
     @pytest.mark.parametrize("order", range(1, 61))
     def test_prime_is_one_mod_order_and_root_has_exact_order(self, order):
-        p, g = split_prime(order)
+        p, g = next(split_primes(order))
         assert p > 2**40 and (p - 1) % order == 0 and is_prime(p)
         assert all(pow(g, e, p) != 1 for e in range(1, order)) and pow(g, order, p) == 1
         # it is the least such prime above 2^40
@@ -89,14 +91,19 @@ class TestSplitPrime:
     def test_pinned_primes_and_roots(self):
         """The least p and the root g of the least base a are pinned, so a
         change in how g is found cannot change which g is returned."""
-        assert {order: split_prime(order) for order in SPLIT_PRIMES} == SPLIT_PRIMES
+        assert {order: next(split_primes(order)) for order in SPLIT_PRIMES} == SPLIT_PRIMES
 
     def test_skips_a_prime_dividing_a_denominator(self):
-        p, _ = split_prime(7)
+        p, _ = next(split_primes(7))
         for value in (Fraction(3, p), CyclotomicScalar(7, (1, 2, 0, 0, 0, 0), 5 * p)):
-            q, g = split_prime(7, [Fraction(1, 2), value])
+            q, g = next(split_primes(7, [Fraction(1, 2), value]))
             assert q > p and (q - 1) % 7 == 0 and is_prime(q) and pow(g, 7, q) == 1 != g
-        assert split_prime(7, [Fraction(p, 3), p]) == split_prime(7)
+        assert next(split_primes(7, [Fraction(p, 3), p])) == next(split_primes(7))
+
+    def test_yields_every_split_prime_in_order(self):
+        primes = [p for p, _ in itertools.islice(split_primes(7), 3)]
+        first = 2**40 + 1 + (-2**40) % 7
+        assert primes == [q for q in range(first, primes[-1] + 1, 7) if is_prime(q)]
 
 
 def random_scalar(rng, order):
@@ -106,16 +113,16 @@ def random_scalar(rng, order):
 
 class TestResidue:
     def test_rationals(self):
-        p, g = split_prime(1)
+        p, g = next(split_primes(1))
         assert residue(Fraction(-3, 7), p, g, 1) == -3 * pow(7, -1, p) % p
         assert residue(5, p, g, 1) == 5
-        q, h = split_prime(4)
+        q, h = next(split_primes(4))
         assert residue(CyclotomicScalar.from_rational(4, Fraction(2, 3)), q, h, 4) == \
             2 * pow(3, -1, q) % q
 
     def test_zeta_goes_to_the_root(self):
         for order in (2, 3, 5, 12):
-            p, g = split_prime(order)
+            p, g = next(split_primes(order))
             assert residue(CyclotomicScalar.zeta(order), p, g, order) == g
             assert residue(CyclotomicScalar.zeta(order, order - 1), p, g, order) == pow(g, -1, p)
 
@@ -128,7 +135,7 @@ class TestResidue:
         for _ in range(20):
             m1, m2 = rng.randint(1, 15), rng.randint(1, 15)
             order = math.lcm(m1, m2)
-            p, g = split_prime(order)
+            p, g = next(split_primes(order))
             x, y = random_scalar(rng, m1), random_scalar(rng, m2)
             rx, ry = residue(x, p, g, order), residue(y, p, g, order)
             lx, ly = x.promote(order), y.promote(order)
@@ -142,16 +149,89 @@ class TestResidue:
 class TestDetMod:
     def test_matches_exact_determinant(self):
         rng = random.Random(5)
-        p, _ = split_prime(1)
+        p, _ = next(split_primes(1))
         for size in range(1, 6):
             for _ in range(20):
                 rows = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
                 if rng.random() < 0.3 and size > 1:
                     rows[-1] = list(rows[0])
                 assert det_mod([[x % p for x in row] for row in rows], p) == \
-                    ExactMatrix.from_rows(rows).det() % p
+                    oracles.det(ExactMatrix.from_rows(rows)) % p
 
     def test_zero_mod_p_for_a_multiple_of_p(self):
-        p, _ = split_prime(1)
+        p, _ = next(split_primes(1))
         assert det_mod([[p % p, 1], [0, 1]], p) == 0
-        assert ExactMatrix.from_rows([[p, 1], [0, 1]]).det() == p
+        assert oracles.det(ExactMatrix.from_rows([[p, 1], [0, 1]])) == p
+
+
+def lift(x, order):
+    """x in Q(zeta_order), for x rational or of an order dividing it."""
+    if isinstance(x, CyclotomicScalar):
+        return x.promote(order)
+    return CyclotomicScalar.from_rational(order, x)
+
+
+class TestIsSingular:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_the_exact_determinant(self, seed):
+        """Sizes 1..5 over one or two orders up to 12 with rational cells
+        mixed in, and in about a third of them one row a rational or
+        root-of-unity multiple of another: singular exactly when the
+        Bareiss determinant in Q(zeta_L) is 0."""
+        rng = random.Random(seed)
+        verdicts = []
+        for _ in range(150):
+            size = rng.randint(1, 5)
+            orders = [rng.randint(1, 12) for _ in range(rng.randint(1, 2))]
+
+            def cell():
+                if rng.random() < 0.3:
+                    return rand_fraction(rng, 4)
+                m = rng.choice(orders)
+                degree = len(CyclotomicScalar.one(m).nums)
+                return CyclotomicScalar.from_poly(
+                    m, [rand_fraction(rng, 3) for _ in range(rng.randint(1, degree))])
+
+            rows = [[cell() for _ in range(size)] for _ in range(size)]
+            order = math.lcm(*orders)
+            if size > 1 and rng.random() < 0.4:
+                i, j = rng.sample(range(size), 2)
+                factor = rng.choice((Fraction(-1, 3), CyclotomicScalar.zeta(order, 1)))
+                rows[i] = [lift(x, order) * factor for x in rows[j]]
+            order = math.lcm(*(x.order for row in rows for x in row
+                               if isinstance(x, CyclotomicScalar)))
+            exact = oracles.det(ExactMatrix.from_rows([[lift(x, order) for x in row]
+                                                       for row in rows]))
+            verdicts.append(is_singular(rows, order))
+            assert verdicts[-1] == (exact == 0)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("order", (2, 5, 12))
+    def test_singular_stops_at_the_first_prime_product_past_the_bound(self, order, monkeypatch):
+        """A repeated row takes phi(L) determinants at each split prime,
+        until the product of the primes squared passes B^2 = prod_i sum_j
+        ||a_ij||_1^2 of the rows scaled by their denominators' lcm."""
+        rng = random.Random(order)
+        first = [CyclotomicScalar.from_poly(order, [rand_fraction(rng, 10**6) for _ in range(3)])
+                 for _ in range(3)]
+        rows = [first, [Fraction(1, 2), Fraction(0), CyclotomicScalar.zeta(order)], first]
+        bound = 1
+        for row in rows:
+            lifted = [lift(x, order) for x in row]
+            lcm = math.lcm(*(x.den for x in lifted))
+            bound *= sum((sum(map(abs, x.nums)) * (lcm // x.den)) ** 2 for x in lifted)
+        expected, product = [], 1
+        for p, _ in split_primes(order, [x for row in rows for x in row]):
+            expected += [p] * sum(math.gcd(j, order) == 1 for j in range(order))
+            product *= p * p
+            if product > bound:
+                break
+        calls = []
+
+        def counting(matrix, p):
+            calls.append(p)
+            return det_mod(matrix, p)
+
+        monkeypatch.setattr("gfermat.modp.det_mod", counting)
+        assert is_singular(rows, order)
+        assert calls == expected and len(set(calls)) > 1
