@@ -13,14 +13,20 @@ cleared to integers, and each value is one ``Fraction`` of two integers.
   table of cross-ratios of the a_i; the bracket is p - q;
 * a line rho in general position with the branch lines of a surface of type
   (2; k, n) cuts out a curve of type (k, n) through the points rho x q; the
-  bracket of two of them is rho . (q x q');
+  bracket of two of them is rho . (q x q').  A parameter in X_{n,2} already
+  has every three branch lines independent, so the augmented collection is
+  in general position exactly when the C(n+1, 2) minors through the new
+  line, the brackets rho . (q x q') = (rho x q) . q', are all nonzero;
 * the smooth conics tangent to the four canonical lines form a rational
   one-parameter family, and a line with dual point u is tangent iff
   u . adj(Q) . u = 0.  Q is symmetric, so the rows of adj(Q) are r1 x r2,
   r2 x r0, r0 x r1 for Q's rows r0, r1, r2, and det Q = r0 . (r1 x r2).
-  Four points of a conic have the cross-ratio of the chords joining them to
-  a fifth point c of it: the bracket is c . (p x q), and -t . p for the
-  chord from p to c itself, where t = Q c is the tangent at c.
+  All of it is read off the integer rows of 2sQ, s the lcm of the
+  coefficients' denominators: det and adj only gain nonzero factors, so
+  every zero test and every point up to scale stays.  Four points of a
+  conic have the cross-ratio of the chords joining them to a fifth point c
+  of it: the bracket is c . (p x q), and -t . p for the chord from p to c
+  itself, where t = Q c is the tangent at c.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from fractions import Fraction
 from .arrangement import (
     StandardParameter,
     _integer_duals,
-    is_general_position,
     is_standard_parameter,
 )
 from .errors import Frozen, NotInGeneralPosition, TangencyError
@@ -59,7 +64,7 @@ class Conic(Frozen):
         if len(coeffs) != 6:
             raise ValueError("a conic needs six coefficients")
         super().__init__(coeffs)
-        r0, r1, r2 = self.matrix().row_list()
+        r0, r1, r2 = _integer_rows(coeffs)
         if _dot(r0, _cross(r1, r2)) == 0:
             raise ValueError("the conic is singular")
 
@@ -80,6 +85,13 @@ class Conic(Frozen):
         return {"coefficients": [rational_to_string(c) for c in self.coefficients]}
 
 
+def _integer_rows(coefficients):
+    """The rows of 2sQ for the conic's matrix Q, s the lcm of the
+    coefficients' denominators: integers, and a positive multiple of Q."""
+    (a1, a2, a3, a4, a5, a6), _ = clear_denominators(coefficients)
+    return (2 * a1, a4, a5), (a4, 2 * a2, a6), (a5, a6, 2 * a3)
+
+
 def _cross(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -89,7 +101,7 @@ def _cross(u, v):
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def _coordinates(bracket, points, anchors):
@@ -157,12 +169,15 @@ def restrict_to_line(par: StandardParameter, rho, *, allow_singular: bool = Fals
     if len(rho) != 3:
         raise ValueError("the line needs a dual point in P^2")
     duals = _integer_duals(par)  # every use below is invariant under scaling a dual
-    general = is_general_position(duals + [rho], 2)
+    rho = clear_denominators(rho)[0]
+    meets = [_cross(rho, q) for q in duals]
+    # every three branch lines are independent, so only the triples through
+    # the new line are left: their minors are rho . (q x r) = (rho x q) . r
+    general = all(_dot(m, r) for i, m in enumerate(meets) for r in duals[i + 1:])
     if not general and not allow_singular:
         raise NotInGeneralPosition(
             "the line is not in general position with the branch lines"
         )
-    rho = clear_denominators(rho)[0]
     try:
         values = _coordinates(lambda q, r: _dot(rho, _cross(q, r)), duals, (0, 1, 2))
     except ZeroDivisionError as exc:
@@ -170,7 +185,7 @@ def restrict_to_line(par: StandardParameter, rho, *, allow_singular: bool = Fals
             "restriction formulas degenerate for this line"
         ) from exc
     eta = StandardParameter(1, par.n, tuple((v,) for v in values))
-    points = tuple(projective_normalize(_cross(rho, q)) for q in duals)
+    points = tuple(map(projective_normalize, meets))
     return LineRestriction(eta, points, not general)
 
 
@@ -206,8 +221,8 @@ def conic_curve_parameters(a, par: StandardParameter, anchors=(1, 2, 3)) -> Coni
     """Curve parameter attached to a surface whose lines are tangent to the
     conic of parameter ``a``.
 
-    The n+1 tangency points are the poles adj(Q) . u of the line duals u
-    (all rational).  The conic is identified with the projective line by the
+    The n+1 tangency points are the poles adj(Q) . u of the line duals u,
+    taken on integers and normalized only for the report.  The conic is identified with the projective line by the
     chords through the first anchor point; the three anchor points go to
     infinity, 0 and 1 and the remaining n-2 cross-ratio values are returned
     in index order.  No denominator vanishes: three distinct points of a
@@ -219,27 +234,26 @@ def conic_curve_parameters(a, par: StandardParameter, anchors=(1, 2, 3)) -> Coni
         raise ValueError("conic restriction starts from a surface parameter (d = 2)")
     if not is_standard_parameter(par):
         raise ValueError("parameter is not in X_{n,2}")
-    conic = tangent_conic(a)
-    adj = conic.dual_matrix()
+    r0, r1, r2 = _integer_rows(tangent_conic(a).coefficients)  # 2sQ
+    adj = (_cross(r1, r2), _cross(r2, r0), _cross(r0, r1))  # (2s)^2 adj(Q), symmetric
     duals = _integer_duals(par)  # every use below is invariant under scaling a dual
-    poles = []
+    points = []
     for j, q in enumerate(duals, start=1):
-        pole = adj.matvec(q)
+        pole = (_dot(adj[0], q), _dot(adj[1], q), _dot(adj[2], q))
         if _dot(q, pole):
             raise TangencyError(j)
         # the duals of par in X_{n,2} are pairwise non-proportional and adj(Q)
-        # is invertible, so the normalized poles are distinct tuples
-        poles.append(projective_normalize(pole))
+        # is invertible, so the poles are distinct tuples
+        points.append(pole)
     anchors = tuple(anchors)
     if len(set(anchors)) != 3 or not all(type(i) is int and 1 <= i <= par.n + 1 for i in anchors):
         raise ValueError("anchors must be three distinct 1-based indices")
-    points = [clear_denominators(p)[0] for p in poles]
     c = points[anchors[0] - 1]
-    t = clear_denominators(conic.matrix().matvec(c))[0]  # the tangent at c
+    t = (_dot(r0, c), _dot(r1, c), _dot(r2, c))  # the tangent at c
 
     def bracket(p, q):
         return -_dot(t, p) if q == c else _dot(c, _cross(p, q))
 
     values = _coordinates(bracket, points, tuple(i - 1 for i in anchors))
     eta = StandardParameter(1, par.n, tuple((v,) for v in values))
-    return ConicCurveResult(eta, tuple(poles), anchors)
+    return ConicCurveResult(eta, tuple(map(projective_normalize, points)), anchors)

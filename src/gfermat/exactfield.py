@@ -311,16 +311,6 @@ class ExactMatrix(Frozen):
     def row_list(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def matvec(self, vec) -> tuple:
-        vec = tuple(vec)
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match matrix width")
-        return tuple(
-            sum((self.entry(i, j) * vec[j] for j in range(self.cols)),
-                start=Fraction(0) * self.entry(i, 0))
-            for i in range(self.rows)
-        )
-
     def to_json(self):
         return [[rational_to_string(e) for e in self.row(i)] for i in range(self.rows)]
 

@@ -137,13 +137,15 @@ class EquationSystem(Frozen):
 
         if d < 1 or n < d + 1 or k < 2:
             raise ValueError("need d >= 1, n >= d+1, k >= 2")
-        table = tuple(tuple(Fraction(x) for x in row) for row in table)
+        table = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                      for row in table)
         if len(table) != n - d - 1 or any(len(r) != d for r in table):
             raise ValueError("table must be (n-d-1) x d")
-        rows = [[Fraction(1)] * (d + 2) + [Fraction(0)] * (n - d - 1)]
+        one, zeros = Fraction(1), (Fraction(0),) * (n - d)  # shared: a Fraction is immutable
+        rows = [(one,) * (d + 2) + zeros[1:]]
         for i, lam in enumerate(table):
-            row = list(lam) + [Fraction(1)] + [Fraction(0)] * (n - d)
-            row[d + 2 + i] = Fraction(1)  # coefficient of x_{d+3+i} in 1-based terms
+            row = [*lam, one, *zeros]
+            row[d + 2 + i] = one  # coefficient of x_{d+3+i} in 1-based terms
             rows.append(row)
         return cls(d, n, k, table, ExactMatrix.from_rows(rows))
 
@@ -593,8 +595,9 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
         from . import modp
 
         p, g = next(modp.split_primes(order, entries + list(coeff.entries)))
-        residues = [pow(modp.residue(x, p, g, order), k, p) for x in entries]
-        if not _in_span(residues, support, [[modp.residue(x, p, 1, 1) for x in row]
+        table = modp.root_powers(g, p, order)
+        residues = [pow(modp.residue(x, p, table), k, p) for x in entries]
+        if not _in_span(residues, support, [[modp.residue(x, p, table) for x in row]
                                             for row in rows], par.d, p):
             return False
     powers = []

@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain
+from operator import mul
 
 from .exactfield import cyclotomic_polynomial
 from .rational import minors
 
-__all__ = ["is_prime", "split_primes", "residue", "det_mod", "is_singular"]
+__all__ = ["is_prime", "split_primes", "root_powers", "residue", "det_mod", "is_singular"]
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # the least strong pseudoprime to all twelve bases (Sorenson and Webster,
@@ -88,18 +89,24 @@ def split_primes(order: int, values=()):
         found = _next_split_prime(order, found[0])
 
 
-def residue(x, p: int, g: int, order: int) -> int:
+def root_powers(g: int, p: int, order: int) -> list[int]:
+    """The table [g^i mod p for 0 <= i < order] that ``residue`` reads."""
+    table = [1] * order
+    for i in range(1, order):
+        table[i] = table[i - 1] * g % p
+    return table
+
+
+def residue(x, p: int, powers) -> int:
     """The image in F_p of an ``int``, a ``Fraction`` or a
-    ``CyclotomicScalar`` whose order divides ``order``, for zeta_order -> g;
-    p must not divide its denominator."""
+    ``CyclotomicScalar`` whose order divides L = len(powers), for zeta_L -> g
+    and ``powers`` the table of g^i mod p, 0 <= i < L (``root_powers``); p
+    must not divide its denominator.  A value of order m reads zeta_m^i =
+    g^(iL/m) off every (L/m)-th entry of the table."""
     nums = getattr(x, "nums", None)
     if nums is None:
         return x.numerator * pow(x.denominator, -1, p) % p
-    h = pow(g, order // x.order, p)
-    value = 0
-    for c in reversed(nums):
-        value = (value * h + c) % p
-    return value * pow(x.den, -1, p) % p
+    return sum(map(mul, nums, powers[:: len(powers) // x.order])) * pow(x.den, -1, p) % p
 
 
 def det_mod(rows, p: int) -> int:
@@ -142,9 +149,11 @@ def is_singular(rows, order: int) -> bool:
     units = [j for j in range(order) if math.gcd(j, order) == 1]
     product, bound = 1, None
     for p, g in split_primes(order, chain.from_iterable(rows)):
+        base = root_powers(g, p, order)
         for j in units:
-            h = pow(g, j, p)
-            if det_mod([[residue(x, p, h, order) for x in row] for row in rows], p):
+            # the powers of the root g^j are g^(ji mod L); L = 1 has j = 0
+            powers = list(map(base.__getitem__, map(order.__rmod__, map(j.__mul__, range(order)))))
+            if det_mod([[residue(x, p, powers) for x in row] for row in rows], p):
                 return False
         if bound is None:
             scaled = []

@@ -294,6 +294,20 @@ def _zero_like(sample):
     return sample * 0
 
 
+def matvec(matrix: ExactMatrix, vec) -> tuple:
+    """The product of ``matrix`` and the column ``vec``, each entry a sum
+    started from the zero of the row's first entry's type
+    (``ExactMatrix.matvec`` before the library stopped using it)."""
+    vec = tuple(vec)
+    if len(vec) != matrix.cols:
+        raise ValueError("vector length does not match matrix width")
+    return tuple(
+        sum((matrix.entry(i, j) * vec[j] for j in range(matrix.cols)),
+            start=Fraction(0) * matrix.entry(i, 0))
+        for i in range(matrix.rows)
+    )
+
+
 def det(matrix: ExactMatrix):
     """Determinant by fraction-free (Bareiss) elimination over the entries'
     field, the exact determinant the verifier took before split primes
@@ -358,7 +372,7 @@ def adjugate_cofactor(matrix: ExactMatrix) -> ExactMatrix:
 
 
 def _quadratic_form(matrix: ExactMatrix, vec) -> Fraction:
-    return sum(a * b for a, b in zip(vec, matrix.matvec(vec)))
+    return sum(a * b for a, b in zip(vec, matvec(matrix, vec)))
 
 
 def conic_contains(conic, point) -> bool:
@@ -454,9 +468,9 @@ def conic_by_pencil_projection(a, par: StandardParameter, anchors=(1, 2, 3)):
     adj = conic.dual_matrix()
     duals = _integer_duals(par)
     for j, q in enumerate(duals, start=1):
-        if sum(a * b for a, b in zip(q, adj.matvec(q))):
+        if sum(a * b for a, b in zip(q, matvec(adj, q))):
             raise TangencyError(j)
-    poles = [projective_normalize(adj.matvec(q)) for q in duals]
+    poles = [projective_normalize(matvec(adj, q)) for q in duals]
     if len(set(poles)) != len(poles):
         raise ValueError("tangency points are not distinct")
     anchors = tuple(anchors)
@@ -467,7 +481,7 @@ def conic_by_pencil_projection(a, par: StandardParameter, anchors=(1, 2, 3)):
 
     def pencil_line(point):
         if point == center:
-            return qmatrix.matvec(center)  # tangent line at the center
+            return matvec(qmatrix, center)  # tangent line at the center
         return _cross(center, point)
 
     pivot = next(i for i, c in enumerate(center) if c != 0)
@@ -516,13 +530,13 @@ def normalize(arr: Arrangement):
     d = arr.d
     duals = arr.duals
     base_inv = inverse(from_columns(duals[: d + 1]))
-    anchor = base_inv.matvec(duals[d + 1])
+    anchor = matvec(base_inv, duals[d + 1])
     transform = ExactMatrix.from_rows(
         [[e / a for e in base_inv.row(i)] for i, a in enumerate(anchor)]
     )
     rows = []
     for q in duals[d + 2:]:
-        image = transform.matvec(q)
+        image = matvec(transform, q)
         last = image[d]
         rows.append(tuple(image[j] / last for j in range(d)))
     return transform, StandardParameter(d, arr.n, tuple(rows))

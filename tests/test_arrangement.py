@@ -169,7 +169,7 @@ class TestNormalize:
             par = random_parameter(d, n, rng)
             transform = rand_invertible(rng, d + 1)
             moved = Arrangement(d, tuple(
-                Hyperplane(transform.matvec(q))
+                Hyperplane(oracles.matvec(transform, q))
                 for q in arrangement_of(par).duals
             ))
             _, recovered = normalize(moved)
@@ -182,13 +182,13 @@ class TestNormalize:
             par = random_parameter(d, n, rng)
             transform = rand_invertible(rng, d + 1)
             moved = Arrangement(d, tuple(
-                Hyperplane(transform.matvec(q))
+                Hyperplane(oracles.matvec(transform, q))
                 for q in arrangement_of(par).duals
             ))
             t, recovered = normalize(moved)
             canonical = arrangement_of(recovered).duals
             for q, target in zip(moved.duals, canonical):
-                assert projective_normalize(t.matvec(q)) == target
+                assert projective_normalize(oracles.matvec(t, q)) == target
 
     def test_not_in_general_position_raises(self):
         arr = Arrangement(1, (

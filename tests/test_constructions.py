@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from gfermat.arrangement import StandardParameter, is_standard_parameter
+from gfermat.arrangement import StandardParameter, is_general_position, is_standard_parameter
 from gfermat.constructions import (
     Conic,
     conic_curve_parameters,
@@ -24,6 +24,14 @@ from tests.conftest import rand_fraction
 from tests.oracles import arrangement_of, random_parameter
 
 CANONICAL_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+
+
+def big_fraction(rng, digits=30):
+    """A signed fraction whose numerator and denominator have ``digits``
+    digits each."""
+    low = 10 ** (digits - 1)
+    return Fraction(rng.choice((-1, 1)) * rng.randrange(low, 10 * low),
+                    rng.randrange(low, 10 * low))
 
 
 class TestKummer:
@@ -156,6 +164,70 @@ class TestRestrictToLine:
         assert kinds["the line is not in general position with the branch lines"] >= 100
         assert kinds["cannot normalize the zero vector"] >= 1
 
+    def test_matches_closed_form_reference_at_large_heights(self):
+        """The same comparison with duals rho of 30-digit fractions: a
+        generic line, a line through the crossing of two branch lines, and
+        a rescaled branch line, with and without ``allow_singular``."""
+        rng = random.Random(20261022)
+        kinds = Counter()
+        for _ in range(40):
+            n = rng.randint(3, 7)
+            par = random_parameter(2, n, rng)
+            duals = oracles.integer_duals(par)
+            q, r = rng.sample(duals, 2)
+            alpha, beta = big_fraction(rng), big_fraction(rng)
+            lines = [
+                tuple(big_fraction(rng) for _ in range(3)),
+                tuple(alpha * x + beta * y for x, y in zip(q, r)),
+                tuple(alpha * x for x in q),
+            ]
+            for rho in lines:
+                for allow in (False, True):
+                    got = oracles.outcome(restrict_to_line, par, rho, allow_singular=allow)
+                    want = oracles.outcome(oracles.restrict_by_closed_forms, par, rho,
+                                           allow_singular=allow)
+                    assert got == want
+                    kinds[("singular" if got[2].singular else "clean") if got[0] == "value"
+                          else got[2]] += 1
+        assert kinds["clean"] >= 70 and kinds["singular"] >= 20
+        assert kinds["restriction formulas degenerate for this line"] >= 20
+        assert kinds["the line is not in general position with the branch lines"] >= 40
+
+    def test_singular_flag_is_the_augmented_general_position(self):
+        """``singular`` reads only the brackets rho . (q x r) through the
+        new line; it is the old sweep of every minor of the branch lines
+        and the new line together, and without ``allow_singular`` exactly
+        the lines it tags are refused."""
+        rng = random.Random(20261024)
+        tagged = Counter()
+        for _ in range(120):
+            n = rng.randint(3, 8)
+            par = random_parameter(2, n, rng, bound=rng.choice((3, 10**30)))
+            duals = oracles.integer_duals(par)
+            kind = rng.randrange(3)
+            if kind == 0:
+                rho = tuple(rng.randint(-3, 3) for _ in range(3))
+            elif kind == 1:
+                rho = tuple(big_fraction(rng) for _ in range(3))
+            else:
+                q, r = rng.sample(duals, 2)
+                alpha, beta = big_fraction(rng), rand_fraction(rng, 4)
+                rho = tuple(alpha * x + beta * y for x, y in zip(q, r))
+            if not any(rho):
+                continue
+            general = is_general_position(duals + [rho], 2)
+            got = oracles.outcome(restrict_to_line, par, rho, allow_singular=True)
+            if got[0] == "value":
+                assert got[2].singular == (not general)
+                tagged[got[2].singular] += 1
+            strict = oracles.outcome(restrict_to_line, par, rho)
+            if not general:
+                assert strict[:2] == ("raised", NotInGeneralPosition)
+                assert strict[2] == "the line is not in general position with the branch lines"
+            else:
+                assert strict == got
+        assert tagged[True] >= 20 and tagged[False] >= 20
+
     def test_points_lie_on_line_and_branch_lines(self):
         rng = random.Random(14)
         par = random_parameter(2, 5, rng)
@@ -265,6 +337,19 @@ class TestConicClosedForms:
             assert conic.dual_matrix() == oracles.adjugate_cofactor(matrix)
         assert 100 <= singular <= len(tuples) - 100
 
+    def test_singularity_at_large_heights(self):
+        """The integer rows 2sQ decide singularity for coefficients of
+        30-digit fractions: a product of two linear forms is refused, and
+        the rest agree with the cofactor determinant."""
+        rng = random.Random(20261026)
+        for _ in range(40):
+            (a, b, c), (e, f, g) = [[big_fraction(rng) for _ in range(3)] for _ in range(2)]
+            with pytest.raises(ValueError, match="singular"):
+                Conic((a * e, b * f, c * g, a * f + b * e, a * g + c * e, b * g + c * f))
+            coeffs = tuple(big_fraction(rng) for _ in range(6))
+            assert oracles.det_cofactor(symmetric_matrix(coeffs)) != 0
+            assert Conic(coeffs).dual_matrix() == oracles.adjugate_cofactor(symmetric_matrix(coeffs))
+
 
 class TestIsTangent:
     def test_hand_expanded_example(self):
@@ -296,8 +381,8 @@ def fifth_tangent_line(a, t):
     adj = tangent_conic(a).dual_matrix()
     e1 = (Fraction(1), Fraction(0), Fraction(0))
     v = (Fraction(0), Fraction(1), Fraction(t))
-    quad = sum(x * y for x, y in zip(v, adj.matvec(v)))
-    lin = sum(x * y for x, y in zip(e1, adj.matvec(v)))
+    quad = sum(x * y for x, y in zip(v, oracles.matvec(adj, v)))
+    lin = sum(x * y for x, y in zip(e1, oracles.matvec(adj, v)))
     if quad == 0:
         raise ValueError("direction meets the dual conic at infinity")
     s = -2 * lin / quad
@@ -394,6 +479,41 @@ class TestConicCurveParameters:
             kinds[got[0] if got[0] == "value" else got[1]] += 1
         assert kinds["value"] == sum(math.perm(par.n + 1, 3) for _, par in tables)
         assert kinds[ValueError] == 6 and kinds[TangencyError] == 1
+
+    def test_matches_pencil_projection_reference_at_large_heights(self):
+        """Outcomes equal the pencil-projection reference for a of 30-digit
+        numerator and denominator, so the scale s of the integer rows 2sQ
+        has about 60 digits, with tangent lines through directions of
+        30-digit fractions for n = 3..6, over every ordered anchor triple,
+        and on a line that is not tangent."""
+        rng = random.Random(20261025)
+        tables = []
+        while len(tables) < 4:
+            a, n = big_fraction(rng), 3 + len(tables)
+            try:
+                lines = [fifth_tangent_line(a, big_fraction(rng)) for _ in range(n - 3)]
+            except (ValueError, ZeroDivisionError):
+                continue
+            if any(u[2] == 0 for u in lines):
+                continue
+            par = StandardParameter(2, n, tuple((u[0] / u[2], u[1] / u[2]) for u in lines))
+            if is_standard_parameter(par):
+                tables.append((a, par))
+        assert all(len(str(abs(a.numerator))) >= 30 and len(str(a.denominator)) >= 30
+                   for a, _ in tables)
+        calls = [(a, par, anchors) for a, par in tables
+                 for anchors in itertools.permutations(range(1, par.n + 2), 3)]
+        a, par = tables[-1]
+        secant = StandardParameter(2, par.n, par.rows[:-1] + ((par.rows[-1][0] + 1,
+                                                               par.rows[-1][1]),))
+        calls.append((a, secant, (1, 2, 3)))
+        kinds = Counter()
+        for a, par, anchors in calls:
+            got = oracles.outcome(conic_curve_parameters, a, par, anchors)
+            assert got == oracles.outcome(oracles.conic_by_pencil_projection, a, par, anchors)
+            kinds[got[0] if got[0] == "value" else got[1]] += 1
+        assert kinds["value"] == sum(math.perm(par.n + 1, 3) for _, par in tables)
+        assert kinds[TangencyError] == 1
 
     def test_tangency_points_lie_on_conic_and_lines(self):
         par = StandardParameter(2, 3, ())

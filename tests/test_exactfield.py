@@ -307,7 +307,7 @@ class TestSolveLinear:
             size = rng.randint(1, 5)
             matrix = rand_invertible(rng, size)
             x = tuple(rand_fraction(rng) for _ in range(size))
-            result = oracles.solve_linear(matrix, matrix.matvec(x))
+            result = oracles.solve_linear(matrix, oracles.matvec(matrix, x))
             assert result.status == "unique"
             assert result.solution == x
 

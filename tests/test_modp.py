@@ -9,7 +9,15 @@ from fractions import Fraction
 import pytest
 
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix
-from gfermat.modp import EXACT_BELOW, det_mod, is_prime, is_singular, residue, split_primes
+from gfermat.modp import (
+    EXACT_BELOW,
+    det_mod,
+    is_prime,
+    is_singular,
+    residue,
+    root_powers,
+    split_primes,
+)
 from tests import oracles
 from tests.conftest import rand_fraction
 
@@ -114,17 +122,23 @@ def random_scalar(rng, order):
 class TestResidue:
     def test_rationals(self):
         p, g = next(split_primes(1))
-        assert residue(Fraction(-3, 7), p, g, 1) == -3 * pow(7, -1, p) % p
-        assert residue(5, p, g, 1) == 5
+        assert residue(Fraction(-3, 7), p, root_powers(g, p, 1)) == -3 * pow(7, -1, p) % p
+        assert residue(5, p, root_powers(g, p, 1)) == 5
         q, h = next(split_primes(4))
-        assert residue(CyclotomicScalar.from_rational(4, Fraction(2, 3)), q, h, 4) == \
-            2 * pow(3, -1, q) % q
+        assert residue(CyclotomicScalar.from_rational(4, Fraction(2, 3)), q,
+                       root_powers(h, q, 4)) == 2 * pow(3, -1, q) % q
 
     def test_zeta_goes_to_the_root(self):
         for order in (2, 3, 5, 12):
             p, g = next(split_primes(order))
-            assert residue(CyclotomicScalar.zeta(order), p, g, order) == g
-            assert residue(CyclotomicScalar.zeta(order, order - 1), p, g, order) == pow(g, -1, p)
+            powers = root_powers(g, p, order)
+            assert residue(CyclotomicScalar.zeta(order), p, powers) == g
+            assert residue(CyclotomicScalar.zeta(order, order - 1), p, powers) == pow(g, -1, p)
+
+    def test_powers_table(self):
+        for order in (1, 2, 7, 12):
+            p, g = next(split_primes(order))
+            assert root_powers(g, p, order) == [pow(g, i, p) for i in range(order)]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_respects_sum_and_product_in_mixed_orders(self, seed):
@@ -136,14 +150,31 @@ class TestResidue:
             m1, m2 = rng.randint(1, 15), rng.randint(1, 15)
             order = math.lcm(m1, m2)
             p, g = next(split_primes(order))
+            powers = root_powers(g, p, order)
             x, y = random_scalar(rng, m1), random_scalar(rng, m2)
-            rx, ry = residue(x, p, g, order), residue(y, p, g, order)
+            rx, ry = residue(x, p, powers), residue(y, p, powers)
             lx, ly = x.promote(order), y.promote(order)
-            assert residue(lx, p, g, order) == rx and residue(ly, p, g, order) == ry
-            assert residue(lx + ly, p, g, order) == (rx + ry) % p
-            assert residue(lx * ly, p, g, order) == rx * ry % p
+            assert residue(lx, p, powers) == rx and residue(ly, p, powers) == ry
+            assert residue(lx + ly, p, powers) == (rx + ry) % p
+            assert residue(lx * ly, p, powers) == rx * ry % p
             c = rand_fraction(rng, 9)
-            assert residue(x * c, p, g, order) == rx * residue(c, p, g, order) % p
+            assert residue(x * c, p, powers) == rx * residue(c, p, powers) % p
+
+    @pytest.mark.parametrize("order", (5, 12, 15))
+    def test_matches_horner_at_every_root(self, order):
+        """At every root g^j of Phi_L, the table read of ``residue`` is the
+        Horner evaluation of the value's coefficients at g^(jL/m)."""
+        rng = random.Random(order)
+        p, g = next(split_primes(order))
+        for m in (m for m in range(1, order + 1) if order % m == 0):
+            x = random_scalar(rng, m)
+            for j in (j for j in range(order) if math.gcd(j, order) == 1):
+                h = pow(g, j * (order // m), p)
+                value = 0
+                for c in reversed(x.nums):
+                    value = (value * h + c) % p
+                powers = root_powers(pow(g, j, p), p, order)
+                assert residue(x, p, powers) == value * pow(x.den, -1, p) % p
 
 
 class TestDetMod:
