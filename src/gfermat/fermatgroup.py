@@ -24,7 +24,8 @@ holds at least n+1-d of its coordinates, so the least offender is the
 least such nonzero canonical vector in H.  There are at most
 k sum_{t<=d} C(n, t) (k-1)^t of these candidates, whatever H is, and each
 takes one reduction along the basis; when that costs more than H, the
-elements of H are enumerated and scanned in order instead.
+sums sum_i q_i row_i, 0 <= q_i < k/h_i, are formed and scanned instead,
+each element once: two sums differ at the first pivot where the q do.
 
 Both paths pack each canonical exponent vector into one integer:
 coordinate j is digit n-j, w bits wide with M = 2^(w-1) >= 2k-1, so
@@ -315,25 +316,19 @@ def _pack(digits, w: int) -> int:
     return packed
 
 
-def _subgroup_closure(generators, k: int, n: int) -> list[int]:
-    """The generated subgroup as packed canonical exponent vectors (module
-    docstring; the last exponent is 0, so a product is the digitwise sum
-    mod k), identity first, each formed once: a generator g outside the
-    group H built so far appends the cosets H+g, H+2g, ... until a multiple
-    of g falls back into H (its order passed the budget check before)."""
+def _subgroup_closure(pivots, k: int, n: int) -> list[int]:
+    """The subgroup with basis ``pivots`` as packed canonical exponent
+    vectors (module docstring), identity first: pivot i appends the
+    elements so far plus row_i, plus 2 row_i, ..., reduced digitwise mod k."""
     w, ones = _packing(k, n)
     high, shift = ones << (w - 1), w - 1
     off = high - k * ones
     elements = [0]
-    members = {0}
-    for g in generators:
-        packed = _pack(g.exponents, w)
-        coset = elements[:]
-        while (first := (s := coset[0] + packed) - ((s + off & high) >> shift) * k) not in members:
-            coset = [first] + [(s := h + packed) - ((s + off & high) >> shift) * k
-                               for h in coset[1:]]
-            elements += coset
-            members.update(coset)
+    for _, h, row in pivots:
+        g = _pack(row, w) << w  # the row holds the first n exponents, 0 last
+        for i in range(len(elements) * (k // h - 1)):
+            s = elements[i] + g
+            elements.append(s - ((s + off & high) >> shift) * k)
     return elements
 
 
@@ -341,14 +336,20 @@ def _triangular_basis(generators, k: int, n: int, budget: int):
     """(pivots, order) of the generated subgroup H = L / kZ^n, with L the
     lattice spanned by kZ^n and the first n canonical exponents of the
     generators, refused with ``BudgetExceeded`` as soon as the order passes
-    the budget, before any element is formed.
+    the budget, before any element is formed; the one reader of the
+    generators.
 
     Column c runs Euclid over k e_c and the rows that are nonzero at c.  The
     pivot row keeps h = gcd(k, column c) at c; every leftover row is 0 at c
     and passes on, among them +-(k/h) times a row, nonzero for composite k
     only.  A pivot (c, h, row) multiplies the order by k/h >= 2, so rows
     are combined at no more than log2(budget) columns."""
-    rows = [list(g.exponents[:n]) for g in generators if any(g.exponents)]
+    rows = []
+    for g in generators:
+        if g.k != k or g.n != n:
+            raise ValueError("generator does not match the type")
+        if any(g.exponents):
+            rows.append(list(g.exponents[:n]))
     pivots, order = [], 1
     for c in range(n):
         if not rows:
@@ -433,13 +434,13 @@ def _offender_by_candidates(pivots, d: int, k: int, n: int) -> GroupElement | No
     return None
 
 
-def _offender_by_enumeration(generators, d: int, k: int, n: int) -> GroupElement | None:
+def _offender_by_enumeration(pivots, d: int, k: int, n: int) -> GroupElement | None:
     """The least offender by closure, sort and scan: the elements are
     scanned in integer order, which is exponent order, up to the first one
     with a fixed point.  An element has one when, for the level l of one of
     its first d+1 coordinates, at most d digits of element XOR l ONES are
     nonzero (module docstring)."""
-    elements = _subgroup_closure(generators, k, n)
+    elements = _subgroup_closure(pivots, k, n)
     w, ones = _packing(k, n)
     high, digit = ones << (w - 1), (1 << w) - 1
     low = high - ones
@@ -468,18 +469,15 @@ def subgroup_acts_freely(
     long level set, each reduced along the basis
     (``_offender_by_candidates``), when their count times the pivot count
     is below twice the order (a reduction step costs about half of an
-    enumerated element); otherwise the enumeration of the subgroup
+    enumerated element); otherwise the subgroup formed from the basis
     (``_offender_by_enumeration``).
     """
     d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
-    for g in generators:
-        if g.k != k or g.n != n:
-            raise ValueError("generator does not match the type")
     pivots, order = _triangular_basis(generators, k, n, budget)
     if _candidate_count(d, k, n) * len(pivots) < 2 * order:
         offending = _offender_by_candidates(pivots, d, k, n)
     else:
-        offending = _offender_by_enumeration(generators, d, k, n)
+        offending = _offender_by_enumeration(pivots, d, k, n)
     return FreeActionResult(offending is None, offending, order)
 
 

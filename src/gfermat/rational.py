@@ -53,12 +53,12 @@ def rational_to_string(value: Fraction) -> str:
 
 def projective_normalize(vec) -> tuple:
     """Scale a nonzero vector so its first nonzero entry is 1 (idempotent).
-    An ``int`` pivot becomes a ``Fraction`` first, so no division rounds."""
+    An ``int`` pivot divides as ``Fraction(x, pivot)``, so no division rounds."""
     vec = tuple(vec)
     for entry in vec:
         if entry != 0:
             if type(entry) is int:
-                entry = Fraction(entry)
+                return tuple([Fraction(x, entry) for x in vec])
             return tuple(x / entry for x in vec)
     raise ValueError("cannot normalize the zero vector")
 

@@ -22,7 +22,9 @@ replaced, the integer dual points cleared through ``clear_denominators``
 (``integer_duals``) before they were read straight off the ``Fraction``
 rows, the subgroup closure
 over validated group elements and the freeness scan over its sorted
-elements that the coset enumeration replaced, the lattice-box convolution
+elements that the coset enumeration replaced, that coset enumeration on
+exponent tuples (``coset_closure``) before the sums of the triangular
+basis rows replaced it, the lattice-box convolution
 that the closed-form section count replaced, and the automorphism verifier
 as it was before the coefficient-matrix read-off replaced it: every entry
 lifted to one cyclotomic field, a rank check, each monomial entry raised to
@@ -31,7 +33,9 @@ test by Gaussian elimination (``rank``, ``solve_linear`` and
 ``LinearSolveResult``, moved here from the library), and the ``Fraction``
 cyclotomic field that the integer one replaced (a residue with ``Fraction``
 coefficients, inverted by the extended Euclidean algorithm and promoted by
-one multiplication per coefficient).  Pivot divisions are
+one multiplication per coefficient), and ``projective_normalize`` as it
+divided by a ``Fraction`` pivot (``normalize_by_fraction_pivot``) before an
+``int`` pivot divided as ``Fraction(x, pivot)``.  Pivot divisions are
 exact on ``int`` entries too.  ``submatrix``, ``from_columns``, ``identity``
 and ``matmul`` are the matrix helpers the tests need and the library does
 not.  Moved here from the library, where no verb used them: the deck
@@ -92,6 +96,18 @@ from gfermat.rational import clear_denominators, projective_normalize, rational_
 def _divide(x, y):
     """x / y, as a Fraction when both are ``int`` (where ``/`` would round)."""
     return Fraction(x, y) if type(x) is int and type(y) is int else x / y
+
+
+def normalize_by_fraction_pivot(vec) -> tuple:
+    """The vector over its first nonzero entry, that pivot made a
+    ``Fraction`` first when it is an ``int``."""
+    vec = tuple(vec)
+    for entry in vec:
+        if entry != 0:
+            if type(entry) is int:
+                entry = Fraction(entry)
+            return tuple(x / entry for x in vec)
+    raise ValueError("cannot normalize the zero vector")
 
 
 def submatrix(matrix: ExactMatrix, row_idx, col_idx) -> ExactMatrix:
@@ -863,8 +879,9 @@ def subgroup_closure(generators, k: int, n: int, budget: int):
 
 
 def coset_closure(generators, k: int, n: int, budget: int) -> list:
-    """The coset enumeration on canonical exponent tuples, in the library's
-    order: identity first, then for each generator g outside the group H
+    """The coset enumeration on canonical exponent tuples, in the order the
+    library formed them before it formed the sums of the triangular basis
+    rows: identity first, then for each generator g outside the group H
     built so far the cosets H+g, H+2g, ... until a multiple of g falls back
     into H; a coset that would pass the budget is refused before it is built."""
     elements = [(0,) * (n + 1)]

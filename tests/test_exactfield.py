@@ -266,6 +266,25 @@ class TestProjectiveNormalize:
         pivot = next(x for x in vec if x)
         assert got == tuple(Fraction(x, pivot) for x in vec)
 
+    @given(st.lists(st.one_of(st.integers(-BIG, BIG), st.fractions(max_denominator=BIG)),
+                    min_size=1, max_size=5).filter(any),
+           st.integers(0, 3))
+    @example([7, Fraction(-3, 4)], 2)
+    @example([Fraction(2, 3), 5], 0)
+    def test_matches_division_by_fraction_pivot(self, vec, zeros):
+        """Int, Fraction and mixed vectors, after some leading zeros: the
+        same (numerator, denominator) pairs, all Fractions, as dividing by
+        the pivot made a Fraction; the zero vector keeps its error text."""
+        vec = [0] * zeros + vec
+        got = projective_normalize(vec)
+        expected = oracles.normalize_by_fraction_pivot(vec)
+        assert all(type(x) is Fraction for x in got)
+        assert [(x.numerator, x.denominator) for x in got] == [
+            (x.numerator, x.denominator) for x in expected]
+        for normalize in (projective_normalize, oracles.normalize_by_fraction_pivot):
+            with pytest.raises(ValueError, match="^cannot normalize the zero vector$"):
+                normalize([0] * len(vec))
+
     def test_package_export_on_ints(self):
         assert gfermat.projective_normalize((3, 1)) == (Fraction(1), Fraction(1, 3))
 

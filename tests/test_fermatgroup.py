@@ -25,6 +25,7 @@ from gfermat.fermatgroup import (
     fixed_locus,
     is_linear_automorphism,
     smoothness_certificate,
+    _candidate_count,
     _offender_by_candidates,
     _offender_by_enumeration,
     _subgroup_closure,
@@ -347,11 +348,35 @@ def small_k_cases(draw):
     return k, n, d, draw(st.lists(vector, max_size=4))
 
 
+@st.composite
+def composite_cyclic_cases(draw):
+    """(k, n, d, generator vector) with composite k in {12, 30, 60} and n
+    2..6: a vector times a divisor of k, so that its order is often a
+    proper divisor of k."""
+    k = draw(st.sampled_from([12, 30, 60]))
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, n - 1))
+    q = draw(st.sampled_from([q for q in range(1, k) if k % q == 0]))
+    return k, n, d, [q * m for m in draw(st.lists(st.integers(0, k - 1), min_size=n + 1,
+                                                   max_size=n + 1))]
+
+
 def unpack(x, k, n):
     """The exponent tuple of a packed element: coordinate j is digit n-j of
     w bits, with 2^(w-1) the least power of two >= 2k-1."""
     w = (2 * k - 2).bit_length() + 1
     return tuple((x >> w * (n - j)) % 2**w for j in range(n + 1))
+
+
+def basis_closure(gens, k, n, budget):
+    """The closure formed from the triangular basis, decoded, after the
+    checks that it starts with the identity and forms each of the basis
+    order's elements once."""
+    pivots, order = _triangular_basis(gens, k, n, budget)
+    closure = [unpack(x, k, n) for x in _subgroup_closure(pivots, k, n)]
+    assert closure[0] == (0,) * (n + 1)
+    assert len(set(closure)) == len(closure) == order
+    return closure
 
 
 class TestFreeActions:
@@ -399,15 +424,24 @@ class TestFreeActions:
         assert result.offending == gens[0]
 
     def test_least_offender_is_not_the_first_formed(self):
-        """The closure forms g = (2, 2, 2, 0) before 2g = (1, 1, 1, 0); both
-        have a level set of n+1-d = 3 coordinates, and the lesser is reported."""
+        """g = (2, 2, 2, 0) and (0, 0, 1, 0) generate 9 elements: the closure
+        forms the first pivot row 2g = (1, 1, 1, 0) right after the identity
+        and (0, 0, 1, 0) later; both have a level set of n+1-d = 3
+        coordinates, and the lesser is reported.  Alone, g and 2g both have
+        one, and the lesser 2g is reported."""
         t = GfmType(1, 3, 3)
-        gens = [GroupElement(3, (2, 2, 2, 0))]
-        closure = _subgroup_closure(gens, 3, 3)
-        assert [unpack(x, 3, 3) for x in closure] == [(0, 0, 0, 0), (2, 2, 2, 0), (1, 1, 1, 0)]
-        assert not oracles.acts_freely(gens[0], t)
+        g = GroupElement(3, (2, 2, 2, 0))
+        gens = [g, GroupElement(3, (0, 0, 1, 0))]
+        closure = basis_closure(gens, 3, 3, 10)
+        assert closure[:4] == [(0, 0, 0, 0), (1, 1, 1, 0), (2, 2, 2, 0), (0, 0, 1, 0)]
+        assert not oracles.acts_freely(GroupElement(3, closure[1]), t)
+        assert set(closure) == set(oracles.coset_closure(gens, 3, 3, 10))
         result = subgroup_acts_freely(gens, t)
         assert result == oracles.subgroup_acts_freely(gens, t, 10)
+        assert result.offending == GroupElement(3, (0, 0, 1, 0))
+        assert not oracles.acts_freely(g, t)
+        result = subgroup_acts_freely([g], t)
+        assert result == oracles.subgroup_acts_freely([g], t, 10)
         assert result.offending == GroupElement(3, (1, 1, 1, 0))
 
     @settings(max_examples=60, deadline=None)
@@ -415,33 +449,36 @@ class TestFreeActions:
         lambda n: st.tuples(st.just(k), st.just(n), st.lists(
             st.lists(st.integers(-k, 2 * k), min_size=n + 1, max_size=n + 1), max_size=3)))))
     def test_closure_matches_element_closure(self, case):
-        """Closing over exponent tuples gives the subgroup that closing over
-        validated group elements gives (the budget k^n refuses no subgroup)."""
+        """Forming the sums of the basis rows gives the subgroup that closing
+        over validated group elements gives (the budget k^n refuses no
+        subgroup), identity first and each element once."""
         k, n, gens = case
         gens = [GroupElement(k, tuple(g)) for g in gens]
-        closure = {GroupElement(k, unpack(x, k, n)) for x in _subgroup_closure(gens, k, n)}
+        closure = {GroupElement(k, x) for x in basis_closure(gens, k, n, k**n)}
         assert closure == oracles.subgroup_closure(gens, k, n, k**n)
 
     @settings(max_examples=40, deadline=None)
     @given(subgroup_cases())
     def test_packed_closure_is_the_coset_closure(self, case):
-        """Decoded, the packed closure is the tuple coset closure element by
-        element and in order, for every subgroup of order up to 300 (past
-        its budget, ``subgroup_acts_freely`` forms no element)."""
+        """Decoded, the packed closure is the tuple coset closure as a set,
+        identity first and each element once, for every subgroup of order
+        up to 300 (past its budget, ``subgroup_acts_freely`` forms no
+        element)."""
         k, n, _, gens = case
         gens = [GroupElement(k, tuple(g)) for g in gens]
         try:
             expected = oracles.coset_closure(gens, k, n, 300)
         except BudgetExceeded:
             return
-        assert [unpack(x, k, n) for x in _subgroup_closure(gens, k, n)] == expected
+        assert set(basis_closure(gens, k, n, 300)) == set(expected)
 
     @settings(max_examples=200, deadline=None)
     @given(subgroup_cases(), st.integers(1, 300))
     def test_subgroup_acts_freely_matches_oracle(self, case, budget):
-        """The coset scan gives the oracle's (free, offending, order) or its
-        budget refusal text, over empty, repeated, trivial and non-canonical
-        generator lists; the closure forms each element once, identity first."""
+        """The basis and the path it selects give the oracle's (free,
+        offending, order) or its budget refusal text, over empty, repeated,
+        trivial and non-canonical generator lists; the closure is the
+        oracle's subgroup, formed identity first and each element once."""
         k, n, d, gens = case
         t = GfmType(d, k, n)
         gens = [GroupElement(k, tuple(g)) for g in gens]
@@ -456,9 +493,8 @@ class TestFreeActions:
         expected = outcome(oracles.subgroup_acts_freely)
         assert outcome(subgroup_acts_freely) == expected
         if not isinstance(expected, str):
-            closure = _subgroup_closure(gens, k, n)
-            assert unpack(closure[0], k, n) == (0,) * (n + 1)
-            assert len(set(closure)) == len(closure) == expected[2]
+            closure = {GroupElement(k, x) for x in basis_closure(gens, k, n, budget)}
+            assert closure == oracles.subgroup_closure(gens, k, n, budget)
 
     @settings(max_examples=200, deadline=None)
     @given(small_k_cases(), st.integers(1, 500))
@@ -500,8 +536,24 @@ class TestFreeActions:
             assert str(exc) == expected
             return
         for offending in (_offender_by_candidates(pivots, d, k, n),
-                          _offender_by_enumeration(gens, d, k, n)):
+                          _offender_by_enumeration(pivots, d, k, n)):
             assert (offending is None, offending, order) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(composite_cyclic_cases())
+    def test_cyclic_enumeration_at_composite_k(self, case):
+        """On a cyclic subgroup at composite k, where the selection rule
+        picks the enumeration path, that path gives the oracle's (free,
+        offending); the basis may hold a pivot below k with a leftover row."""
+        k, n, d, g = case
+        t = GfmType(d, k, n)
+        gens = [GroupElement(k, tuple(g))]
+        pivots, order = _triangular_basis(gens, k, n, k)
+        assume(_candidate_count(d, k, n) * len(pivots) >= 2 * order)
+        result = oracles.subgroup_acts_freely(gens, t, k)
+        offending = _offender_by_enumeration(pivots, d, k, n)
+        assert (offending is None, offending, order) == (
+            result.free, result.offending, result.subgroup_order)
 
     def test_order_q_subgroup_past_two_words(self):
         """k = 2^64 + 1 = 274177 * 67280421310721 (2k - 2 is a power of two):
@@ -510,8 +562,7 @@ class TestFreeActions:
         nontrivial element has a fixed point and the generator is the least."""
         k, q = 2**64 + 1, 274177
         gens = [GroupElement(k, (k // q, k // q, 0))]
-        closure = _subgroup_closure(gens, k, 2)
-        assert [unpack(x, k, 2) for x in closure] == oracles.coset_closure(gens, k, 2, q)
+        assert set(basis_closure(gens, k, 2, q)) == set(oracles.coset_closure(gens, k, 2, q))
         assert subgroup_acts_freely(gens, GfmType(1, k, 2), q) == FreeActionResult(False, gens[0], q)
 
     def test_refusal_text_at_small_budget(self):

@@ -15,10 +15,16 @@ or in ``tests/oracles.py`` uses these identities:
 - Every d: the orbifold Euler identity sum_{g in H} e(Fix g) = |H| e(P^d) =
   (d+1) k^n.  A fixed component of type (d'; k, n') contributes e of that
   type, or its k^(n') points when d' = 0.
+- Every d: Hirzebruch-Riemann-Roch, chi(O(r)) = k^(n-d) [H^d] e^(rH)
+  (H/(1-e^(-H)))^(n+1) ((1-e^(-kH))/(kH))^(n-d), the Todd class of P^n over
+  that of the normal bundle.  The twists have no intermediate cohomology
+  and h^d(O(r)) = h0(r1 - r) by Serre duality, so chi(O(r)) = h0(r) for
+  r > r1 and chi(O) = 1 + (-1)^d pg.
 
 Each is checked through the API and through the JSON of the ``invariants``
 and ``fixed-locus`` verbs, over d 1..4, k 2..5 and n from d+1 to d+5; the
-orbifold sums over the types with k^n <= 5000.
+orbifold sums over the types with k^n <= 5000, and Riemann-Roch, through
+the API alone, over n up to d+4.
 """
 
 import contextlib
@@ -26,17 +32,19 @@ import io
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from gfermat.cli import main
 from gfermat.fermatgroup import GroupElement, fixed_locus
-from gfermat.invariants import GfmType, canonical_degree, h0_twist
+from gfermat.invariants import GfmType, canonical_degree, h0_twist, hilbert_series_coefficient
 
 TYPES = [(d, k, n) for d in range(1, 5) for k in range(2, 6) for n in range(d + 1, d + 6)]
 ORBIFOLD_TYPES = [(d, k, n) for d, k, n in TYPES if k**n <= 5000]
 # the types whose every element also goes through the fixed-locus verb
 ORBIFOLD_JSON_TYPES = [(d, k, n) for d, k, n in TYPES if k**n <= 100]
+RIEMANN_ROCH_TYPES = [(d, k, n) for d, k, n in TYPES if n <= d + 4]
 
 
 def euler_of_complement(m: int, hyperplanes: int) -> int:
@@ -58,6 +66,27 @@ def euler_by_chern(d: int, k: int, n: int) -> int:
     top = sum(math.comb(n + 1, i) * (-k) ** (d - i) * math.comb(n - i - 1, d - i)
               for i in range(d + 1))
     return k ** (n - d) * top
+
+
+def series_product(a, b):
+    """The product of two power series in H, to the length of a."""
+    return [sum(a[i] * b[t - i] for i in range(t + 1)) for t in range(len(a))]
+
+
+def chi_by_riemann_roch(d: int, k: int, n: int, r: int) -> Fraction:
+    """chi(O(r)) = k^(n-d) [H^d] e^(rH) (H/(1-e^(-H)))^(n+1)
+    ((1-e^(-kH))/(kH))^(n-d), with (1-e^(-x))/x = sum_t (-x)^t/(t+1)! and
+    H/(1-e^(-H)) its inverse."""
+    shifted = [Fraction((-1) ** t, math.factorial(t + 1)) for t in range(d + 1)]
+    todd = [Fraction(1)]
+    for t in range(1, d + 1):
+        todd.append(-sum(shifted[i] * todd[t - i] for i in range(1, t + 1)))
+    series = [Fraction(r**t, math.factorial(t)) for t in range(d + 1)]
+    for _ in range(n + 1):
+        series = series_product(series, todd)
+    for _ in range(n - d):
+        series = series_product(series, [c * k**t for t, c in enumerate(shifted)])
+    return k ** (n - d) * series[d]
 
 
 def cli_json(*argv):
@@ -102,6 +131,17 @@ def test_noether_formula(d, k, n):
     assert 12 * (1 + pg) == r1**2 * k ** (n - 2) + euler_by_strata(d, k, n)
     report = cli_json("invariants", d, k, n)
     assert (report["r1"], report["pg"]) == (r1, pg)
+
+
+@pytest.mark.parametrize("d,k,n", RIEMANN_ROCH_TYPES)
+def test_riemann_roch_is_the_hilbert_series(d, k, n):
+    """Six twists past r1 and the structure sheaf: 7 checks per type."""
+    gfm_type = GfmType(d, k, n)
+    r1 = canonical_degree(gfm_type)
+    start = max(0, r1 + 1)
+    for r in range(start, start + 6):
+        assert chi_by_riemann_roch(d, k, n, r) == hilbert_series_coefficient(gfm_type, r), r
+    assert chi_by_riemann_roch(d, k, n, 0) == 1 + (-1) ** d * h0_twist(gfm_type, r1)
 
 
 @pytest.mark.parametrize("d,k,n", ORBIFOLD_TYPES)
