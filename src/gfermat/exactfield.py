@@ -246,14 +246,14 @@ class CyclotomicScalar(Frozen):
             return hash((self.order, self.nums, self.den))
         return hash(Fraction(self.nums[0], self.den))
 
-    def root_multiple(self) -> tuple[Fraction, int] | None:
-        """(c, j) with the value c zeta_k^j for a nonzero rational c, read
-        off its primitive coefficient vector, or None when it is no such
-        multiple (zero included)."""
+    def root_multiple(self) -> tuple[int, int, int] | None:
+        """(u, v, j) with the value (u/v) zeta_k^j, u/v in lowest terms and
+        v > 0, read off its primitive coefficient vector, or None when it is
+        no rational multiple of a root of unity (zero included)."""
         nonzero = [i for i, a in enumerate(self.nums) if a]
         if len(nonzero) == 1:
             j = nonzero[0]
-            return Fraction(self.nums[j], self.den), j
+            return self.nums[j], self.den, j
         if not nonzero:
             return None
         g = math.gcd(*self.nums)
@@ -263,7 +263,7 @@ class CyclotomicScalar(Frozen):
         if found is None:
             return None
         j, sign = found
-        return Fraction(sign * g, self.den), j
+        return sign * g, self.den, j
 
     def promote(self, order: int) -> CyclotomicScalar:
         """Re-express the value in the cyclotomic field of a multiple order

@@ -38,6 +38,15 @@ the correction carries into the next digit.  XOR with l ONES leaves every
 digit below M and zero exactly where it was l, and adding (M-1) ONES then
 sets the high bit of exactly the nonzero digits, again without a carry.
 
+A monomial matrix sending x_r to a_r x_s(r) maps form i, sum_r C[i][r]
+x_r^k, into the span of the forms iff, with b_r = a_r^k,
+sum_r b_r C[i][r] ([s(r) = c] - [s(r) > d] C[s(r)-d-1][c]) = 0 for every
+c <= d, since columns d+1..n of C are an identity block.  Columns 0..d of
+form i are the table's cleared dual point d+1+i over its last entry D_i,
+so each equation times M D_i, M the lcm of the D_j, has integer
+coefficients: the span conditions W, one row per (i, c) and one column per
+r.  They are linear in b, so a scaling of every b_r leaves W b = 0 as it is.
+
 The automorphism verifier works modulo the primes p = 1 + mL above 2^40
 that divide no denominator in play (``modp``), with L the lcm of the
 entries' cyclotomic orders.  Such a p splits completely in Q(zeta_L), so
@@ -48,12 +57,14 @@ mod p:
   ``modp.is_singular`` alone: a determinant nonzero at one root of Phi_L
   mod p is nonzero, and one that vanishes at every root of enough primes
   is 0 by Hadamard's bound, with no lift to Q(zeta_L);
-- a span equation of a monomial matrix that fails mod p, with a_r^k taken
-  as pow(a_r mod p, k, p), fails exactly, so the matrix is rejected.  This
-  one is skipped when every entry is +-a_0 times a root of unity, since the
+- a row of W b that is nonzero mod p, with b_r taken as
+  pow(a_r mod p, k, p), is nonzero, and the matrix is rejected (p divides
+  no D_j, so these are the equations that fail mod p).  This certificate
+  is skipped when every entry is +-a_0 times a root of unity, since the
   exact powers then cost nothing.
-Span equations that all hold mod p prove nothing, so those matrices (every
-accepted one among them) are decided by the exact check.
+Rows that all vanish mod p prove nothing, so those matrices (every
+accepted one among them) are decided exactly: each row of W b is gathered
+into integer coefficients of the powers of zeta_L.
 """
 
 from __future__ import annotations
@@ -518,34 +529,42 @@ def _power(x, e: int):
     return result
 
 
-def _root_multiple(x, order: int):
-    """(c, e) with the nonzero entry x = c zeta_order^e for a rational c,
-    or None when x is no such multiple; the order of x divides ``order``."""
-    from fractions import Fraction
+def _span_matrix(points, support, d: int) -> list[list[int]]:
+    """The integer span conditions W of a monomial substitution (module
+    docstring), read off the table's cleared dual points ``points``: point
+    d+1+i is D_i times the first d+1 coefficients of form i, D_i last."""
+    forms = points[d + 1:]
+    scale = math.lcm(*[q[d] for q in forms])
+    tails = [[scale // q[d] * x for x in q] for q in forms]  # M/D_j times point d+1+j
+    span = []
+    for i, q in enumerate(forms):
+        block = [[0] * len(support) for _ in range(d + 1)]
+        for r, x in (*enumerate(q), (d + 1 + i, q[d])):
+            c = support[r]
+            if c <= d:
+                block[c][r] = scale * x
+            else:
+                for row, y in zip(block, tails[c - d - 1]):
+                    row[r] = -x * y
+        span += block
+    return span
 
-    if not hasattr(x, "nums"):
-        return x if type(x) is Fraction else Fraction(x), 0
-    found = x.root_multiple()
-    return found and (found[0], found[1] * (order // x.order))
 
+def _span_holds(span, powers, order: int) -> bool:
+    """Whether W b = 0 for the b_r = sum c zeta_order^e over the (e, c) of
+    ``powers[r]``: each row is gathered by exponent into integers, reduced
+    modulo Phi_order only when two or more of them stay nonzero."""
+    from .exactfield import _reduce
 
-def _in_span(powers, support, rows, d: int, p: int = 0) -> bool:
-    """Whether the monomial substitution sending x_r to a_r x_support[r],
-    with ``powers`` the a_r^k, maps each form (a row of the coefficient
-    matrix, ``rows``) into the span of the forms; modulo p when p is given
-    (every value is then a residue).  Columns d+1..n of the coefficient
-    matrix are an identity block, so the image v is in the span iff v[c] =
-    sum_j v[d+1+j] C[j][c] for every c <= d."""
-    for row in rows:
-        image = [0] * len(row)
-        for r, c in enumerate(support):
-            if row[r]:
-                image[c] = powers[r] * row[r]
-        tail = [(rows[j], v) for j, v in enumerate(image[d + 1:]) if v]
-        for c in range(d + 1):
-            rhs = sum(v * form[c] for form, v in tail)
-            if (image[c] - rhs) % p if p else image[c] != rhs:
-                return False
+    for row in span:
+        gathered = [0] * order
+        for w, terms in zip(row, powers):
+            if w:
+                for e, c in terms:
+                    gathered[e] += w * c
+        live = order - gathered.count(0)
+        if live == 1 or live > 1 and _reduce(order, gathered, 1):
+            return False
     return True
 
 
@@ -558,17 +577,15 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
     ``ValueError`` when it is singular, by its determinants modulo split
     primes (``modp.is_singular``).
 
-    A monomial matrix with a span equation that fails modulo a split prime
-    (module docstring) is rejected, unless its exact powers are free.
-    Anything else monomial is decided exactly.  A monomial matrix sending
-    x_r to a_r x_c(r) sends the form sum_r C[i][r] x_r^k to the vector v
-    with v[c(r)] = a_r^k C[i][r] (``_in_span``).  Scaling the matrix scales
-    every form by the same power, so the entries are first divided by a_0
-    when a_0 is a rational multiple of a root of unity.  With L the lcm of
-    the entries' cyclotomic orders, an entry c zeta_L^j is raised as c^k
-    zeta_L^(jk mod L), a ``Fraction`` when L divides jk; any other entry is
-    raised by repeated squaring in its own field and then promoted, so every
-    power lies in Q or Q(zeta_L).
+    A monomial matrix sending x_r to a_r x_s(r) is accepted iff W b = 0,
+    b_r = a_r^k, for its span conditions W (``_span_matrix``, module
+    docstring), first tested modulo a split prime unless the exact powers
+    are free.  An entry (u/v) zeta_L^j enters b as t^k zeta_L^(jk mod L),
+    uV/v = tg with V the lcm of the v and g the gcd of the uV/v, so b is
+    scaled by (V/g)^k and t = +-1 when every entry is +-a_0 times a root of
+    unity.  Any other entry is raised by repeated squaring in its own field
+    and promoted to Q(zeta_L); then g = 1, and b is also scaled by the lcm
+    of those powers' denominators.
     """
     from .exactfield import CyclotomicScalar
 
@@ -582,34 +599,42 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
         if modp.is_singular([matrix.row(i) for i in range(matrix.rows)], order):
             raise ValueError("matrix is singular")
         return False
-    coeff = equations(par, k).coefficient_matrix
-    rows = [coeff.row(i) for i in range(coeff.rows)]
+    from .arrangement import _integer_duals
+    from .rational import minors
+
+    if k < 2:
+        raise ValueError("degree k must be >= 2")
+    points = _integer_duals(par)
+    if not all(minors(points)):
+        raise ValueError("parameter is not in X_{n,d}")
+    span = _span_matrix(points, support, par.d)
     entries = [matrix.entry(r, c) for r, c in enumerate(support)]
-    roots = [_root_multiple(x, order) for x in entries]
-    c0, e0 = roots[0] or (1, 0)
-    # the exact powers are free when every entry is +-c0 times a root of
-    # unity; otherwise a certificate may spare them
-    if any(root is None or root[0] not in (c0, -c0) for root in roots):
+    roots = []  # (u, v, j) of each entry (u/v) zeta_L^j, or None
+    for x in entries:
+        found = x.root_multiple() if hasattr(x, "nums") else (x.numerator, x.denominator, 0)
+        roots.append(found and (*found[:2], found[2] * (order // getattr(x, "order", 1))))
+    if None in roots or len({(abs(u), v) for u, v, _ in roots}) > 1:
         from . import modp
 
-        p, g = next(modp.split_primes(order, entries + list(coeff.entries)))
-        table = modp.root_powers(g, p, order)
+        p, unit = next(modp.split_primes(order, entries + [x for row in par.rows for x in row]))
+        table = modp.root_powers(unit, p, order)
         residues = [pow(modp.residue(x, p, table), k, p) for x in entries]
-        if not _in_span(residues, support, [[modp.residue(x, p, table) for x in row]
-                                            for row in rows], par.d, p):
+        if any(sum(map(int.__mul__, row, residues)) % p for row in span):
             return False
+    general = {r: _power(x, k).promote(order) for r, x in enumerate(entries) if roots[r] is None}
+    den = math.lcm(*(y.den for y in general.values()))
+    scale = math.lcm(*(root[1] for root in roots if root))
+    g = 1 if general else math.gcd(*(u * (scale // v) for u, v, _ in roots))
+    lift = scale ** k if general else 1
     powers = []
-    for x, root in zip(entries, roots):
-        if root is None:
-            power = _power(x if c0 == 1 else x * (1 / c0), k).promote(order)
-            if e0:
-                power *= CyclotomicScalar.zeta(order, -e0 * k)
+    for r, root in enumerate(roots):
+        if root:
+            u, v, j = root
+            powers.append(((j * k % order, (u * (scale // v) // g) ** k * den),))
         else:
-            power, e = (root[0] / c0) ** k, (root[1] - e0) * k % order
-            if e:
-                power = CyclotomicScalar.from_poly(order, [0] * e + [power])
-        powers.append(power)
-    return _in_span(powers, support, rows, par.d)
+            y = general[r]
+            powers.append([(e, c * (den // y.den) * lift) for e, c in enumerate(y.nums) if c])
+    return _span_holds(span, powers, order)
 
 
 # ---------------------------------------------------------------------------

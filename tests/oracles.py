@@ -30,7 +30,9 @@ as it was before the coefficient-matrix read-off replaced it: every entry
 lifted to one cyclotomic field, a rank check, each monomial entry raised to
 the k-th power by k-1 multiplications once per defining form, and a span
 test by Gaussian elimination (``rank``, ``solve_linear`` and
-``LinearSolveResult``, moved here from the library), and the ``Fraction``
+``LinearSolveResult``, moved here from the library), the span test on
+the coefficient rows of ``equations`` that the integer span conditions
+replaced (``in_span``), and the ``Fraction``
 cyclotomic field that the integer one replaced (a residue with ``Fraction``
 coefficients, inverted by the extended Euclidean algorithm and promoted by
 one multiplication per coefficient), and ``projective_normalize`` as it
@@ -1089,6 +1091,32 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
             transformed[c] = transformed[c] + factor * coeff.entry(i, r)
         if solve_linear(basis_t, transformed).status == "inconsistent":
             return False
+    return True
+
+
+def in_span(par: StandardParameter, support, powers, p: int = 0) -> bool:
+    """The span test on the coefficient rows of ``equations`` that the
+    integer span conditions W replaced: whether the monomial substitution
+    sending x_r to a_r x_support[r], with ``powers`` the a_r^k, maps each
+    form into the span of the forms; modulo p when p is given (every power
+    is then a residue).  Columns d+1..n of the coefficient matrix are an
+    identity block, so the image v is in the span iff v[c] =
+    sum_j v[d+1+j] C[j][c] for every c <= d."""
+    coeff = equations(par, 2).coefficient_matrix
+    rows = [coeff.row(i) for i in range(coeff.rows)]
+    if p:
+        rows = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in rows]
+    d = par.d
+    for row in rows:
+        image = [0] * len(row)
+        for r, c in enumerate(support):
+            if row[r]:
+                image[c] = powers[r] * row[r]
+        tail = [(rows[j], v) for j, v in enumerate(image[d + 1:]) if v]
+        for c in range(d + 1):
+            rhs = sum(v * form[c] for form, v in tail)
+            if (image[c] - rhs) % p if p else image[c] != rhs:
+                return False
     return True
 
 

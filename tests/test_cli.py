@@ -303,7 +303,7 @@ class TestExitCodes:
         (FERMAT_23, "1000000000", [["2", "0", "0", "0"], ["0", "1", "0", "0"],
                                    ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
          '{"accepted":false}\n'),
-        # a scalar matrix, divided by its first entry: every power is 1
+        # a scalar matrix, scaled by 1/2^k: every power is 1
         (FERMAT_23, "1000000000", [[str(2 * int(r == c)) for c in range(4)] for r in range(4)],
          '{"accepted":true}\n'),
         # a nonsingular 3x3 grid of dense k = 331 cells (charged 986049

@@ -130,18 +130,23 @@ class TestCyclotomicScalar:
             z3.promote(4)
 
     def test_root_multiple_reads_every_power_of_zeta(self):
-        """c zeta_k^j is read back as (c, j), or as (-c, j + k/2) for even k,
-        including the powers j >= deg(Phi_k) whose residues are dense."""
+        """(u/v) zeta_k^j is read back as (u, v, j), or as (-u, v, j + k/2)
+        for even k, with u/v in lowest terms and v > 0, including the powers
+        j >= deg(Phi_k) whose residues are dense."""
         for k in range(1, 31):
             for j in range(k):
-                for c in (Fraction(1), Fraction(-1), Fraction(-2, 3)):
+                for c in (Fraction(1), Fraction(-1), Fraction(-2, 3), Fraction(10, 4)):
                     value = CyclotomicScalar.zeta(k, j) * c
-                    assert value.root_multiple() in ((c, j), (-c, (j + k // 2) % k))
-                    got, power = value.root_multiple()
-                    assert CyclotomicScalar.zeta(k, power) * got == value
+                    u, v = c.numerator, c.denominator
+                    assert value.root_multiple() in ((u, v, j), (-u, v, (j + k // 2) % k))
+                    u, v, power = value.root_multiple()
+                    assert v > 0 and math.gcd(u, v) == 1
+                    assert CyclotomicScalar.zeta(k, power) * Fraction(u, v) == value
 
     def test_root_multiple_refuses_other_values(self):
-        assert CyclotomicScalar.from_poly(3, [1, 1]).root_multiple() == (Fraction(-1), 2)
+        assert CyclotomicScalar.from_poly(3, [1, 1]).root_multiple() == (-1, 1, 2)
+        thirds = CyclotomicScalar.from_poly(3, [Fraction(4, 6), Fraction(2, 3)])
+        assert thirds.root_multiple() == (-2, 3, 2)
         for k, coeffs in ((5, [1, 1]), (5, [2, 1]), (12, [1, 0, 1]), (7, [0])):
             assert CyclotomicScalar.from_poly(k, coeffs).root_multiple() is None
 

@@ -4,13 +4,14 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfermat import modp
-from gfermat.arrangement import StandardParameter, is_standard_parameter
+from gfermat.arrangement import StandardParameter, _integer_duals, is_standard_parameter
 from gfermat.errors import BudgetExceeded
 from gfermat.exactfield import CyclotomicScalar, ExactMatrix
 from gfermat.fermatgroup import (
@@ -28,6 +29,7 @@ from gfermat.fermatgroup import (
     _candidate_count,
     _offender_by_candidates,
     _offender_by_enumeration,
+    _span_matrix,
     _subgroup_closure,
     _triangular_basis,
     subgroup_acts_freely,
@@ -801,9 +803,9 @@ class TestLinearAutomorphismVerifier:
         """On the harmonic parameter the anti-diagonal with squares
         (1, 1, 2, 2) preserves the span at k = 2.  Scaled by 3 zeta_8, its
         entries 3 (1 + i) lie in Q(zeta_4) and are no root multiples: each
-        is divided by c0 = 3, squared there, promoted to Q(zeta_8) and
-        divided by zeta_8^2.  With 3 (1 - i) in the last slot it is
-        rejected."""
+        is squared there and promoted to Q(zeta_8), and its coefficients
+        enter W b next to the squares 9 zeta_8^2 of the others.  With
+        3 (1 - i) in the last slot it is rejected."""
         first = CyclotomicScalar.zeta(8) * 3
         for sign, accepted in ((1, True), (-1, False)):
             diagonal = [first, first, CyclotomicScalar.from_poly(4, [3, 3]),
@@ -950,7 +952,7 @@ class TestSplitPrimeCertificates:
 
     def test_scaling_by_the_first_entry_accepts_scalar_matrices(self, monkeypatch):
         """diag(2, 2, 2, 2), twisted by fourth roots of unity, is accepted at
-        k = 10^9: divided by its first entry, every power is a root of unity
+        k = 10^9: scaled by 1/2^k, every power is +-1 times a root of unity
         raised exactly, so no entry is squared."""
         monkeypatch.setattr("gfermat.fermatgroup._power", None)
         for twist in (Fraction(1), CyclotomicScalar.zeta(4), CyclotomicScalar.zeta(4, 3)):
@@ -1001,6 +1003,234 @@ class TestSplitPrimeCertificates:
         got = [verdict(is_linear_automorphism, case) for case in cases]
         assert got == [verdict(oracles.is_linear_automorphism, case) for case in cases]
         assert {True, False, "ValueError: matrix is singular"} <= set(got)
+
+
+def nullspace(rows, width):
+    """A basis of the rational kernel of ``rows`` by Gauss-Jordan elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(width):
+        pivot = next((i for i in range(len(pivots), len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        r = len(pivots)
+        a[r], a[pivot] = a[pivot], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            factor = a[i][c]
+            if i != r and factor:
+                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        v = [Fraction(0)] * width
+        v[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -a[i][free]
+        basis.append(v)
+    return basis
+
+
+def monomial(support, diagonal):
+    """The matrix sending x_r to diagonal[r] x_support[r]."""
+    rows = [[Fraction(0)] * len(support) for _ in support]
+    for r, (c, x) in enumerate(zip(support, diagonal)):
+        rows[r][c] = x
+    return ExactMatrix.from_rows(rows)
+
+
+@st.composite
+def free_power_cases(draw):
+    """(matrix, parameter, k) with every entry c0 zeta_m0^e0 s_r zeta_M^f,
+    s_r = +-1 and M in {1, k, 2k}, in the field of order lcm(m0, M), so the
+    entries mix orders, signs and Fractions; one case in two has every
+    (s_r zeta_M^f)^k = 1, so the powers are all equal.  The support is the
+    identity, or any permutation on the Fermat table."""
+    d, n, rows = draw(tables(entries=nonzero_rationals, extra=3))
+    if draw(st.booleans()):
+        n, rows = d + 1, ()
+    par = StandardParameter(d, n, rows)
+    assume(is_standard_parameter(par))
+    k = draw(st.integers(2, 7))
+    c0 = draw(st.sampled_from((Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 2))))
+    m0 = draw(st.sampled_from((1, 3, 4)))
+    e0 = draw(st.integers(0, m0 - 1))
+    aligned = draw(st.booleans())
+    diagonal = []
+    for _ in range(n + 1):
+        sign, order = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, k, 2 * k)))
+        f = draw(st.integers(0, order - 1))
+        odd = sign == -1 and k % 2 == 1  # s^k = -1
+        if aligned and order < 2 * k:
+            sign = 1 if odd else sign
+        elif aligned:
+            f = f - f % 2 + odd
+        field = math.lcm(m0, order)
+        root = CyclotomicScalar.zeta(m0, e0).promote(field) * CyclotomicScalar.zeta(order, f).promote(field)
+        diagonal.append(c0 * sign if field == 1 else root * (c0 * sign))
+    fermat = n == d + 1
+    support = draw(st.permutations(range(n + 1))) if fermat else list(range(n + 1))
+    return monomial(support, diagonal), par, k
+
+
+@st.composite
+def rational_monomial_cases(draw):
+    """(matrix, parameter, k): monomial matrices of rationals with at least
+    two absolute values, so the span certificate runs."""
+    d, n, rows = draw(tables(entries=nonzero_rationals, extra=3))
+    par = StandardParameter(d, n, rows)
+    assume(is_standard_parameter(par))
+    cell = st.sampled_from((Fraction(1), Fraction(-1), Fraction(2), Fraction(-3),
+                            Fraction(1, 2), Fraction(-5, 3)))
+    diagonal = draw(st.lists(cell, min_size=n + 1, max_size=n + 1))
+    assume(len({abs(x) for x in diagonal}) > 1)
+    support = draw(st.one_of(st.just(list(range(n + 1))), st.permutations(range(n + 1))))
+    return monomial(support, diagonal), par, draw(st.integers(2, 6))
+
+
+class TestSpanConditions:
+    """The integer span conditions W of a monomial matrix against the span
+    test on the coefficient rows (``oracles.in_span``), and each branch that
+    reads them against the lift, rank and solve reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tables(entries=nonzero_rationals, extra=4), st.data())
+    def test_span_matrix_matches_the_form_span(self, table, data):
+        """W b = 0 iff the forms' images lie in their span, exactly and mod
+        a split prime, for all-equal, random and kernel powers b."""
+        d, n, rows = table
+        par = StandardParameter(d, n, rows)
+        assume(is_standard_parameter(par))
+        support = data.draw(st.one_of(st.just(list(range(n + 1))), st.permutations(range(n + 1))))
+        span = _span_matrix(_integer_duals(par), support, d)
+        assert len(span) == (n - d) * (d + 1) and all(len(row) == n + 1 for row in span)
+        kernel = nullspace(span, n + 1)
+        candidates = [[Fraction(1)] * (n + 1), *kernel,
+                      data.draw(st.lists(nonzero_rationals, min_size=n + 1, max_size=n + 1))]
+        if kernel:
+            weights = data.draw(st.lists(st.integers(-3, 3), min_size=len(kernel),
+                                         max_size=len(kernel)))
+            candidates.append([sum(w * v[r] for w, v in zip(weights, kernel))
+                               for r in range(n + 1)])
+        p, _ = next(split_primes(1, [x for row in rows for x in row]))
+        for b in candidates:
+            exact = not any(sum(w * x for w, x in zip(row, b)) for row in span)
+            assert exact == oracles.in_span(par, support, b)
+            residues = [x.numerator * pow(x.denominator, -1, p) % p for x in b]
+            modular = not any(sum(w * x for w, x in zip(row, residues)) % p for row in span)
+            assert modular == oracles.in_span(par, support, residues, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(free_power_cases())
+    def test_free_powers_match_the_oracle(self, case):
+        """Free powers take no split prime and give the reference's verdicts."""
+        def refuse(*args):
+            raise AssertionError("took a split prime")
+
+        with mock.patch.object(modp, "split_primes", refuse):
+            got = verdict(is_linear_automorphism, case)
+        assert got == verdict(oracles.is_linear_automorphism, case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_monomial_cases())
+    def test_rational_certificates_match_the_oracle(self, case):
+        """Rational entries of two or more absolute values take the split
+        prime's certificate and give the reference's verdicts."""
+        with mock.patch.object(modp, "root_powers", wraps=modp.root_powers) as spy:
+            got = verdict(is_linear_automorphism, case)
+        assert spy.call_count == (not isinstance(got, str))
+        assert got == verdict(oracles.is_linear_automorphism, case)
+
+    def test_free_powers_keep_signs_and_mixed_orders(self):
+        """On a generic table diag(c, -c, c, c), c = 3/2 zeta_4, is accepted
+        at even k only.  zeta_6 c, of order 12, and -c, of order 4, have
+        equal cubes, read as zeta_12^3 and -zeta_12^9, so the rows of W b
+        are 0 only modulo Phi_12."""
+        par = StandardParameter(1, 3, ((Fraction(5, 7),),))
+        c = CyclotomicScalar.zeta(4) * Fraction(3, 2)
+        for k in (2, 3, 4, 5):
+            case = (monomial(range(4), [c, -c, c, c]), par, k)
+            assert is_linear_automorphism(*case) is (k % 2 == 0)
+            assert oracles.is_linear_automorphism(*case) is (k % 2 == 0)
+        z6 = CyclotomicScalar.zeta(6).promote(12) * c.promote(12)
+        minus = -c
+        for k, accepted in ((3, True), (9, True), (2, False)):
+            case = (monomial(range(4), [z6, minus, minus, z6]), par, k)
+            assert is_linear_automorphism(*case) is accepted
+            assert oracles.is_linear_automorphism(*case) is accepted
+
+    @staticmethod
+    def klein_four_lifts():
+        """(matrix, parameter, k, accepted): for each involution s of the
+        Klein four-group at (n, d) = (3, 1), the span of the forms fixes
+        b = (1, l, 1, l), (1, -1, 1 - l, l - 1) or (1, -l, 1 - l, l(l - 1)),
+        so with l chosen to make each |b_r| a square (or a fourth power),
+        a_r = b_r^(1/k) is a rational or i times one; scaled by 3/2 too,
+        and rejected with one entry tripled."""
+        i = CyclotomicScalar.zeta(4)
+        cases = []
+        for s in (Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)):
+            cases.append(((1, 0, 3, 2), s * s, [1, s, 1, s], 2))
+            cases.append(((1, 0, 3, 2), s ** 4, [1, s, 1, s], 4))
+            cases.append(((2, 3, 0, 1), 1 - s * s, [1, i, s, i * s], 2))
+        for lam, root, other in ((Fraction(9, 25), Fraction(3, 5), Fraction(4, 5)),
+                                 (Fraction(-9, 16), Fraction(3, 4) * i, Fraction(5, 4))):
+            cases.append(((3, 2, 1, 0), lam, [1, i * root, other, i * root * other], 2))
+        out = []
+        for support, lam, diagonal, k in cases:
+            par = StandardParameter(1, 3, ((lam,),))
+            for scale in (Fraction(1), Fraction(3, 2)):
+                good = [x * scale for x in diagonal]
+                bad = good[:2] + [good[2] * 3] + good[3:]
+                out.append((monomial(support, good), par, k, True))
+                out.append((monomial(support, bad), par, k, False))
+        return out
+
+    def test_klein_four_lifts_take_the_exact_powers(self, monkeypatch):
+        """Every lift passes the certificate and is accepted on its exact
+        powers; with one entry tripled the certificate rejects it."""
+        from gfermat import fermatgroup
+
+        calls = []
+        span_holds = fermatgroup._span_holds
+
+        def counting(span, powers, order):
+            calls.append(order)
+            return span_holds(span, powers, order)
+
+        monkeypatch.setattr(fermatgroup, "_span_holds", counting)
+        lifts = self.klein_four_lifts()
+        for matrix, par, k, accepted in lifts:
+            assert is_linear_automorphism(matrix, par, k) is accepted
+            assert oracles.is_linear_automorphism(matrix, par, k) is accepted
+        assert len(calls) == sum(accepted for *_, accepted in lifts) == 34
+
+    def test_the_certificate_prime_skips_table_denominators(self, monkeypatch):
+        """A table entry 1/p, p the first split prime for L = 1, moves the
+        certificate of diag(2, 1, 1, 1) to the next split prime: its root
+        table and every residue are taken modulo that prime."""
+        primes = split_primes(1)
+        p, _ = next(primes)
+        q, _ = next(primes)
+        assert p == 1099511627791
+        par = StandardParameter(1, 3, ((Fraction(1, p),),))
+        seen = []
+        root_powers, residue = modp.root_powers, modp.residue
+
+        def recording_powers(g, prime, order):
+            seen.append(prime)
+            return root_powers(g, prime, order)
+
+        def recording_residue(x, prime, table):
+            seen.append(prime)
+            return residue(x, prime, table)
+
+        monkeypatch.setattr(modp, "root_powers", recording_powers)
+        monkeypatch.setattr(modp, "residue", recording_residue)
+        case = (monomial(range(4), [Fraction(2), 1, 1, 1]), par, 2)
+        assert is_linear_automorphism(*case) is False
+        assert len(seen) == 5 and set(seen) == {q}
+        assert oracles.is_linear_automorphism(*case) is False
 
 
 class TestAutomorphismOrder:
