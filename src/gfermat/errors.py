@@ -17,7 +17,8 @@ class Frozen:
     with ``super().__init__(...)``.  ``CyclotomicScalar``, ``FixedComponent``,
     ``FixedLocusReport``, ``StandardParameter._trusted`` and ``_trusted_all``
     call their setters one by one instead, since they are built on hot paths,
-    where this loop measured 25-50% slower.  Assigning or deleting a field raises
+    where this loop measured 25-50% slower; ``fixed_locus`` sets a report's
+    slots without any ``__init__`` frame.  Assigning or deleting a field raises
     ``AttributeError``; two values are equal, and hash alike, when they are
     of the same class and their fields are equal; the repr is
     ``Name(field=value, ...)``.  ``copy`` and ``pickle`` rebuild a value

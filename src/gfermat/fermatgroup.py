@@ -11,8 +11,11 @@ Group elements are exponent vectors modulo that diagonal relation and are
 stored canonically with last exponent 0; all level-set computations are
 taken on the canonical form, over every level 0 <= l <= k-1.  A level set
 with a fixed component has at least n+1-d coordinates, so it misses at most
-d of them and, by pigeonhole, holds one of the first d+1: only their levels
-are counted.
+d of them.  When n >= 2d it therefore holds at least d+1 of the first 2d+1
+coordinates, a strict majority, so its level is the median of their
+exponents, and that one level is counted.  When n < 2d two levels can
+qualify; by pigeonhole each holds one of the first d+1 coordinates, and
+only their levels are counted.
 
 Free actions start from a triangular basis.  The subgroup H generated by
 some elements is L / kZ^n, with L the lattice spanned by kZ^n and the
@@ -280,6 +283,20 @@ class FixedLocusReport(Frozen):
         }
 
 
+# ``fixed_locus`` builds its report slot by slot, without an ``__init__`` frame.
+_new_object = object.__new__
+_set_element, _set_gfm_type, _set_components = FixedLocusReport._setters
+
+
+def _component(exponents, level: int, size: int, d: int, k: int, n: int) -> FixedComponent:
+    """The component over ``level``, whose level set has ``size`` >= n+1-d
+    coordinates."""
+    indices = tuple([j for j, m in enumerate(exponents, start=1) if m == level])
+    dimension = size + d - n - 1
+    count = k ** (size - 1) if dimension == 0 else None
+    return FixedComponent(level, indices, dimension, dimension, size - 1, count)
+
+
 def fixed_locus(element: GroupElement, gfm_type: GfmType) -> FixedLocusReport:
     """Components of the fixed locus of a deck-group element.
 
@@ -288,24 +305,31 @@ def fixed_locus(element: GroupElement, gfm_type: GfmType) -> FixedLocusReport:
     level may qualify (the level carrying exponent 0 fixes its coordinates
     pointwise just like any other), which is well defined because the
     canonical form pins the representative.  Components come in increasing
-    level order; only the levels of the first d+1 coordinates are counted
-    (module docstring).
+    level order.  When n >= 2d a qualifying level holds a strict majority
+    of the first 2d+1 coordinates, so only the median of their exponents is
+    counted; otherwise the levels of the first d+1 coordinates are (module
+    docstring).
     """
     d, k, n = gfm_type.d, gfm_type.k, gfm_type.n
     exponents = element.exponents
     if element.k != k or len(exponents) != n + 1:
         raise ValueError("element does not match the type")
-    components = []
-    for level in sorted(set(exponents[: d + 1])):
+    if n >= 2 * d:
+        level = sorted(exponents[: 2 * d + 1])[d]
         size = exponents.count(level)
-        if size >= n + 1 - d:
-            indices = tuple([j for j, m in enumerate(exponents, start=1) if m == level])
-            dimension = size + d - n - 1
-            count = k ** (size - 1) if dimension == 0 else None
-            components.append(
-                FixedComponent(level, indices, dimension, dimension, size - 1, count)
-            )
-    return FixedLocusReport(element, gfm_type, tuple(components))
+        components = (_component(exponents, level, size, d, k, n),) if size > n - d else ()
+    else:
+        components = []
+        for level in sorted(set(exponents[: d + 1])):
+            size = exponents.count(level)
+            if size > n - d:
+                components.append(_component(exponents, level, size, d, k, n))
+        components = tuple(components)
+    report = _new_object(FixedLocusReport)
+    _set_element(report, element)
+    _set_gfm_type(report, gfm_type)
+    _set_components(report, components)
+    return report
 
 
 class FreeActionResult(Frozen):
@@ -505,16 +529,30 @@ def bound_feasible(p: int, r: int, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _monomial_support(matrix: ExactMatrix):
-    """Column index of the unique nonzero entry per row, or None."""
-    support = []
-    for i in range(matrix.rows):
-        nonzero = [j for j, x in enumerate(matrix.row(i)) if x]
-        if len(nonzero) != 1:
-            return None
-        support.append(nonzero[0])
-    if sorted(support) != list(range(matrix.cols)):
-        return None
-    return support
+    """The lcm L of the entries' cyclotomic orders, and the column of the
+    unique nonzero entry of each row, or None when the matrix is not
+    monomial.  One pass over the entries finds both; it stops testing at a
+    second nonzero entry in a row and then only reads the remaining orders.
+    A cyclotomic entry is tested on its coefficients, without the
+    Python-level ``__bool__``."""
+    from .exactfield import CyclotomicScalar
+
+    entries, cols = matrix.entries, matrix.cols
+    orders, nonzero = set(), []
+    for j, x in enumerate(entries):
+        if type(x) is CyclotomicScalar:
+            orders.add(x.order)
+            if not any(x.nums):
+                continue
+        elif not x:
+            continue
+        if nonzero and nonzero[-1] // cols == j // cols:
+            orders.update(y.order for y in entries[j:] if type(y) is CyclotomicScalar)
+            return math.lcm(*orders), None
+        nonzero.append(j)
+    support = [j % cols for j in nonzero]
+    monomial = sorted(support) == list(range(cols))
+    return math.lcm(*orders), support if monomial else None
 
 
 def _power(x, e: int):
@@ -587,12 +625,9 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
     and promoted to Q(zeta_L); then g = 1, and b is also scaled by the lcm
     of those powers' denominators.
     """
-    from .exactfield import CyclotomicScalar
-
     if matrix.rows != matrix.cols or matrix.rows != par.n + 1:
         raise ValueError("matrix must be square of size n+1")
-    order = math.lcm(*(x.order for x in matrix.entries if isinstance(x, CyclotomicScalar)))
-    support = _monomial_support(matrix)
+    order, support = _monomial_support(matrix)
     if support is None:
         from . import modp
 

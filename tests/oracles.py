@@ -80,7 +80,6 @@ from gfermat.fermatgroup import (
     FixedLocusReport,
     FreeActionResult,
     GroupElement,
-    _monomial_support,
     equations,
 )
 from gfermat.modaction import (
@@ -1046,6 +1045,20 @@ def solve_linear(matrix: ExactMatrix, rhs) -> LinearSolveResult:
     return LinearSolveResult(status, tuple(solution), rank)
 
 
+def monomial_support(matrix: ExactMatrix):
+    """Column index of the unique nonzero entry per row, each entry tested
+    by ``bool``, or None when some row or column has none or two."""
+    support = []
+    for i in range(matrix.rows):
+        nonzero = [j for j, x in enumerate(matrix.row(i)) if x]
+        if len(nonzero) != 1:
+            return None
+        support.append(nonzero[0])
+    if sorted(support) != list(range(matrix.cols)):
+        return None
+    return support
+
+
 def _common_cyclotomic_order(matrix: ExactMatrix, k: int) -> int:
     order = k
     for e in matrix.entries:
@@ -1071,7 +1084,7 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
     lifted = ExactMatrix(matrix.rows, matrix.cols, entries)
     if rank(lifted) != lifted.rows:
         raise ValueError("matrix is singular")
-    support = _monomial_support(lifted)
+    support = monomial_support(lifted)
     if support is None:
         return False
     coeff = equations(par, k).coefficient_matrix
@@ -1124,7 +1137,7 @@ def induced_hyperplane_permutation(matrix: ExactMatrix) -> Permutation:
     """The permutation of branch hyperplanes induced by a monomial matrix:
     it sends the coordinate hyperplane carrying index c(r) to the one
     carrying index r, where c(r) is the column of row r's nonzero entry."""
-    support = _monomial_support(matrix)
+    support = monomial_support(matrix)
     if support is None:
         raise ValueError("matrix is not monomial")
     images = [0] * matrix.rows

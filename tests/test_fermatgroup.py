@@ -27,6 +27,7 @@ from gfermat.fermatgroup import (
     is_linear_automorphism,
     smoothness_certificate,
     _candidate_count,
+    _monomial_support,
     _offender_by_candidates,
     _offender_by_enumeration,
     _span_matrix,
@@ -207,10 +208,10 @@ class TestFixedLocus:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_level_set_oracle(self, data):
-        """Level counts over the first d+1 coordinates give the report of
-        the full level-set scan, for k up to 10^30 and n up to 12; the
-        exponents are raw values drawn from at most four levels, so level
-        sets of every size occur."""
+        """The median rule, or the level counts over the first d+1
+        coordinates when n < 2d, give the report of the full level-set
+        scan, for k up to 10^30 and n up to 12; the exponents are raw values
+        drawn from at most four levels, so level sets of every size occur."""
         k = data.draw(st.one_of(st.integers(2, 9), st.integers(2, 10**30)))
         n = data.draw(st.integers(2, 12))
         d = data.draw(st.integers(1, n - 1))
@@ -219,6 +220,45 @@ class TestFixedLocus:
         g, t = GroupElement(k, tuple(exps)), GfmType(d, k, n)
         expected = oracles.fixed_locus_by_level_sets(g, t)
         assert fixed_locus(g, t) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_level_at_the_threshold_matches_the_oracle(self, data):
+        """One level on exactly n+1-d coordinates (a component) or n-d (none),
+        at random places, the rest drawn from at most three other levels, so
+        the level may lie at either end of the sorted first 2d+1 exponents."""
+        k = data.draw(st.integers(2, 9))
+        n = data.draw(st.integers(2, 14))
+        d = data.draw(st.integers(1, n - 1))
+        size = data.draw(st.sampled_from([n + 1 - d, n - d]))
+        level = data.draw(st.integers(0, k - 1))
+        others = [m for m in range(k) if m != level]
+        pool = data.draw(st.lists(st.sampled_from(others), min_size=1, max_size=3))
+        rest = data.draw(st.lists(st.sampled_from(pool), min_size=n + 1 - size,
+                                  max_size=n + 1 - size))
+        exps = data.draw(st.permutations([level] * size + rest))
+        g, t = GroupElement(k, tuple(exps)), GfmType(d, k, n)
+        report = fixed_locus(g, t)
+        assert report == oracles.fixed_locus_by_level_sets(g, t)
+        if size == n + 1 - d:
+            assert any(len(c.indices) == size for c in report.components)
+
+    def test_large_n_matches_the_oracle(self):
+        """n = 10^4 at d = 1 and 3: random elements, and elements with one
+        level on exactly n+1-d or n-d coordinates, the others first or at
+        random places."""
+        rng = random.Random(37)
+        n, k = 10**4, 5
+        for d in (1, 3):
+            t = GfmType(d, k, n)
+            cases = [[rng.randrange(k) for _ in range(n + 1)] for _ in range(3)]
+            for size in (n + 1 - d, n - d):
+                for other in (1, 4):
+                    exps = [other] * (n + 1 - size) + [0] * size
+                    cases += [exps, rng.sample(exps, n + 1)]
+            for exps in cases:
+                g = GroupElement(k, tuple(exps))
+                assert fixed_locus(g, t) == oracles.fixed_locus_by_level_sets(g, t)
 
     def test_dimension_bookkeeping(self):
         rng = random.Random(10)
@@ -576,14 +616,20 @@ class TestFreeActions:
         assert str(exc.value) == "enumeration needs 1001 steps, budget is 1000"
 
     def test_fixed_locus_is_the_level_set_oracle(self):
-        """Every element of every type with k <= 4 and n <= 4."""
-        for k in range(2, 5):
-            for n in range(2, 5):
-                for d in range(1, n):
-                    t = GfmType(d, k, n)
-                    for exps in itertools.product(range(k), repeat=n):
-                        g = GroupElement(k, exps + (0,))
-                        assert fixed_locus(g, t) == oracles.fixed_locus_by_level_sets(g, t)
+        """Every element of every type with k <= 4 and n <= 4, of the
+        benchmark's classes (2;3,5), (2;4,6) and (3;3,7), of (3;2,6) at the
+        boundary n = 2d, and of types with n < 2d, where elements with two
+        components occur."""
+        small = [(d, k, n) for k in range(2, 5) for n in range(2, 5) for d in range(1, n)]
+        two_components = 0
+        for d, k, n in small + [(2, 3, 5), (2, 4, 6), (3, 3, 7), (3, 2, 6), (3, 3, 5), (4, 2, 6)]:
+            t = GfmType(d, k, n)
+            for exps in itertools.product(range(k), repeat=n):
+                g = GroupElement(k, exps + (0,))
+                report = fixed_locus(g, t)
+                assert report == oracles.fixed_locus_by_level_sets(g, t)
+                two_components += len(report.components) == 2
+        assert two_components > 0
 
     def test_bound_feasible(self):
         assert not bound_feasible(3, 1, 4)      # r = 1 never feasible
@@ -1086,6 +1132,33 @@ def rational_monomial_cases(draw):
     assume(len({abs(x) for x in diagonal}) > 1)
     support = draw(st.one_of(st.just(list(range(n + 1))), st.permutations(range(n + 1))))
     return monomial(support, diagonal), par, draw(st.integers(2, 6))
+
+
+class TestMonomialSupport:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_support_and_order_match_the_cell_scan(self, data):
+        """The one-pass support and field order against ``bool`` on every
+        cell and the lcm over every cyclotomic cell: zero and nonzero cells
+        that are ints, Fractions or cyclotomic values of orders 1..12, on
+        permutation patterns with cells added or removed, so rows and
+        columns with none or two nonzero entries occur, and zero cells of
+        any order after the first row with two."""
+        size = data.draw(st.integers(1, 5))
+        order = st.integers(1, 12)
+        zero = st.one_of(st.just(0), st.just(Fraction(0)), order.map(CyclotomicScalar.zero))
+        nonzero = st.one_of(
+            nonzero_rationals, st.integers(-3, 3).filter(bool),
+            st.tuples(order, st.integers(0, 11)).map(lambda t: CyclotomicScalar.zeta(*t)),
+            st.tuples(order, st.lists(st.integers(-2, 2), min_size=1, max_size=4)).map(
+                lambda t: CyclotomicScalar.from_poly(*t)))
+        images = data.draw(st.permutations(range(size)))
+        flips = data.draw(st.sets(st.integers(0, size * size - 1), max_size=2))
+        cells = [data.draw(nonzero if (c == images[r]) != (r * size + c in flips) else zero)
+                 for r in range(size) for c in range(size)]
+        matrix = ExactMatrix(size, size, tuple(cells))
+        expected = math.lcm(*(x.order for x in cells if isinstance(x, CyclotomicScalar)))
+        assert _monomial_support(matrix) == (expected, oracles.monomial_support(matrix))
 
 
 class TestSpanConditions:
