@@ -261,6 +261,17 @@ def _integer_duals(par: StandardParameter) -> list[tuple[int, ...]]:
     return points
 
 
+def _checked_duals(par: StandardParameter,
+                   message: str = "parameter is not in X_{n,d}") -> list[tuple[int, ...]]:
+    """par's integer dual points (``_integer_duals``) once their maximal
+    minors are swept; a zero minor, a parameter off X_{n,d}, raises
+    ``ValueError(message)``.  Every membership refusal of the package."""
+    points = _integer_duals(par)
+    if not all(minors(points)):
+        raise ValueError(message)
+    return points
+
+
 def is_standard_parameter(par: StandardParameter) -> bool:
     """Membership test for X_{n,d} (general position of the derived duals)."""
     return all(minors(_integer_duals(par)))

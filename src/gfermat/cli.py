@@ -117,14 +117,7 @@ def _parse_matrix(data, k: int, size: int, budget: int) -> ExactMatrix:
                 cell.get("k", k), [rational_from_string(c) for c in cell["coeffs"]])
         return rational_from_string(cell)
 
-    try:
-        return ExactMatrix.from_rows(
-            [[entry(c) for c in row] for row in rows]
-        )
-    except ValueError as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(str(exc)) from exc
+    return ExactMatrix.from_rows([[entry(c) for c in row] for row in rows])
 
 
 def _parse_degree(value) -> int:

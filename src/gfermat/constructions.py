@@ -34,11 +34,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .arrangement import (
-    StandardParameter,
-    _integer_duals,
-    is_standard_parameter,
-)
+from .arrangement import StandardParameter, _checked_duals
 from .errors import Frozen, NotInGeneralPosition, TangencyError
 from .exactfield import ExactMatrix
 from .rational import clear_denominators, projective_normalize, rational_to_string
@@ -124,6 +120,12 @@ def kummer_parameters(alphas) -> StandardParameter:
     images of a_1 and a_2.  Each entry is a cross-ratio of four of the six
     branch values, so the output is invariant under affine rescaling
     a_i -> c a_i + e.
+
+    The table is the normal form of the lines with dual points
+    (a_i^2, -2 a_i, 1), in input order.  Any three of those points have
+    determinant -2 times the Vandermonde determinant of their a_i, nonzero
+    for distinct values, so the table is always in X_{5,2} and no minor is
+    swept.
     """
     a = tuple(Fraction(x) for x in alphas)
     if len(a) != 6:
@@ -132,10 +134,7 @@ def kummer_parameters(alphas) -> StandardParameter:
         raise ValueError("branch values must be pairwise distinct")
     ints = clear_denominators(a)[0]  # a scaling, which keeps every cross-ratio
     rows = tuple(tuple(_coordinates(operator.sub, ints, (i, 3, 2))[:2]) for i in (4, 5))
-    par = StandardParameter(2, 5, rows)
-    if not is_standard_parameter(par):
-        raise ValueError("branch values produce a degenerate line collection")
-    return par
+    return StandardParameter(2, 5, rows)
 
 
 class LineRestriction(Frozen):
@@ -163,12 +162,10 @@ def restrict_to_line(par: StandardParameter, rho, *, allow_singular: bool = Fals
     """
     if par.d != 2:
         raise ValueError("line restriction starts from a surface parameter (d = 2)")
-    if not is_standard_parameter(par):
-        raise ValueError("parameter is not in X_{n,2}")
+    duals = _checked_duals(par, "parameter is not in X_{n,2}")  # each used only up to scale
     rho = projective_normalize(tuple(Fraction(c) for c in rho))
     if len(rho) != 3:
         raise ValueError("the line needs a dual point in P^2")
-    duals = _integer_duals(par)  # every use below is invariant under scaling a dual
     rho = clear_denominators(rho)[0]
     meets = [_cross(rho, q) for q in duals]
     # every three branch lines are independent, so only the triples through
@@ -232,11 +229,9 @@ def conic_curve_parameters(a, par: StandardParameter, anchors=(1, 2, 3)) -> Coni
     """
     if par.d != 2:
         raise ValueError("conic restriction starts from a surface parameter (d = 2)")
-    if not is_standard_parameter(par):
-        raise ValueError("parameter is not in X_{n,2}")
+    duals = _checked_duals(par, "parameter is not in X_{n,2}")  # each used only up to scale
     r0, r1, r2 = _integer_rows(tangent_conic(a).coefficients)  # 2sQ
     adj = (_cross(r1, r2), _cross(r2, r0), _cross(r0, r1))  # (2s)^2 adj(Q), symmetric
-    duals = _integer_duals(par)  # every use below is invariant under scaling a dual
     points = []
     for j, q in enumerate(duals, start=1):
         pole = (_dot(adj[0], q), _dot(adj[1], q), _dot(adj[2], q))

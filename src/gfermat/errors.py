@@ -15,10 +15,10 @@ class Frozen:
     without the name lookup of ``object.__setattr__``.  A class that checks
     or normalizes its arguments does so in its own ``__init__`` and ends
     with ``super().__init__(...)``.  ``CyclotomicScalar``, ``FixedComponent``,
-    ``FixedLocusReport``, ``StandardParameter._trusted`` and ``_trusted_all``
-    call their setters one by one instead, since they are built on hot paths,
-    where this loop measured 25-50% slower; ``fixed_locus`` sets a report's
-    slots without any ``__init__`` frame.  Assigning or deleting a field raises
+    ``StandardParameter._trusted`` and ``_trusted_all`` call their setters
+    one by one instead, since they are built on hot paths, where this loop
+    measured 25-50% slower; ``fixed_locus`` sets a report's slots without
+    any ``__init__`` frame.  Assigning or deleting a field raises
     ``AttributeError``; two values are equal, and hash alike, when they are
     of the same class and their fields are equal; the repr is
     ``Name(field=value, ...)``.  ``copy`` and ``pickle`` rebuild a value

@@ -209,12 +209,11 @@ class EquationSystem(Frozen):
 
 def equations(par: StandardParameter, k: int) -> EquationSystem:
     """Equation system of the variety over a parameter in X_{n,d}."""
-    from .arrangement import is_standard_parameter
+    from .arrangement import _checked_duals
 
     if k < 2:
         raise ValueError("degree k must be >= 2")
-    if not is_standard_parameter(par):
-        raise ValueError("parameter is not in X_{n,d}")
+    _checked_duals(par)
     return EquationSystem.from_table(par.d, par.n, k, par.rows)
 
 
@@ -267,13 +266,6 @@ class FixedComponent(Frozen):
 
 class FixedLocusReport(Frozen):
     __slots__ = ("element", "gfm_type", "components")
-
-    def __init__(self, element: GroupElement, gfm_type: GfmType,
-                 components: tuple[FixedComponent, ...]):
-        set_element, set_gfm_type, set_components = self._setters
-        set_element(self, element)
-        set_gfm_type(self, gfm_type)
-        set_components(self, components)
 
     def to_json(self):
         return {
@@ -634,14 +626,11 @@ def is_linear_automorphism(matrix: ExactMatrix, par: StandardParameter, k: int) 
         if modp.is_singular([matrix.row(i) for i in range(matrix.rows)], order):
             raise ValueError("matrix is singular")
         return False
-    from .arrangement import _integer_duals
-    from .rational import minors
+    from .arrangement import _checked_duals
 
     if k < 2:
         raise ValueError("degree k must be >= 2")
-    points = _integer_duals(par)
-    if not all(minors(points)):
-        raise ValueError("parameter is not in X_{n,d}")
+    points = _checked_duals(par)
     span = _span_matrix(points, support, par.d)
     entries = [matrix.entry(r, c) for r, c in enumerate(support)]
     roots = []  # (u, v, j) of each entry (u/v) zeta_L^j, or None

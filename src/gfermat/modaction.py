@@ -89,9 +89,9 @@ from itertools import chain, count, repeat, starmap
 
 from .arrangement import (
     StandardParameter,
+    _checked_duals,
     _frame_normal_form,
     _integer_duals,
-    is_standard_parameter,
 )
 from .errors import DEFAULT_BUDGET, BudgetExceeded, Frozen
 from .rational import minors
@@ -167,9 +167,8 @@ def act(eta: Permutation, par: StandardParameter, *, validate: bool = True) -> S
     """
     if eta.degree != par.n + 1:
         raise ValueError("permutation degree must be n+1")
-    if validate and not is_standard_parameter(par):
-        raise ValueError("parameter is not in X_{n,d}")
-    points, slotted = _integer_duals(par), [None] * (par.n + 1)
+    points = _checked_duals(par) if validate else _integer_duals(par)
+    slotted = [None] * (par.n + 1)
     for j, point in zip(eta.images, points):
         slotted[j] = point
     rows = _frame_normal_form(slotted, par.d, ())[2]
@@ -376,8 +375,7 @@ def _check_scan(par: StandardParameter, budget: int) -> dict:
     lazy membership sweep, which stops at the first zero minor."""
     size = math.factorial(par.n + 1)
     if size > budget:
-        if not is_standard_parameter(par):
-            raise ValueError("parameter is not in X_{n,d}")
+        _checked_duals(par)
         raise BudgetExceeded(size, budget)
     subsets = itertools.combinations([1 << h for h in range(par.n + 1)], par.d + 1)
     minor_table = dict(zip(map(sum, subsets), minors(_integer_duals(par))))
@@ -477,7 +475,11 @@ def kernel_of_R(
         rows = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d))
                      for _ in range(n - d - 1))
         par = StandardParameter._trusted(d, n, rows)
-        if is_standard_parameter(par) and act(cycle, par, validate=False) != par:
+        try:
+            moved = act(cycle, par) != par
+        except ValueError:  # a draw off X_{n,d}
+            continue
+        if moved:
             return (Permutation(tuple(range(n + 1))),)
 
 
@@ -500,8 +502,7 @@ def are_isomorphic(
     """
     if (first.d, first.n) != (second.d, second.n):
         raise ValueError("parameters must share the same (n, d)")
-    if not is_standard_parameter(second):
-        raise ValueError("parameter is not in X_{n,d}")
+    _checked_duals(second)
     scan = _carriers(first, second, _check_scan(first, budget))
     note = None
     if k is not None and (first.d, k, first.n) in EXCEPTIONAL_TYPES:

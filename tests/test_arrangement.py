@@ -386,3 +386,63 @@ class TestIntegerDuals:
         duals = _integer_duals(par)
         assert duals == oracles.integer_duals(par)
         assert all(type(x) is int for point in duals for x in point)
+
+
+class TestCheckedDuals:
+    """The one membership gate: the integer duals of a parameter in
+    X_{n,d}, and a ``ValueError`` with the caller's text off it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables())
+    def test_returns_the_duals_or_refuses(self, table):
+        par = StandardParameter(*table)
+        if is_standard_parameter(par):
+            assert arrangement_module._checked_duals(par) == _integer_duals(par)
+        else:
+            for args, message in [((), "parameter is not in X_{n,d}"),
+                                  (("custom text",), "custom text")]:
+                with pytest.raises(ValueError) as refused:
+                    arrangement_module._checked_duals(par, *args)
+                assert type(refused.value) is ValueError and str(refused.value) == message
+
+    def test_callers_clear_the_duals_once(self, monkeypatch):
+        """A validating ``act``, ``restrict_to_line`` and
+        ``conic_curve_parameters`` clear par's duals once and sweep their
+        minors once; ``kummer_parameters`` sweeps none.  Every module of the
+        package that binds ``_integer_duals`` or ``minors`` is wrapped."""
+        import sys
+        from collections import Counter
+
+        from gfermat import constructions, fermatgroup, modaction, modp  # noqa: F401 (bound)
+        from gfermat.constructions import (
+            conic_curve_parameters,
+            kummer_parameters,
+            restrict_to_line,
+        )
+        from gfermat.modaction import Permutation, act
+
+        calls = Counter()
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "gfermat" or module_name.startswith("gfermat."):
+                for name in ("_integer_duals", "minors"):
+                    if name in vars(module):
+                        monkeypatch.setattr(module, name, counting(name, vars(module)[name]))
+        par = StandardParameter(2, 5, (F(2, 3), F(5, -7)))
+        cycle = Permutation((1, 2, 3, 4, 5, 0))
+        for call, expected in [
+            (lambda: act(cycle, par), {"_integer_duals": 1, "minors": 1}),
+            (lambda: restrict_to_line(par, F(1, 2, 7)), {"_integer_duals": 1, "minors": 1}),
+            (lambda: conic_curve_parameters(3, StandardParameter(2, 3, ())),
+             {"_integer_duals": 1, "minors": 1}),
+            (lambda: kummer_parameters(F(0, 1, 2, 3, 4, 5)), {}),
+        ]:
+            calls.clear()
+            call()
+            assert calls == expected

@@ -37,6 +37,8 @@ from tests.conftest import tables
 PAR_13 = '{"d":1,"n":3,"lambda":[["2"]]}'
 PAR_24 = '{"d":2,"n":4,"lambda":[["2","3"]]}'
 FERMAT_23 = '{"d":2,"n":3,"lambda":[]}'
+OFF_24 = '{"d":2,"n":4,"lambda":[["1","2"]]}'  # lines 2, 4, 5 concurrent
+IDENTITY_5 = [["1" if c == r else "0" for c in range(5)] for r in range(5)]
 
 
 # the arguments before the payload, for verbs whose payload is not the first
@@ -142,6 +144,40 @@ class TestExitCodes:
         ]:
             assert run_cli(capsys, *[par if a == "P" else a for a in argv],
                            "--budget", "23") == expected
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (("fixed-locus", "2", "3", "4", "[1]"), EXIT_VALIDATION, "need at least two exponents"),
+        (("verify-matrix", FERMAT_23, "2", "{}"), EXIT_VALIDATION,
+         "matrix payload needs 'entries'"),
+        (("verify-matrix", FERMAT_23, "2", '{"entries":[1,2,3,4]}'), EXIT_VALIDATION,
+         "'entries' must be a list of rows"),
+        (("verify-matrix", FERMAT_23, "2", matrix_json([{"k": 4}, "0", "0", "0"])),
+         EXIT_VALIDATION, "cyclotomic entry needs a 'coeffs' list"),
+        (("verify-matrix", FERMAT_23, "2", matrix_json([{"k": 0, "coeffs": ["1"]}, "0", "0", "0"])),
+         EXIT_VALIDATION, "cyclotomic entry order must be positive"),
+        (("free", "2", "3", "4", '{"g":[1,0]}'), EXIT_VALIDATION,
+         "generators must be a list of exponent vectors"),
+        (("free", "2", "3", "4", "[[1,1,0]]"), EXIT_VALIDATION,
+         "exponent vectors must have length n+1"),
+        (("invariants", "2", "4", "3", "--pluri", "0"), EXIT_VALIDATION,
+         "plurigenus indices must be positive"),
+        (("restrict-line", PAR_24, '["1","2"]'), EXIT_VALIDATION,
+         "rho must be a list of three rationals"),
+        (("canon", OFF_24), EXIT_PRECONDITION, "parameter is not in X_{n,d}"),
+        (("equations", OFF_24, "3"), EXIT_PRECONDITION, "parameter is not in X_{n,d}"),
+        (("verify-matrix", OFF_24, "3", json.dumps({"entries": IDENTITY_5})), EXIT_PRECONDITION,
+         "parameter is not in X_{n,d}"),
+        (("restrict-line", OFF_24, '["1","2","5"]'), EXIT_PRECONDITION,
+         "parameter is not in X_{n,2}"),
+        (("conic-eta", "3", OFF_24), EXIT_PRECONDITION, "parameter is not in X_{n,2}"),
+    ], ids=["one-exponent", "no-entries", "rows-not-lists", "cell-without-coeffs", "order-0",
+            "generators-not-a-list", "generator-length", "pluri-0", "rho-two", "canon-off-X",
+            "equations-off-X", "verify-off-X", "line-off-X", "conic-off-X"])
+    def test_refusals_print_their_texts(self, capsys, argv, code, message):
+        kind = "validation" if code == EXIT_VALIDATION else "precondition"
+        line = json.dumps({"error": {"kind": kind, "message": message}},
+                          sort_keys=True, separators=(",", ":"))
+        assert run_cli(capsys, *argv) == (code, line + "\n")
 
     def test_budget_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("GFERMAT_BUDGET", "5")

@@ -7,8 +7,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gfermat.arrangement import StandardParameter, is_general_position, is_standard_parameter
+from gfermat.arrangement import (
+    Arrangement,
+    Hyperplane,
+    StandardParameter,
+    is_general_position,
+    is_standard_parameter,
+    normalize,
+)
 from gfermat.constructions import (
     Conic,
     conic_curve_parameters,
@@ -24,6 +33,8 @@ from tests.conftest import rand_fraction
 from tests.oracles import arrangement_of, random_parameter
 
 CANONICAL_LINES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+HEIGHT_12_RATIONALS = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12))
 
 
 def big_fraction(rng, digits=30):
@@ -47,15 +58,20 @@ class TestKummer:
         with pytest.raises(ValueError):
             kummer_parameters([0, 0, 2, 3, 4, 5])
 
-    def test_always_standard_parameter(self):
-        rng = random.Random(4)
-        done = 0
-        while done < 100:
-            alphas = {rand_fraction(rng, 12) for _ in range(6)}
-            if len(alphas) != 6:
-                continue
-            assert is_standard_parameter(kummer_parameters(sorted(alphas)))
-            done += 1
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(SMALL_RATIONALS, HEIGHT_12_RATIONALS), min_size=6, max_size=6,
+                    unique=True))
+    @example([Fraction(x) for x in range(6)])
+    @example([Fraction(x) for x in (5, -3, 0, 10**12, Fraction(1, 10**12), -1)])
+    def test_always_standard_parameter(self, alphas):
+        """The table is the normal form of the lines with dual points
+        (a_i^2, -2 a_i, 1) in input order, which is in X_{5,2}: any three of
+        those points have determinant -2 times a Vandermonde determinant.
+        Distinct values in any order, of height up to 10^12."""
+        par = kummer_parameters(alphas)
+        lines = Arrangement(2, tuple(Hyperplane((a * a, -2 * a, 1)) for a in alphas))
+        assert par == normalize(lines)[1]
+        assert is_standard_parameter(par)
 
     def test_symmetric_branch_values_yield_stabilizer(self):
         """The affine involution a -> 5 - a of the branch sextic descends to
@@ -524,3 +540,29 @@ class TestConicCurveParameters:
         for point, dual in zip(result.tangency_points, duals):
             assert oracles.conic_contains(conic, point)
             assert sum(q * x for q, x in zip(dual, point)) == 0
+
+
+OFF_24 = StandardParameter(2, 4, ((Fraction(1), Fraction(2)),))  # lines 2, 4, 5 concurrent
+PAR_24 = StandardParameter(2, 4, ((Fraction(2), Fraction(3)),))
+CURVE = StandardParameter(1, 3, ((Fraction(2),),))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: kummer_parameters([0, 1, 2, 3, 4]), "need six branch values"),
+    (lambda: kummer_parameters(range(7)), "need six branch values"),
+    (lambda: restrict_to_line(OFF_24, (1, 2, 5)), "parameter is not in X_{n,2}"),
+    (lambda: restrict_to_line(OFF_24, (1, 2)), "parameter is not in X_{n,2}"),
+    (lambda: restrict_to_line(PAR_24, (1, 2)), "the line needs a dual point in P^2"),
+    (lambda: restrict_to_line(PAR_24, (1, 2, 5, 7)), "the line needs a dual point in P^2"),
+    (lambda: conic_curve_parameters(3, CURVE),
+     "conic restriction starts from a surface parameter (d = 2)"),
+    (lambda: conic_curve_parameters(3, OFF_24), "parameter is not in X_{n,2}"),
+    (lambda: conic_curve_parameters(0, OFF_24), "parameter is not in X_{n,2}"),
+], ids=["kummer-five", "kummer-seven", "line-off-X", "line-off-X-first", "line-rho-two",
+        "line-rho-four", "conic-d", "conic-off-X", "conic-off-X-first"])
+def test_refusals_keep_their_texts(call, message):
+    """Each refusal is a plain ``ValueError`` with its exact text, in the
+    order the checks run (membership before the line and the conic)."""
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert (type(refused.value), str(refused.value)) == (ValueError, message)

@@ -113,6 +113,12 @@ class TestCyclotomicScalar:
         with pytest.raises(ValueError):
             CyclotomicScalar.zeta(3) + CyclotomicScalar.zeta(4)
 
+    def test_zero_has_no_inverse(self):
+        with pytest.raises(ZeroDivisionError) as refused:
+            CyclotomicScalar.zero(5).inverse()
+        assert (type(refused.value), str(refused.value)) == (
+            ZeroDivisionError, "cyclotomic scalar is zero")
+
     def test_json_round_trip(self):
         z = CyclotomicScalar.zeta(5, 2) / 3
         data = z.to_json()
@@ -224,6 +230,7 @@ class TestCyclotomicOracle:
 class TestRationalStrings:
     def test_round_trip(self):
         assert rational_from_string("3/2") == Fraction(3, 2)
+        assert type(rational_from_string(-7)) is Fraction and rational_from_string(-7) == -7
         assert rational_to_string(Fraction(-4, 2)) == "-2"
         assert rational_to_string(Fraction(7, 3)) == "7/3"
 
@@ -292,6 +299,17 @@ class TestProjectiveNormalize:
 
     def test_package_export_on_ints(self):
         assert gfermat.projective_normalize((3, 1)) == (Fraction(1), Fraction(1, 3))
+
+
+class TestExactMatrixRows:
+    @pytest.mark.parametrize("rows,message", [
+        ([], "matrix needs at least one row"),
+        ([[1, 2], [3]], "ragged rows"),
+    ], ids=("empty", "ragged"))
+    def test_from_rows_refuses_a_non_rectangular_grid(self, rows, message):
+        with pytest.raises(ValueError) as refused:
+            ExactMatrix.from_rows(rows)
+        assert (type(refused.value), str(refused.value)) == (ValueError, message)
 
 
 class TestSolveLinear:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gfermat import modp
@@ -100,6 +100,14 @@ class TestEquations:
     def test_rejects_degenerate_parameter(self):
         with pytest.raises(ValueError):
             equations(par1(1), 2)
+
+    def test_unit_coefficients_print_without_a_factor(self):
+        par = StandardParameter(2, 5, ((Fraction(-1), Fraction(3)), (Fraction(2), Fraction(-1))))
+        assert equations(par, 4).polynomial_text() == (
+            "x1^4 + x2^4 + x3^4 + x4^4",
+            "-x1^4 + 3*x2^4 + x3^4 + x5^4",
+            "2*x1^4 - x2^4 + x3^4 + x6^4",
+        )
 
     def test_row_support_pattern(self, rng):
         par = random_parameter(3, 7, rng)
@@ -560,10 +568,13 @@ class TestFreeActions:
 
     @settings(max_examples=200, deadline=None)
     @given(small_k_cases(), st.integers(1, 500))
+    @example((7, 4, 1, [[0, 5, 0, 1, 0], [0, 2, 2, 0, 0], [0, 4, 5, 4, 0]]), 500)
     def test_each_path_matches_oracle(self, case, budget):
         """The candidate path and the enumeration path, each called on its
         own, give the oracle's (free, offending, order), or the basis gives
-        its refusal text, so the selection rule hides neither path."""
+        its refusal text, so the selection rule hides neither path.  The
+        explicit free subgroup has its first pivot in column 1, so the
+        candidate scan stops at the first candidate past that pivot's limit."""
         k, n, d, gens = case
         t = GfmType(d, k, n)
         gens = [GroupElement(k, tuple(g)) for g in gens]
@@ -1354,3 +1365,38 @@ class TestClassifyLowN:
             classify_low_n(2, 3)
         with pytest.raises(ValueError):
             classify_low_n(4, 1)
+
+
+PAR_24 = StandardParameter(2, 4, ((Fraction(2), Fraction(3)),))
+OFF_24 = StandardParameter(2, 4, ((Fraction(1), Fraction(2)),))  # lines 2, 4, 5 concurrent
+TYPE_234 = GfmType(2, 3, 4)
+
+
+def identity(size):
+    return ExactMatrix.from_rows([[int(r == c) for c in range(size)] for r in range(size)])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: EquationSystem.from_table(2, 4, 1, PAR_24.rows), "need d >= 1, n >= d+1, k >= 2"),
+    (lambda: EquationSystem.from_table(2, 4, 3, ((2,),)), "table must be (n-d-1) x d"),
+    (lambda: equations(PAR_24, 1), "degree k must be >= 2"),
+    (lambda: equations(OFF_24, 1), "degree k must be >= 2"),
+    (lambda: equations(OFF_24, 3), "parameter is not in X_{n,d}"),
+    (lambda: fixed_locus(GroupElement(2, (1, 0, 0, 0, 0)), TYPE_234),
+     "element does not match the type"),
+    (lambda: subgroup_acts_freely([GroupElement(2, (1, 0, 0, 0, 0))], TYPE_234),
+     "generator does not match the type"),
+    (lambda: bound_feasible(1, 1, 3), "need a prime p >= 2 and r >= 1"),
+    (lambda: is_linear_automorphism(identity(4), PAR_24, 3), "matrix must be square of size n+1"),
+    (lambda: is_linear_automorphism(identity(5), PAR_24, 1), "degree k must be >= 2"),
+    (lambda: is_linear_automorphism(identity(5), OFF_24, 1), "degree k must be >= 2"),
+    (lambda: is_linear_automorphism(identity(5), OFF_24, 3), "parameter is not in X_{n,d}"),
+], ids=["system-k", "system-row-width", "equations-k", "equations-k-first", "equations-off-X",
+        "fixed-locus-k", "free-k", "bound-p", "verifier-size", "verifier-k", "verifier-k-first",
+        "verifier-off-X"])
+def test_refusals_keep_their_texts(call, message):
+    """Each refusal is a plain ``ValueError`` with its exact text, in the
+    order the checks run (the degree before membership)."""
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert (type(refused.value), str(refused.value)) == (ValueError, message)

@@ -121,8 +121,19 @@ class TestActionLaws:
             assert is_standard_parameter(act(eta, par))
 
     def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            act(Permutation(tuple(range(5))), HARMONIC)
+        """The degree is checked first, also on a parameter off X_{n,d}."""
+        for par in (HARMONIC, par1(1)):
+            with pytest.raises(ValueError) as refused:
+                act(Permutation(tuple(range(5))), par)
+            assert (type(refused.value), str(refused.value)) == (
+                ValueError, "permutation degree must be n+1")
+
+    def test_validating_act_refuses_a_parameter_off_x(self):
+        """par1(1) repeats the point (1, 1)."""
+        with pytest.raises(ValueError) as refused:
+            act(Permutation(tuple(range(4))), par1(1))
+        assert (type(refused.value), str(refused.value)) == (
+            ValueError, "parameter is not in X_{n,d}")
 
 
 def _actions(entries):
@@ -325,6 +336,17 @@ class TestIsomorphism:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             are_isomorphic(par1(2), StandardParameter(2, 4, ((Fraction(2), Fraction(3)),)))
+
+    @pytest.mark.parametrize("first,second,budget", [
+        (par1(2), par1(1), DEFAULT_BUDGET),
+        (par1(1), par1(2), DEFAULT_BUDGET),
+        (par1(1), par1(2), 23),
+    ], ids=("second", "first", "first-past-budget"))
+    def test_parameter_off_x_refused(self, first, second, budget):
+        with pytest.raises(ValueError) as refused:
+            are_isomorphic(first, second, budget=budget)
+        assert (type(refused.value), str(refused.value)) == (
+            ValueError, "parameter is not in X_{n,d}")
 
 
 class TestCanonicalRepresentative:
